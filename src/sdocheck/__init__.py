@@ -6,7 +6,7 @@ Typical flow:
 
     graph_vocab = vocab.load_default_vocabulary()
     blocks = annotation.extract_annotation_blocks(html, base_url)
-    parsed, findings = annotation.parse_annotation(blocks[0], vocab=graph_vocab)
+    parsed, findings = annotation.parse_annotation(blocks[0])
     findings += sdo_verifier.verify_schema_org(parsed, graph_vocab)
 """
 

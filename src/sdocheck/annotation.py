@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from urllib.parse import urljoin, urlparse
 
-from .htmltree import Element, effective_base_url, parse_html
+from .htmltree import Document, Element, effective_base_url, parse_html
 from .report import ReportEntry, make_entry
 from .vocab import strip_namespace
 
@@ -45,6 +45,8 @@ _DATETIME_RE = re.compile(
     r"^\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}(?::\d{2}(?:\.\d+)?)?"
     r"(?:Z|[+-]\d{2}:?\d{2})?$")
 _TIME_RE = re.compile(r"^\d{2}:\d{2}(?::\d{2}(?:\.\d+)?)?(?:Z|[+-]\d{2}:?\d{2})?$")
+_TEMPORAL_FORMS = ((_DATE_RE, "Date"), (_DATETIME_RE, "DateTime"),
+                   (_TIME_RE, "Time"))
 
 _PATH_STEP_RE = re.compile(r"\.([^.\[\]]+)(?:\[(\d+)\])?")
 PATH_GRAMMAR_RE = re.compile(r"^\$\d+(?:\.[^.\[\]]+(?:\[\d+\])?)*$")
@@ -145,30 +147,31 @@ def _string_list(value) -> list[str]:
     return [item for item in items if isinstance(item, str)]
 
 
+def parse_temporal(raw: str, datatype: str) -> date | datetime | time:
+    """The value of an ISO 8601 literal of datatype Date, DateTime or Time.
+
+    A trailing ``Z`` reads as UTC.  Raises ValueError when ``raw`` is not a
+    valid value of that datatype.
+    """
+    if datatype == "Date":
+        return date.fromisoformat(raw)
+    parser = datetime if datatype == "DateTime" else time
+    return parser.fromisoformat(raw.replace("Z", "+00:00"))
+
+
 def classify_literal(raw: str) -> str:
     """Deterministically infer the vocabulary datatype of a literal."""
     if raw == "":
         return UNDETERMINED
     if raw in ("true", "false"):
         return "Boolean"
-    if _DATE_RE.match(raw):
-        try:
-            date.fromisoformat(raw)
-            return "Date"
-        except ValueError:
-            return "Text"
-    if _DATETIME_RE.match(raw):
-        try:
-            datetime.fromisoformat(raw.replace("Z", "+00:00"))
-            return "DateTime"
-        except ValueError:
-            return "Text"
-    if _TIME_RE.match(raw):
-        try:
-            time.fromisoformat(raw.replace("Z", "+00:00"))
-            return "Time"
-        except ValueError:
-            return "Text"
+    for pattern, datatype in _TEMPORAL_FORMS:
+        if pattern.match(raw):
+            try:
+                parse_temporal(raw, datatype)
+            except ValueError:
+                return "Text"
+            return datatype
     if _DURATION_RE.match(raw):
         return "Duration"
     if _INTEGER_RE.match(raw):
@@ -187,24 +190,27 @@ def classify_literal(raw: str) -> str:
 # block extraction
 
 
-def extract_annotation_blocks(html: bytes | str, base_url: str) -> list[RawBlock]:
+def extract_annotation_blocks(html: bytes | str | Document,
+                              base_url: str) -> list[RawBlock]:
     """All annotation blocks of a page, in document order.
 
+    ``html`` is the page source or its tree from ``htmltree.parse_html``.
     JSON-LD script blocks come first (verbatim, even if malformed), followed
     by one synthetic block per top-level Microdata item scope.  Block indices
     are global and zero-based.
     """
-    tree = parse_html(html)
+    tree = html if isinstance(html, Document) else parse_html(html)
     base = effective_base_url(tree, base_url)
     blocks: list[RawBlock] = []
+    items: list[dict] = []
     for element in tree.iter_elements():
         if element.tag == "script" and _is_jsonld_type(element):
             text = "".join(c for c in element.children if isinstance(c, str))
             blocks.append(RawBlock(text, SourceFormat.JSON_LD, len(blocks)))
-    for element in tree.iter_elements():
         if "itemscope" in element.attrs and "itemprop" not in element.attrs:
-            item = _build_microdata_item(element, base)
-            blocks.append(RawBlock(item, SourceFormat.MICRODATA, len(blocks)))
+            items.append(_build_microdata_item(element, base))
+    for item in items:
+        blocks.append(RawBlock(item, SourceFormat.MICRODATA, len(blocks)))
     return blocks
 
 
@@ -225,22 +231,27 @@ def _build_microdata_item(element: Element, base: str) -> dict:
 
 
 def _collect_microdata_properties(element: Element, out: list, base: str) -> None:
-    for child in element.children:
-        if not isinstance(child, Element):
+    # entries are elements still to visit, or (names, value) pairs to emit
+    # once the properties nested inside a literal property are out
+    stack: list = [c for c in reversed(element.children)
+                   if isinstance(c, Element)]
+    while stack:
+        child = stack.pop()
+        if isinstance(child, tuple):
+            names, value = child
+            out.extend([name, value] for name in names)
             continue
         if "itemprop" in child.attrs:
             names = child.attrs["itemprop"].split()
             if "itemscope" in child.attrs:
                 value = {"item": _build_microdata_item(child, base)}
-            else:
-                value = {"literal": _microdata_value(child, base)}
-                _collect_microdata_properties(child, out, base)
-            for name in names:
-                out.append([name, value])
+                out.extend([name, value] for name in names)
+                continue
+            stack.append((names, {"literal": _microdata_value(child, base)}))
         elif "itemscope" in child.attrs:
             continue  # a separate top-level item, not a property of this one
-        else:
-            _collect_microdata_properties(child, out, base)
+        stack.extend(c for c in reversed(child.children)
+                     if isinstance(c, Element))
 
 
 def _microdata_value(element: Element, base: str) -> str:
@@ -263,7 +274,6 @@ def _microdata_value(element: Element, base: str) -> str:
 def parse_annotation(raw_block: RawBlock | str | dict,
                      source_format: SourceFormat | None = None,
                      block_index: int = 0,
-                     vocab=None,
                      first_root_ordinal: int = 0,
                      ) -> tuple[AnnotationGraph | None, list[ReportEntry]]:
     """Parse one block into an annotation graph.
@@ -272,8 +282,6 @@ def parse_annotation(raw_block: RawBlock | str | dict,
     unusable (E101 invalid syntax, E102 no typed node).  Warnings (E103)
     may accompany a successful parse.  ``first_root_ordinal`` offsets root
     numbering so paths stay unique when a page carries several blocks.
-    The ``vocab`` argument is accepted for pipeline uniformity; parsing
-    itself needs no vocabulary.
     """
     if isinstance(raw_block, RawBlock):
         payload = raw_block.payload

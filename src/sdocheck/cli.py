@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import annotation as anno
 from . import content as content_mod
 from . import ds as ds_mod
+from . import htmltree
 from . import report as report_mod
 from . import sdo_verifier
 from . import vocab as vocab_mod
@@ -37,7 +38,7 @@ class LoadedInput:
     target: str        # identifier used in the report
     data: bytes
     base_url: str
-    is_page: bool      # HTML page vs standalone annotation block
+    page: htmltree.Document | None  # parsed HTML; None for an annotation file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,14 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_extract(args)
+        if args.command == "extract":
+            return _cmd_extract(args)
+        report = check(args)
     except CliFailure as exc:
         print(f"sdocheck: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.buffer.write(report_mod.serialize_report(report, args.format))
+    sys.stdout.buffer.flush()
+    return _exit_code(report, args.fail_level)
 
 
 def entry_point() -> None:
@@ -105,19 +107,20 @@ def _load_input(raw: str) -> LoadedInput:
             raise CliFailure(f"fetch failed: {exc}") from exc
         return LoadedInput(target=raw, data=result.body,
                            base_url=result.final_url,
-                           is_page=_looks_like_html(result.body))
+                           page=_parse_if_html(result.body))
     try:
         with open(raw, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise CliFailure(f"cannot read input: {exc}") from exc
     return LoadedInput(target=raw, data=data, base_url=f"file://{raw}",
-                       is_page=_looks_like_html(data))
+                       page=_parse_if_html(data))
 
 
-def _looks_like_html(data: bytes) -> bool:
-    head = data.lstrip()[:512].lower()
-    return head.startswith(b"<")
+def _parse_if_html(data: bytes) -> htmltree.Document | None:
+    if data.lstrip()[:1] != b"<":
+        return None
+    return htmltree.parse_html(data)
 
 
 def _load_vocab(args):
@@ -151,28 +154,22 @@ def _load_validation_config(args):
 
 
 def _blocks_for(loaded: LoadedInput) -> list[anno.RawBlock]:
-    if loaded.is_page:
-        return anno.extract_annotation_blocks(loaded.data, loaded.base_url)
+    if loaded.page is not None:
+        return anno.extract_annotation_blocks(loaded.page, loaded.base_url)
     text = loaded.data.decode("utf-8", errors="replace")
     return [anno.RawBlock(text, anno.SourceFormat.JSON_LD, 0)]
 
 
-def _parse_all_blocks(blocks, vocabulary, loaded):
-    """Parse every block; returns (graphs, parse findings)."""
-    graphs = []
-    findings = []
+def _parse_blocks(blocks: list[anno.RawBlock]):
+    """Parse blocks in order, numbering roots across them so every path on
+    a page is unique; yields ``(block, graph, findings)``."""
     next_root = 0
     for block in blocks:
-        graph, entries = anno.parse_annotation(block, vocab=vocabulary,
+        graph, entries = anno.parse_annotation(block,
                                                first_root_ordinal=next_root)
-        findings.extend(entries)
         if graph is not None:
-            graphs.append(graph)
             next_root += len(graph.roots)
-    if loaded.is_page and not blocks:
-        findings.append(report_mod.make_entry(
-            "E102", "$", "page contains no annotation blocks"))
-    return graphs, findings
+        yield block, graph, entries
 
 
 # ---------------------------------------------------------------------------
@@ -189,69 +186,56 @@ def _exit_code(report: report_mod.VerificationReport, fail_level: str) -> int:
     return 0
 
 
-def _emit(report: report_mod.VerificationReport, fmt: str) -> None:
-    sys.stdout.buffer.write(report_mod.serialize_report(report, fmt))
-    sys.stdout.buffer.flush()
+def check(args: argparse.Namespace) -> report_mod.VerificationReport:
+    """Run the ``verify`` or ``validate`` subcommand over one input.
 
-
-def _cmd_verify(args) -> int:
+    Both check the annotation against the vocabulary and, given ``--ds``,
+    the domain specification; ``validate`` also scores every value against
+    the page content.  Raises CliFailure on a tool-level failure.
+    """
+    validate = args.command == "validate"
     vocabulary = _load_vocab(args)
     spec = _load_ds(args, vocabulary)
+    config = _load_validation_config(args) if validate else None
     loaded = _load_input(args.input)
-    graphs, findings = _parse_all_blocks(_blocks_for(loaded), vocabulary,
-                                         loaded)
-    parts = [findings]
-    for graph in graphs:
-        parts.append(sdo_verifier.verify_schema_org(graph, vocabulary,
-                                                    args.strict))
-        if spec is not None:
-            parts.append(ds_mod.verify_against_ds(graph, spec, vocabulary))
-    report = report_mod.merge_reports(
-        parts, target=loaded.target, snapshot_id=vocabulary.snapshot_id,
-        ds_name=spec.name if spec else None)
-    _emit(report, args.format)
-    return _exit_code(report, args.fail_level)
-
-
-def _cmd_validate(args) -> int:
-    vocabulary = _load_vocab(args)
-    spec = _load_ds(args, vocabulary)
-    config = _load_validation_config(args)
-    loaded = _load_input(args.input)
-    if not loaded.is_page:
-        raise CliFailure("validate needs a web page; "
-                         "got a standalone annotation file")
-    graphs, findings = _parse_all_blocks(_blocks_for(loaded), vocabulary,
-                                         loaded)
-    page = content_mod.extract_page_content(loaded.data, loaded.base_url,
-                                            config)
-    parts = [findings]
+    page = None
+    if validate:
+        if loaded.page is None:
+            raise CliFailure("validate needs a web page; "
+                             "got a standalone annotation file")
+        page = content_mod.extract_page_content(loaded.page, loaded.base_url,
+                                                config)
+    blocks = _blocks_for(loaded)
+    parts = []
+    if loaded.page is not None and not blocks:
+        parts.append([report_mod.make_entry(
+            "E102", "$", "page contains no annotation blocks")])
     consistencies = []
-    for graph in graphs:
+    for _, graph, entries in _parse_blocks(blocks):
+        parts.append(entries)
+        if graph is None:
+            continue
         parts.append(sdo_verifier.verify_schema_org(graph, vocabulary,
                                                     args.strict))
         if spec is not None:
             parts.append(ds_mod.verify_against_ds(graph, spec, vocabulary))
-        consistencies.extend(content_mod.collect_consistencies(
-            graph, page, config, vocabulary))
-    parts.append(content_mod.consistency_entries(consistencies))
-    score = content_mod.aggregate_scores(consistencies)
-    report = report_mod.merge_reports(
+        if page is not None:
+            consistencies.extend(content_mod.collect_consistencies(
+                graph, page, config, vocabulary))
+    score = None
+    if page is not None:
+        parts.append(content_mod.consistency_entries(consistencies))
+        score = content_mod.aggregate_scores(consistencies)
+    return report_mod.merge_reports(
         parts, target=loaded.target, snapshot_id=vocabulary.snapshot_id,
         ds_name=spec.name if spec else None, content_score=score)
-    _emit(report, args.format)
-    return _exit_code(report, args.fail_level)
 
 
 def _cmd_extract(args) -> int:
-    vocabulary = _load_vocab(args)
+    _load_vocab(args)  # a bad --vocab is a tool failure here too
     loaded = _load_input(args.input)
-    blocks = _blocks_for(loaded)
     dumps = []
-    next_root = 0
-    for block in blocks:
-        graph, entries = anno.parse_annotation(block, vocab=vocabulary,
-                                               first_root_ordinal=next_root)
+    for block, graph, entries in _parse_blocks(_blocks_for(loaded)):
         dump = {
             "block_index": block.block_index,
             "format": block.source_format.value,
@@ -265,7 +249,6 @@ def _cmd_extract(args) -> int:
         if graph is not None:
             seen: set[int] = set()
             dump["roots"] = [_node_to_dict(r, seen) for r in graph.roots]
-            next_root += len(graph.roots)
         dumps.append(dump)
     text = json.dumps(dumps, indent=2, ensure_ascii=False)
     sys.stdout.write(text + "\n")

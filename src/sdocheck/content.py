@@ -19,20 +19,18 @@ import enum
 import json
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from typing import BinaryIO
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
-from .annotation import AnnotationGraph, Literal, Reference, UNDETERMINED
-from .htmltree import (Element, NON_CONTENT_ELEMENTS, effective_base_url,
-                       parse_html)
+from .annotation import (AnnotationGraph, Literal, Reference, UNDETERMINED,
+                         parse_temporal)
+from .htmltree import (Document, Element, NON_CONTENT_ELEMENTS,
+                       effective_base_url, parse_html)
 from .report import ReportEntry, ScoreSummary, make_entry
 from .vocab import VocabularyGraph, strip_namespace
-
-OverallScore = ScoreSummary
 
 _TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
 _NUMERAL_RE = re.compile(r"\d(?:[\d.,]*\d)?")
@@ -128,9 +126,7 @@ class ValueConsistency:
 @dataclass(frozen=True)
 class PageContent:
     text_tokens: frozenset[str]
-    token_counts: dict[str, int]
     urls: frozenset[str]
-    image_urls: frozenset[str]
     dates: frozenset[date]
     numbers: frozenset[Decimal]
     base_url: str
@@ -153,68 +149,51 @@ def camel_case_tokens(name: str) -> list[str]:
     return [t.lower() for t in _CAMEL_RE.findall(name)]
 
 
-def extract_page_content(html: bytes | str, base_url: str,
+def extract_page_content(html: bytes | str | Document, base_url: str,
                          config: ValidationConfig | None = None) -> PageContent:
     """Reduce a page to its comparable pools.
 
+    ``html`` is the page source or its tree from ``htmltree.parse_html``.
     Script, style and template content is invisible, which keeps embedded
     JSON-LD annotation blocks out of their own evidence.
     """
     config = config or ValidationConfig()
-    tree = parse_html(html)
+    tree = html if isinstance(html, Document) else parse_html(html)
     base = effective_base_url(tree, base_url)
-
-    chunks: list[str] = []
-    _collect_visible_text(tree, chunks)
-    text = "".join(chunks)
-
-    urls: set[str] = set()
-    image_urls: set[str] = set()
-    _collect_urls(tree, base, urls, image_urls)
-
-    counts = Counter(tokenize(text))
+    text, urls = _visible_text_and_urls(tree, base)
     return PageContent(
-        text_tokens=frozenset(counts),
-        token_counts=dict(counts),
+        text_tokens=frozenset(tokenize(text)),
         urls=frozenset(urls),
-        image_urls=frozenset(image_urls),
         dates=frozenset(_extract_dates(text, config.date_order)),
         numbers=frozenset(_extract_numbers(text, config.decimal_separator)),
         base_url=base,
     )
 
 
-def _collect_visible_text(element: Element, out: list[str]) -> None:
-    if element.tag in NON_CONTENT_ELEMENTS:
-        return
-    block = element.tag in _BLOCK_TAGS
-    if block:
-        out.append("\n")
-    for child in element.children:
-        if isinstance(child, str):
-            out.append(child)
-        else:
-            _collect_visible_text(child, out)
-    if block:
-        out.append("\n")
-
-
-def _collect_urls(element: Element, base: str, urls: set[str],
-                  image_urls: set[str]) -> None:
-    if element.tag in NON_CONTENT_ELEMENTS or element.tag == "base":
-        return
-    href = element.attrs.get("href")
-    src = element.attrs.get("src")
-    if href:
-        urls.add(normalize_url(urljoin(base, href)))
-    if src:
-        resolved = normalize_url(urljoin(base, src))
-        urls.add(resolved)
-        if element.tag == "img":
-            image_urls.add(resolved)
-    for child in element.children:
-        if isinstance(child, Element):
-            _collect_urls(child, base, urls, image_urls)
+def _visible_text_and_urls(tree: Element, base: str) -> tuple[str, set[str]]:
+    """The page text, block elements set apart by newlines, and every
+    href/src target resolved against ``base``."""
+    chunks: list[str] = []
+    urls: set[str] = set()
+    # entries are elements still to visit, or text (a block's closing
+    # newline among it) to emit in document order
+    stack: list[Element | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            chunks.append(item)
+            continue
+        if item.tag in NON_CONTENT_ELEMENTS:
+            continue
+        if item.tag != "base":
+            for attr in ("href", "src"):
+                if item.attrs.get(attr):
+                    urls.add(normalize_url(urljoin(base, item.attrs[attr])))
+        if item.tag in _BLOCK_TAGS:
+            chunks.append("\n")
+            stack.append("\n")
+        stack.extend(reversed(item.children))
+    return "".join(chunks), urls
 
 
 def _extract_dates(text: str, date_order: str) -> set[date]:
@@ -332,7 +311,7 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
                                 MatchStatus.UNVERIFIABLE, "empty value")
     if kind is ValueKind.URL:
         normalized = normalize_url(raw)
-        hit = normalized in page.urls or normalized in page.image_urls
+        hit = normalized in page.urls
         return _scored(path, kind, 1.0 if hit else 0.0, config,
                        f"URL {normalized!r} "
                        + ("found on page" if hit else "not found on page"))
@@ -400,11 +379,10 @@ def _scored(path: str, kind: ValueKind, score: float,
 
 def _calendar_date(value: Literal) -> date | None:
     try:
-        if value.datatype == "Date":
-            return date.fromisoformat(value.raw)
-        return datetime.fromisoformat(value.raw.replace("Z", "+00:00")).date()
+        when = parse_temporal(value.raw, value.datatype)
     except ValueError:
         return None
+    return when.date() if isinstance(when, datetime) else when
 
 
 def aggregate_scores(items: list[ValueConsistency]) -> ScoreSummary:

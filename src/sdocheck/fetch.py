@@ -64,7 +64,7 @@ def fetch(url: str, config: FetchConfig | None = None) -> FetchResult:
             url, timeout=config.timeout, stream=True,
             headers={"User-Agent": config.user_agent})
         try:
-            body = b""
+            body = bytearray()
             for chunk in response.iter_content(chunk_size=65536):
                 body += chunk
                 if len(body) > config.max_body:
@@ -72,7 +72,7 @@ def fetch(url: str, config: FetchConfig | None = None) -> FetchResult:
                         f"body exceeds {config.max_body} bytes: {url}")
             return FetchResult(
                 final_url=response.url,
-                body=body,
+                body=bytes(body),
                 status=response.status_code,
                 content_type=response.headers.get("Content-Type", ""),
             )

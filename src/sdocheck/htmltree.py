@@ -35,46 +35,60 @@ class Element:
 
     def iter_elements(self):
         """All descendant elements in document order, self excluded."""
-        for child in self.children:
-            if isinstance(child, Element):
-                yield child
-                yield from child.iter_elements()
+        stack = [c for c in reversed(self.children) if isinstance(c, Element)]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(c for c in reversed(element.children)
+                         if isinstance(c, Element))
 
     def text_content(self, skip: frozenset[str] = NON_CONTENT_ELEMENTS) -> str:
         parts: list[str] = []
-        self._collect_text(parts, skip)
+        stack: list[Element | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.tag not in skip:
+                stack.extend(reversed(item.children))
         return "".join(parts)
 
-    def _collect_text(self, parts: list[str], skip: frozenset[str]) -> None:
-        if self.tag in skip:
-            return
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
-            else:
-                child._collect_text(parts, skip)
+
+class Document(Element):
+    """The root of a parsed page; remembers the first ``<base href>``."""
+
+    __slots__ = ("base_href",)
+
+    def __init__(self):
+        super().__init__("#document")
+        self.base_href: str | None = None
 
 
 class _TreeBuilder(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.root = Element("#document")
-        self.stack = [self.root]
+        self.root = Document()
+        self.stack: list[Element] = [self.root]
+
+    def _append(self, tag: str, attr_map: dict[str, str]) -> Element:
+        element = Element(tag, attr_map, parent=self.stack[-1])
+        self.stack[-1].children.append(element)
+        if (tag == "base" and attr_map.get("href")
+                and self.root.base_href is None):
+            self.root.base_href = attr_map["href"]
+        return element
 
     def handle_starttag(self, tag, attrs):
         attr_map: dict[str, str] = {}
         for key, value in attrs:
             # a bare attribute (itemscope) carries an empty string value
             attr_map.setdefault(key, value if value is not None else "")
-        element = Element(tag, attr_map, parent=self.stack[-1])
-        self.stack[-1].children.append(element)
+        element = self._append(tag, attr_map)
         if tag not in VOID_ELEMENTS:
             self.stack.append(element)
 
     def handle_startendtag(self, tag, attrs):
-        attr_map = {k: (v if v is not None else "") for k, v in attrs}
-        self.stack[-1].children.append(
-            Element(tag, attr_map, parent=self.stack[-1]))
+        self._append(tag, {k: (v if v is not None else "") for k, v in attrs})
 
     def handle_endtag(self, tag):
         for i in range(len(self.stack) - 1, 0, -1):
@@ -88,7 +102,7 @@ class _TreeBuilder(HTMLParser):
             self.stack[-1].children.append(data)
 
 
-def parse_html(data: bytes | str) -> Element:
+def parse_html(data: bytes | str) -> Document:
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data).decode("utf-8", errors="replace")
     builder = _TreeBuilder()
@@ -97,9 +111,8 @@ def parse_html(data: bytes | str) -> Element:
     return builder.root
 
 
-def effective_base_url(root: Element, fallback: str) -> str:
+def effective_base_url(root: Document, fallback: str) -> str:
     """The document base: the first <base href>, resolved against fallback."""
-    for element in root.iter_elements():
-        if element.tag == "base" and element.attrs.get("href"):
-            return urljoin(fallback, element.attrs["href"])
+    if root.base_href:
+        return urljoin(fallback, root.base_href)
     return fallback

@@ -15,12 +15,11 @@ returned list is ordered by (path, code) so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime
 from decimal import Decimal
 from typing import Callable
 
 from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
-                         PropertyValue, Reference)
+                         PropertyValue, Reference, parse_temporal)
 from .report import ReportEntry, make_entry
 from .vocab import (DATATYPE_WIDENING, TermKind, VocabularyGraph, lookup_term,
                     is_subclass_of, property_applies_to, strip_namespace,
@@ -62,15 +61,13 @@ def _check_event_dates(node: AnnotationNode) -> RuleViolation | None:
     end = _first_literal(node, "endDate")
     if start is None or end is None or start.datatype != end.datatype:
         return None
-    if start.datatype == "Date":
-        start_value, end_value = date.fromisoformat(start.raw), date.fromisoformat(end.raw)
-    elif start.datatype == "DateTime":
-        start_value = datetime.fromisoformat(start.raw.replace("Z", "+00:00"))
-        end_value = datetime.fromisoformat(end.raw.replace("Z", "+00:00"))
-        if (start_value.tzinfo is None) != (end_value.tzinfo is None):
-            return None  # mixed naive/zoned timestamps are not comparable
-    else:
+    if start.datatype not in ("Date", "DateTime"):
         return None
+    start_value = parse_temporal(start.raw, start.datatype)
+    end_value = parse_temporal(end.raw, end.datatype)
+    if (start.datatype == "DateTime"
+            and (start_value.tzinfo is None) != (end_value.tzinfo is None)):
+        return None  # mixed naive/zoned timestamps are not comparable
     if end_value < start_value:
         return RuleViolation(
             f"endDate {end.raw} precedes startDate {start.raw}", "endDate")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from sdocheck import cli, htmltree
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -157,3 +159,29 @@ class TestExtract:
         result = run_cli("extract", str(FIXTURES / "mangled.html"))
         assert result.returncode == 0
         assert json.loads(result.stdout.decode()) == []
+
+
+class TestOnePassPerPage:
+    """In-process runs: one HTML tree per page, and no recursion limit."""
+
+    @pytest.mark.parametrize("command", ["verify", "validate"])
+    def test_deeply_nested_page_reports_no_blocks(self, command, tmp_path,
+                                                  capsysbinary):
+        page = tmp_path / "deep.html"
+        page.write_text("<html><body>" + "<div>" * 3000 + "deep"
+                        + "</div>" * 3000 + "</body></html>")
+        assert cli.main([command, str(page)]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        assert [e["code"] for e in report["entries"]] == ["E102"]
+
+    def test_validate_builds_one_html_tree(self, monkeypatch, capsysbinary):
+        feeds = []
+        feed = htmltree._TreeBuilder.feed
+
+        def counted_feed(builder, data):
+            feeds.append(len(data))
+            return feed(builder, data)
+
+        monkeypatch.setattr(htmltree._TreeBuilder, "feed", counted_feed)
+        assert cli.main(["validate", str(FIXTURES / "page_good.html")]) == 0
+        assert len(feeds) == 1

@@ -46,10 +46,9 @@ class TestExtraction:
         assert {"hotel", "alpenhof"} <= page.text_tokens
         assert "hotelalpenhof" not in page.text_tokens
 
-    def test_image_sources_collected_separately(self):
+    def test_image_sources_and_links_share_one_pool(self):
         page = page_from('<img src="/pic.jpg"><a href="/page">x</a>')
-        assert "https://x.example/pic.jpg" in page.image_urls
-        assert "https://x.example/page" not in page.image_urls
+        assert "https://x.example/pic.jpg" in page.urls
         assert "https://x.example/page" in page.urls
 
     def test_base_tag_overrides_fallback(self):
