@@ -387,13 +387,18 @@ class _JsonLdBuilder:
         return None
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259 section 6)")
+
+
 def _parse_jsonld(payload, entries: list[ReportEntry]):
     if not isinstance(payload, str):
         entries.append(make_entry("E101", "$", "JSON-LD payload is not text"))
         return None
     try:
-        doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(payload, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers syntax errors and the int-string digit limit
         entries.append(make_entry("E101", "$", f"block does not parse: {exc}"))
         return None
     if not isinstance(doc, (dict, list)):

@@ -8,7 +8,7 @@ Three subcommands:
 
 Exit codes: 0 no finding at or above --fail-level, 1 findings, 2 tool
 failure (unreadable input, bad vocabulary or constraint document, network
-error).  The report goes to stdout, diagnostics to stderr.
+error, internal error).  The report goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -47,33 +47,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify schema.org annotations and validate them "
                     "against page content.")
     sub = parser.add_subparsers(dest="command", required=True)
+    input_help = "URL, HTML file, or standalone annotation file"
 
-    def add_common(p, with_validation_config: bool):
-        p.add_argument("input",
-                       help="URL, HTML file, or standalone annotation file")
+    def add_check_options(p):
+        p.add_argument("input", help=input_help)
         p.add_argument("--vocab", metavar="PATH", default=None,
                        help="vocabulary dump (default: vendored snapshot)")
         p.add_argument("--format", choices=["machine", "human"],
                        default="machine", help="report format")
-        if with_validation_config:
-            p.add_argument("--ds", metavar="PATH", default=None,
-                           help="domain specification document")
-            p.add_argument("--strict", action="store_true",
-                           help="elevate domain/range findings to errors")
-            p.add_argument("--fail-level",
-                           choices=["error", "warning", "never"],
-                           default="error",
-                           help="lowest severity that fails the run")
-            p.add_argument("--validation-config", metavar="PATH",
-                           default=None,
-                           help="content validation configuration (JSON)")
+        p.add_argument("--ds", metavar="PATH", default=None,
+                       help="domain specification document")
+        p.add_argument("--strict", action="store_true",
+                       help="elevate domain/range findings to errors")
+        p.add_argument("--fail-level",
+                       choices=["error", "warning", "never"],
+                       default="error",
+                       help="lowest severity that fails the run")
+        p.add_argument("--validation-config", metavar="PATH",
+                       default=None,
+                       help="content validation configuration (JSON)")
 
-    add_common(sub.add_parser("verify", help="check vocabulary and "
-                              "constraint conformance"), True)
-    add_common(sub.add_parser("validate", help="verify plus page-content "
-                              "consistency scoring"), True)
-    add_common(sub.add_parser("extract", help="print the parsed annotation "
-                              "graphs"), False)
+    add_check_options(sub.add_parser("verify", help="check vocabulary and "
+                                     "constraint conformance"))
+    add_check_options(sub.add_parser("validate", help="verify plus "
+                                     "page-content consistency scoring"))
+    sub.add_parser("extract", help="print the parsed annotation "
+                   "graphs").add_argument("input", help=input_help)
     return parser
 
 
@@ -83,10 +82,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "extract":
             return _cmd_extract(args)
         report = check(args)
+        output = report_mod.serialize_report(report, args.format)
     except CliFailure as exc:
         print(f"sdocheck: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(report_mod.serialize_report(report, args.format))
+    except Exception as exc:  # a crash must not read as exit 1, "findings"
+        print(f"sdocheck: internal error: {exc!r}", file=sys.stderr)
+        return 2
+    sys.stdout.buffer.write(output)
     sys.stdout.buffer.flush()
     return _exit_code(report, args.fail_level)
 
@@ -144,7 +147,7 @@ def _load_ds(args, vocabulary):
 
 
 def _load_validation_config(args):
-    if not getattr(args, "validation_config", None):
+    if not args.validation_config:
         return content_mod.ValidationConfig()
     try:
         with open(args.validation_config, "rb") as handle:
@@ -232,7 +235,6 @@ def check(args: argparse.Namespace) -> report_mod.VerificationReport:
 
 
 def _cmd_extract(args) -> int:
-    _load_vocab(args)  # a bad --vocab is a tool failure here too
     loaded = _load_input(args.input)
     dumps = []
     for block, graph, entries in _parse_blocks(_blocks_for(loaded)):

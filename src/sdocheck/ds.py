@@ -19,10 +19,11 @@ A document (JSON) mirrors the node structure directly:
       }
     }
 
-Range entries are either a bare term name (datatype, enumeration or class,
-disambiguated against the vocabulary) or an object ``{"type": <class>,
-"node": <nested type node>}``.  ``isOptional`` and ``multipleValuesAllowed``
-default to false: a constraint document tightens, silence must not loosen.
+Range entries are either a bare term name (datatype, enumeration or class)
+or an object ``{"type": <class>, "node": <nested type node>}``; a value fits
+one as ``sdo_verifier.value_fits_range`` decides.  ``isOptional`` and
+``multipleValuesAllowed`` default to false: a constraint document tightens,
+silence must not loosen.
 Properties the document does not mention are permitted silently.
 
 Loaded documents are immutable; verification is pure and safe to run
@@ -35,11 +36,10 @@ import json
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .annotation import AnnotationGraph, AnnotationNode, Entity, Literal, \
-    PropertyValue, Reference
+from .annotation import AnnotationGraph, AnnotationNode, Entity, PropertyValue
 from .report import ReportEntry, make_entry
-from .vocab import (DATATYPE_WIDENING, VocabularyGraph, is_subclass_of,
-                    strip_namespace)
+from .sdo_verifier import value_fits_range
+from .vocab import VocabularyGraph, is_subclass_of, strip_namespace
 
 
 class DsParseError(Exception):
@@ -51,22 +51,11 @@ class DsIntegrityError(Exception):
 
 
 @dataclass(frozen=True)
-class DatatypeRange:
-    datatype: str
-
-
-@dataclass(frozen=True)
-class EnumerationRange:
-    enumeration: str
-
-
-@dataclass(frozen=True)
-class TypeRange:
-    class_name: str
+class RangeNode:
+    """A range term (datatype, enumeration or class), with the nested type
+    node of the object form."""
+    name: str
     node: "TypeNode | None" = None
-
-
-RangeNode = DatatypeRange | EnumerationRange | TypeRange
 
 
 @dataclass(frozen=True)
@@ -175,14 +164,9 @@ def _load_property_node(raw: dict, vocab: VocabularyGraph,
 def _load_range_node(raw, vocab: VocabularyGraph, where: str) -> RangeNode:
     if isinstance(raw, str):
         name = strip_namespace(raw)
-        if name in vocab.datatypes:
-            return DatatypeRange(name)
-        cls = vocab.classes.get(name)
-        if cls is None:
+        if name not in vocab.datatypes and name not in vocab.classes:
             raise DsIntegrityError(f"{where}: unknown range term {name!r}")
-        if cls.is_enumeration:
-            return EnumerationRange(name)
-        return TypeRange(name)
+        return RangeNode(name)
     if isinstance(raw, dict):
         class_name = raw.get("type")
         if not isinstance(class_name, str):
@@ -201,7 +185,7 @@ def _load_range_node(raw, vocab: VocabularyGraph, where: str) -> RangeNode:
                     raise DsIntegrityError(
                         f"{where}: nested target {target!r} is not a subclass "
                         f"of {class_name!r}")
-        return TypeRange(class_name, nested)
+        return RangeNode(class_name, nested)
     raise DsParseError(f"{where}: range entries must be names or objects")
 
 
@@ -296,15 +280,7 @@ def _check_type_node(node: AnnotationNode, tnode: TypeNode,
 
 
 def _range_names(ranges: tuple[RangeNode, ...]) -> str:
-    names = []
-    for r in ranges:
-        if isinstance(r, DatatypeRange):
-            names.append(r.datatype)
-        elif isinstance(r, EnumerationRange):
-            names.append(r.enumeration)
-        else:
-            names.append(r.class_name)
-    return ", ".join(names)
+    return ", ".join(r.name for r in ranges)
 
 
 def _match_ranges(value: PropertyValue, ranges: tuple[RangeNode, ...],
@@ -317,7 +293,7 @@ def _match_ranges(value: PropertyValue, ranges: tuple[RangeNode, ...],
         if outcome == "clean":
             return True, None
         if isinstance(outcome, list) and nested_failure is None:
-            nested_failure = (range_node.class_name, outcome)
+            nested_failure = (range_node.name, outcome)
     return False, nested_failure
 
 
@@ -325,41 +301,9 @@ def _match_one_range(value: PropertyValue, range_node: RangeNode,
                      vocab: VocabularyGraph, memo: dict[tuple[int, int], str]):
     """Returns "clean", "no", or the nested findings list on a class match
     that breaks its nested type node."""
-    if isinstance(range_node, DatatypeRange):
-        if not isinstance(value, Literal):
-            return "no"
-        dt = range_node.datatype
-        if dt == "Text":
-            return "clean"  # any literal is acceptable text
-        if value.datatype == dt:
-            return "clean"
-        if dt in DATATYPE_WIDENING.get(value.datatype, frozenset()):
-            return "clean"
+    if not value_fits_range(vocab, value, range_node.name):
         return "no"
-
-    if isinstance(range_node, EnumerationRange):
-        members = vocab.enumeration_members.get(range_node.enumeration,
-                                                frozenset())
-        if isinstance(value, Literal):
-            return "clean" if strip_namespace(value.raw) in members else "no"
-        if isinstance(value, Reference):
-            return "clean" if strip_namespace(value.iri) in members else "no"
-        class_types = [t for t in value.node.types if t in vocab.classes]
-        if any(is_subclass_of(vocab, t, range_node.enumeration)
-               for t in class_types):
-            return "clean"
-        return "no"
-
-    # TypeRange
-    if isinstance(value, Reference):
-        return "clean"  # an external reference is taken at face value
-    if not isinstance(value, Entity):
-        return "no"
-    class_types = [t for t in value.node.types if t in vocab.classes]
-    if not any(is_subclass_of(vocab, t, range_node.class_name)
-               for t in class_types):
-        return "no"
-    if range_node.node is None:
+    if range_node.node is None or not isinstance(value, Entity):
         return "clean"
     nested = _check_type_node(value.node, range_node.node, vocab, memo)
     if nested:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import requests
-
 DEFAULT_USER_AGENT = "sdocheck/0.1 (annotation verification tool)"
 
 
@@ -54,6 +52,8 @@ def fetch(url: str, config: FetchConfig | None = None) -> FetchResult:
     not raised; transport failures raise NetworkError / TooLarge /
     TooManyRedirects.
     """
+    import requests  # imported here so that file inputs skip its import cost
+
     config = config or FetchConfig()
     if not url.startswith(("http://", "https://")):
         raise ValueError(f"not an absolute http(s) URL: {url!r}")

@@ -22,8 +22,7 @@ from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
                          PropertyValue, Reference, parse_temporal)
 from .report import ReportEntry, make_entry
 from .vocab import (DATATYPE_WIDENING, TermKind, VocabularyGraph, lookup_term,
-                    is_subclass_of, property_applies_to, strip_namespace,
-                    value_conforms_to_range)
+                    is_subclass_of, property_applies_to, strip_namespace)
 
 
 class DuplicateRuleId(Exception):
@@ -117,32 +116,30 @@ def register_semantic_rule(rule: SemanticRule) -> None:
     DEFAULT_REGISTRY.register(rule)
 
 
-def check_literal_against_ranges(value: Literal, ranges: set[str],
-                                 vocab: VocabularyGraph,
-                                 ) -> tuple[bool, str | None]:
-    """Does a literal fit one of the declared ranges, and which one?
+def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
+                     range_name: str) -> bool:
+    """Does ``value`` fit the range term ``range_name``?
 
-    Matching tiers, most informative first: exact datatype, numeric
-    widening, a Text range (any literal is text), then enumeration
-    membership by bare member name or member IRI.
+    The one conformance rule of both checking layers.  A literal fits a
+    datatype range that is Text, its own datatype or a numeric widening of
+    it, and an enumeration range when its text is a member name or member
+    IRI.  A reference fits any other class range, and an enumeration range
+    when its IRI names a member.  An entity fits a class range that is in
+    the superclass closure of one of its known types.
     """
-    inferred = value.datatype
-    ordered = sorted(ranges)
-    for r in ordered:
-        if r == inferred:
-            return True, r
-    for r in ordered:
-        if inferred in DATATYPE_WIDENING and r in DATATYPE_WIDENING[inferred]:
-            return True, r
-    if "Text" in ranges:
-        return True, "Text"
-    member = strip_namespace(value.raw)
-    for r in ordered:
-        cls = vocab.classes.get(r)
-        if cls is not None and cls.is_enumeration:
-            if member in vocab.enumeration_members.get(r, frozenset()):
-                return True, r
-    return False, None
+    cls = vocab.classes.get(range_name)
+    if cls is None:  # a datatype range
+        return isinstance(value, Literal) and (
+            range_name in ("Text", value.datatype)
+            or range_name in DATATYPE_WIDENING.get(value.datatype, ()))
+    if isinstance(value, Entity):
+        return any(range_name in vocab.ancestors(t)
+                   for t in value.node.types if t in vocab.classes)
+    if not cls.is_enumeration:
+        return isinstance(value, Reference)
+    term = value.raw if isinstance(value, Literal) else value.iri
+    return strip_namespace(term) in vocab.enumeration_members.get(
+        range_name, frozenset())
 
 
 def verify_schema_org(graph: AnnotationGraph, vocab: VocabularyGraph,
@@ -226,19 +223,21 @@ def _check_value(value: PropertyValue, prop: str, prop_known: bool,
                  vocab: VocabularyGraph, strict: bool,
                  findings: list[ReportEntry]) -> None:
     value_path = value.path.render()
+    if isinstance(value, Literal) and value.raw.strip() == "":
+        findings.append(make_entry(
+            "E206", value_path, f"value of {prop!r} is empty"))
+        return
+    if not prop_known:
+        return
+    ranges = vocab.properties[prop].range_includes
+    if any(value_fits_range(vocab, value, r) for r in ranges):
+        return
+    any_class_range = any(r in vocab.classes for r in ranges)
+    if isinstance(value, Reference) and any_class_range:
+        return  # lenient: an external reference may denote any entity
+
     if isinstance(value, Literal):
-        if value.raw.strip() == "":
-            findings.append(make_entry(
-                "E206", value_path, f"value of {prop!r} is empty"))
-            return
-        if not prop_known:
-            return
-        ranges = vocab.properties[prop].range_includes
-        conforms, _ = check_literal_against_ranges(value, set(ranges), vocab)
-        if conforms:
-            return
-        all_datatype_ranges = all(r in vocab.datatypes for r in ranges)
-        if value.datatype == "Text" and all_datatype_ranges and "Text" not in ranges:
+        if value.datatype == "Text" and not any_class_range:
             findings.append(make_entry(
                 "E205", value_path,
                 f"value {_shorten(value.raw)!r} is plain text but {prop!r} "
@@ -248,43 +247,22 @@ def _check_value(value: PropertyValue, prop: str, prop_known: bool,
                 "E204", value_path,
                 f"value {_shorten(value.raw)!r} ({value.datatype}) does not "
                 f"conform to {_range_text(ranges)}", strict))
-        return
-
-    if not prop_known:
-        return
-    ranges = vocab.properties[prop].range_includes
-
-    if isinstance(value, Entity):
-        class_types = [t for t in value.node.types if t in vocab.classes]
-        if class_types:
-            if not any(value_conforms_to_range(vocab, prop, t)
-                       for t in class_types):
-                findings.append(make_entry(
-                    "E204", value_path,
-                    f"entity of {_type_list_text(value.node.types)} does not "
-                    f"conform to {_range_text(ranges)}", strict))
-        elif value.node.types:
-            pass  # every declared type is unknown; E201 already filed there
-        elif not any(r in vocab.classes for r in ranges):
-            findings.append(make_entry(
-                "E204", value_path,
-                f"untyped entity where {prop!r} expects {_range_text(ranges)}",
-                strict))
-        return
-
-    if isinstance(value, Reference):
-        member = strip_namespace(value.iri)
-        for r in ranges:
-            cls = vocab.classes.get(r)
-            if cls is not None and cls.is_enumeration:
-                if member in vocab.enumeration_members.get(r, frozenset()):
-                    return
-        if any(r in vocab.classes for r in ranges):
-            return  # an external reference may denote any entity
+    elif isinstance(value, Reference):
         findings.append(make_entry(
             "E204", value_path,
             f"reference {value.iri!r} where {prop!r} expects "
             f"{_range_text(ranges)}", strict))
+    elif any(t in vocab.classes for t in value.node.types):
+        findings.append(make_entry(
+            "E204", value_path,
+            f"entity of {_type_list_text(value.node.types)} does not "
+            f"conform to {_range_text(ranges)}", strict))
+    elif not value.node.types and not any_class_range:
+        findings.append(make_entry(
+            "E204", value_path,
+            f"untyped entity where {prop!r} expects {_range_text(ranges)}",
+            strict))
+    # an entity whose declared types are all unknown: E201 is filed there
 
 
 def _check_duplicates(prop: str, prop_path: str, values: list[PropertyValue],

@@ -305,25 +305,3 @@ def property_applies_to(vocab: VocabularyGraph, property_name: str,
         raise UnknownTerm(f"not a class: {type_name!r}")
     return any(d in vocab._ancestors[type_name] for d in prop.domain_includes)
 
-
-def value_conforms_to_range(vocab: VocabularyGraph, property_name: str,
-                            value_kind: str) -> bool:
-    """True iff a value of the given class or datatype fits the property range.
-
-    Classes match by subclass closure; datatypes match exactly or through
-    the numeric widening rule.
-    """
-    prop = vocab.properties.get(property_name)
-    if prop is None:
-        raise UnknownTerm(f"not a property: {property_name!r}")
-    if value_kind not in vocab.classes and value_kind not in vocab.datatypes:
-        raise UnknownTerm(f"not a class or datatype: {value_kind!r}")
-    for r in prop.range_includes:
-        if value_kind == r:
-            return True
-        if value_kind in vocab.classes and r in vocab.classes:
-            if r in vocab._ancestors[value_kind]:
-                return True
-        if value_kind in DATATYPE_WIDENING and r in DATATYPE_WIDENING[value_kind]:
-            return True
-    return False

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sdocheck import cli, htmltree
+from sdocheck import annotation, cli, htmltree, sdo_verifier
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,6 +160,14 @@ class TestExtract:
         assert result.returncode == 0
         assert json.loads(result.stdout.decode()) == []
 
+    @pytest.mark.parametrize("option", ["--vocab", "--format"])
+    def test_report_options_are_not_accepted(self, option, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["extract", str(FIXTURES / "page_good.html"),
+                      option, "machine"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestOnePassPerPage:
     """In-process runs: one HTML tree per page, and no recursion limit."""
@@ -185,3 +193,36 @@ class TestOnePassPerPage:
         monkeypatch.setattr(htmltree._TreeBuilder, "feed", counted_feed)
         assert cli.main(["validate", str(FIXTURES / "page_good.html")]) == 0
         assert len(feeds) == 1
+
+
+class TestRobustness:
+    def test_file_inputs_do_not_import_requests(self):
+        probe = "import sys, sdocheck.cli; print('requests' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, timeout=60)
+        assert result.stdout.decode().strip() == "False", result.stderr
+
+    @pytest.mark.parametrize("probe", ["nan_min_value.json", "big_integer.json",
+                                       "deep_nesting.json"])
+    def test_undecodable_jsonld_is_e101(self, probe, capsysbinary):
+        assert cli.main(["verify", str(FIXTURES / "probes" / probe)]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        assert [(e["code"], e["path"]) for e in report["entries"]] == [
+            ("E101", "$")]
+
+    @pytest.mark.parametrize("command, layer, name", [
+        ("verify", sdo_verifier, "verify_schema_org"),
+        ("extract", annotation, "parse_annotation"),
+    ])
+    def test_internal_error_exits_2_with_one_line(self, command, layer, name,
+                                                   monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(layer, name, crash)
+        assert cli.main([command, str(FIXTURES / "clean_event.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "sdocheck: internal error: "
+            "RecursionError('maximum recursion depth exceeded')"]

@@ -194,12 +194,21 @@ class TestConstraintChecks:
         assert check(block, EVENT_DS, vocab) == []
 
     def test_enumeration_range_accepts_three_forms(self, vocab):
-        for value in ("EventScheduled",
-                      "https://schema.org/EventScheduled",
-                      {"@id": "https://schema.org/EventScheduled"},
-                      {"@type": "EventStatusType", "name": "scheduled"}):
-            block = {**GOOD_EVENT, "eventStatus": value}
-            assert check(block, EVENT_DS, vocab) == [], value
+        # the object form {"type": <enumeration>} matches like the bare name
+        object_form = copy.deepcopy(EVENT_DS)
+        object_form["root"]["properties"][-1]["ranges"] = [
+            {"type": "EventStatusType"}]
+        for doc in (EVENT_DS, object_form):
+            for value in ("EventScheduled",
+                          "https://schema.org/EventScheduled",
+                          {"@id": "https://schema.org/EventScheduled"},
+                          {"@type": "EventStatusType", "name": "scheduled"}):
+                block = {**GOOD_EVENT, "eventStatus": value}
+                assert check(block, doc, vocab) == [], value
+            block = {**GOOD_EVENT,
+                     "eventStatus": {"@id": "https://x.example/status"}}
+            assert [(f.code, f.path) for f in check(block, doc, vocab)] == [
+                ("E304", "$0.eventStatus")]
 
     def test_enumeration_rejects_non_member(self, vocab):
         block = {**GOOD_EVENT, "eventStatus": "Cancelled"}

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdocheck import sdo_verifier as sv
-from sdocheck.annotation import Literal
+from sdocheck import ds, sdo_verifier as sv
+from sdocheck.annotation import AnnotationNode, Entity, Literal, Reference
 from sdocheck.report import Severity
 from generators import random_compliant_annotation
 from helpers import parse_jsonld
@@ -138,37 +138,96 @@ class TestCheckFamilies:
         assert verify(block, vocab) == []
 
 
-class TestCheckLiteralAgainstRanges:
-    def test_exact_datatype_match(self, vocab):
-        ok, matched = sv.check_literal_against_ranges(
-            Literal("2020-05-01", "Date"), {"Date", "DateTime"}, vocab)
-        assert (ok, matched) == (True, "Date")
+def _entity(*types):
+    return Entity(AnnotationNode(types=list(types)))
 
-    def test_no_rule_maps_yes_to_boolean(self, vocab):
-        ok, matched = sv.check_literal_against_ranges(
-            Literal("yes", "Text"), {"Boolean"}, vocab)
-        assert (ok, matched) == (False, None)
 
-    def test_enumeration_member_iri(self, vocab):
-        ok, matched = sv.check_literal_against_ranges(
-            Literal("https://schema.org/InStock", "URL"),
-            {"ItemAvailability"}, vocab)
-        assert (ok, matched) == (True, "ItemAvailability")
+SCHEDULED = "https://schema.org/EventScheduled"
 
-    def test_widening_integer_to_number(self, vocab):
-        ok, matched = sv.check_literal_against_ranges(
-            Literal("12", "Integer"), {"Number"}, vocab)
-        assert (ok, matched) == (True, "Number")
+# {literal, reference, typed entity} x {datatype, enumeration, class} ranges
+FITS_RANGE_TABLE = [
+    # literal, datatype range
+    pytest.param(Literal("2020-05-01", "Date"), "Date", True,
+                 id="exact_datatype_match"),
+    pytest.param(Literal("2020-05-01", "Date"), "Text", True,
+                 id="text_range_accepts_anything"),
+    pytest.param(Literal("12", "Integer"), "Number", True,
+                 id="widening_integer_to_number"),
+    pytest.param(Literal("12.5", "Float"), "Number", True,
+                 id="widening_float_to_number"),
+    pytest.param(Literal("12", "Integer"), "Float", True,
+                 id="widening_integer_to_float"),
+    pytest.param(Literal("12.5", "Float"), "Integer", False,
+                 id="float_never_narrows_to_integer"),
+    pytest.param(Literal("2020-05-01", "Date"), "DateTime", False,
+                 id="date_never_widens_to_datetime"),
+    pytest.param(Literal("2020-05-01", "Date"), "Time", False,
+                 id="date_is_not_a_time"),
+    pytest.param(Literal("yes", "Text"), "Boolean", False,
+                 id="no_rule_maps_yes_to_boolean"),
+    pytest.param(Literal("true", "Boolean"), "Date", False,
+                 id="boolean_is_not_a_date"),
+    # literal, enumeration range
+    pytest.param(Literal("InStock", "Text"), "ItemAvailability", True,
+                 id="enumeration_member_name"),
+    pytest.param(Literal("https://schema.org/InStock", "URL"),
+                 "ItemAvailability", True, id="enumeration_member_iri"),
+    pytest.param(Literal("Cancelled", "Text"), "EventStatusType", False,
+                 id="literal_non_member"),
+    # literal, class range
+    pytest.param(Literal("Town Square", "Text"), "Place", False,
+                 id="literal_is_no_entity"),
+    # reference, datatype range
+    pytest.param(Reference("https://x.example/a"), "URL", False,
+                 id="reference_is_no_literal"),
+    # reference, enumeration range
+    pytest.param(Reference(SCHEDULED), "EventStatusType", True,
+                 id="reference_member_iri"),
+    pytest.param(Reference("https://x.example/status"), "EventStatusType",
+                 False, id="reference_non_member"),
+    # reference, class range
+    pytest.param(Reference("https://x.example/place/1"), "Place", True,
+                 id="reference_fits_any_class"),
+    # typed entity, datatype range
+    pytest.param(_entity("Place"), "Text", False, id="entity_is_no_literal"),
+    # typed entity, enumeration range
+    pytest.param(_entity("EventStatusType"), "EventStatusType", True,
+                 id="entity_typed_as_enumeration"),
+    pytest.param(_entity("Place"), "EventStatusType", False,
+                 id="entity_outside_enumeration"),
+    # typed entity, class range
+    pytest.param(_entity("Place"), "Place", True, id="entity_exact_class"),
+    pytest.param(_entity("Hotel"), "Place", True, id="subclass_value_conforms"),
+    pytest.param(_entity("Offer"), "Place", False, id="entity_unrelated_class"),
+    pytest.param(_entity("Person", "Hotel"), "Place", True,
+                 id="entity_any_type_fits"),
+    pytest.param(_entity("Hotell"), "Place", False,
+                 id="entity_of_unknown_type_fits_nothing"),
+    pytest.param(_entity("Hotell", "Hotel"), "Place", True,
+                 id="entity_unknown_type_ignored"),
+    pytest.param(_entity(), "Place", False, id="untyped_entity_fits_nothing"),
+]
 
-    def test_date_never_widens_to_datetime(self, vocab):
-        ok, _ = sv.check_literal_against_ranges(
-            Literal("2020-05-01", "Date"), {"DateTime"}, vocab)
-        assert not ok
 
-    def test_text_range_accepts_anything(self, vocab):
-        ok, matched = sv.check_literal_against_ranges(
-            Literal("2020-05-01", "Date"), {"Text"}, vocab)
-        assert (ok, matched) == (True, "Text")
+class TestValueFitsRange:
+    @pytest.mark.parametrize("value, range_name, expected", FITS_RANGE_TABLE)
+    def test_table(self, vocab, value, range_name, expected):
+        assert sv.value_fits_range(vocab, value, range_name) is expected
+
+    def test_only_the_constraint_layer_checks_reference_membership(self,
+                                                                    vocab):
+        # the vocabulary layer lets any reference through a class range
+        block = {**COMPLIANT_EVENT,
+                 "eventStatus": {"@id": "https://x.example/status"}}
+        assert verify(block, vocab) == []
+        doc = {"name": "status", "root": {"targetTypes": ["Event"],
+               "properties": [{"name": "eventStatus",
+                               "ranges": ["EventStatusType"]}]}}
+        spec = ds.load_domain_specification(doc, vocab)
+        graph, _ = parse_jsonld(block)
+        assert [(f.code, f.path)
+                for f in ds.verify_against_ds(graph, spec, vocab)] == [
+            ("E304", "$0.eventStatus")]
 
 
 class TestSemanticRules:

@@ -144,27 +144,6 @@ class TestDomainRange:
         with pytest.raises(v.UnknownTerm):
             v.property_applies_to(vocab, "name", "Hotell")
 
-    def test_range_conformance_examples(self, vocab):
-        assert v.value_conforms_to_range(vocab, "startDate", "Date")
-        assert not v.value_conforms_to_range(vocab, "startDate", "Boolean")
-        assert v.value_conforms_to_range(vocab, "location", "Place")
-
-    def test_subclass_value_conforms(self, vocab):
-        assert v.value_conforms_to_range(vocab, "location", "Hotel")
-
-    def test_numeric_widening(self, vocab):
-        # price expects Number; an Integer or Float literal is fine
-        assert v.value_conforms_to_range(vocab, "price", "Integer")
-        assert v.value_conforms_to_range(vocab, "price", "Float")
-
-    def test_date_does_not_widen_to_datetime(self, vocab):
-        # checkinTime expects DateTime or Time, never a bare Date
-        assert not v.value_conforms_to_range(vocab, "checkinTime", "Date")
-
-    def test_unknown_value_kind_raises(self, vocab):
-        with pytest.raises(v.UnknownTerm):
-            v.value_conforms_to_range(vocab, "startDate", "Hotell")
-
 
 @st.composite
 def class_pairs(draw, names):
