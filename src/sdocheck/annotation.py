@@ -1,14 +1,20 @@
 """Extract annotation blocks from HTML and parse them into annotation graphs.
 
 Two carriers are supported: JSON-LD ``<script>`` blocks and Microdata
-(``itemscope``/``itemprop``) attribute trees.  Both parse into the same
-graph shape: typed nodes with ordered property -> value lists, where every
-node and value carries the path at which it sits (``$0.offers[1].price``).
+(``itemscope``/``itemprop``) attribute trees.  Extraction keeps a JSON-LD
+block as its script text and reads a Microdata item into a ``MicrodataItem``
+tree.  One builder turns either into the same graph shape: typed nodes with
+ordered property -> value lists.  One finishing pass then gives every node
+and value the path at which it sits (``$0.offers[1].price``) and records
+the node order that the checking layers read.  Every walk uses an explicit
+stack, so nesting depth is bounded by memory, not by the interpreter's
+recursion limit.
 
 JSON-LD handling is deliberately schema.org-flavored: only the keywords
 ``@context``, ``@type``, ``@id``, ``@graph`` and ``@value`` are honored,
 and the context must be a schema.org context.  Anything else is reported
-as an unsupported construct and skipped.
+as an unsupported construct and skipped.  Microdata property names are
+never keywords.
 
 Parsing is pure; parsed graphs are only mutated during construction and are
 safe to share afterwards.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
@@ -111,20 +118,25 @@ class AnnotationGraph:
     roots: list[AnnotationNode]
     block_index: int
     source_format: SourceFormat
+    nodes: list[AnnotationNode]  # every reachable node once, preorder
 
     def iter_nodes(self):
-        """Every reachable node exactly once, document order."""
-        seen: set[int] = set()
-        stack = list(reversed(self.roots))
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            nested = [v.node for values in node.properties.values()
-                      for v in values if isinstance(v, Entity)]
-            stack.extend(reversed(nested))
+        """Every reachable node exactly once, in the preorder that parsing
+        recorded."""
+        return iter(self.nodes)
+
+
+@dataclass
+class MicrodataItem:
+    """One Microdata item: its ``itemtype`` tokens, resolved ``itemid`` and
+    ``(itemprop name, value)`` pairs in document order, where a value is the
+    property's text or a nested item."""
+
+    types: list[str]
+    identifier: str | None
+    itemref: bool
+    properties: list[tuple[str, "str | MicrodataItem"]] = field(
+        default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -132,10 +144,10 @@ class RawBlock:
     """One annotation block as found on a page.
 
     For JSON-LD the payload is the verbatim script text; for Microdata it is
-    the pre-walked item tree (the attribute syntax has no textual block to
-    preserve).
+    the item read from the attribute tree (the attribute syntax has no
+    textual block to preserve).
     """
-    payload: str | dict
+    payload: str | MicrodataItem
     source_format: SourceFormat
     block_index: int
 
@@ -202,13 +214,13 @@ def extract_annotation_blocks(html: bytes | str | Document,
     tree = html if isinstance(html, Document) else parse_html(html)
     base = effective_base_url(tree, base_url)
     blocks: list[RawBlock] = []
-    items: list[dict] = []
+    items: list[MicrodataItem] = []
     for element in tree.iter_elements():
         if element.tag == "script" and _is_jsonld_type(element):
             text = "".join(c for c in element.children if isinstance(c, str))
             blocks.append(RawBlock(text, SourceFormat.JSON_LD, len(blocks)))
         if "itemscope" in element.attrs and "itemprop" not in element.attrs:
-            items.append(_build_microdata_item(element, base))
+            items.append(_read_microdata_item(element, base))
     for item in items:
         blocks.append(RawBlock(item, SourceFormat.MICRODATA, len(blocks)))
     return blocks
@@ -219,39 +231,44 @@ def _is_jsonld_type(element: Element) -> bool:
     return media_type.split(";")[0].strip().lower() == "application/ld+json"
 
 
-def _build_microdata_item(element: Element, base: str) -> dict:
-    item: dict = {"types": element.attrs.get("itemtype", "").split(),
-                  "properties": []}
-    if element.attrs.get("itemid"):
-        item["id"] = urljoin(base, element.attrs["itemid"])
-    if "itemref" in element.attrs:
-        item["itemref"] = True
-    _collect_microdata_properties(element, item["properties"], base)
-    return item
+def _new_microdata_item(element: Element, base: str) -> MicrodataItem:
+    attrs = element.attrs
+    itemid = attrs.get("itemid")
+    return MicrodataItem(
+        types=[t for t in attrs.get("itemtype", "").split()
+               if strip_namespace(t)],
+        identifier=urljoin(base, itemid) if itemid else None,
+        itemref="itemref" in attrs)
 
 
-def _collect_microdata_properties(element: Element, out: list, base: str) -> None:
-    # entries are elements still to visit, or (names, value) pairs to emit
-    # once the properties nested inside a literal property are out
-    stack: list = [c for c in reversed(element.children)
+def _read_microdata_item(element: Element, base: str) -> MicrodataItem:
+    """The item whose scope ``element`` opens, nested items included."""
+    root = _new_microdata_item(element, base)
+    # entries are (element, item it belongs to) still to visit, or
+    # (names, value, item) to emit once the properties nested inside a
+    # literal property are out
+    stack: list = [(c, root) for c in reversed(element.children)
                    if isinstance(c, Element)]
     while stack:
-        child = stack.pop()
-        if isinstance(child, tuple):
-            names, value = child
-            out.extend([name, value] for name in names)
+        entry = stack.pop()
+        if len(entry) == 3:
+            names, value, item = entry
+            item.properties.extend((name, value) for name in names)
             continue
+        child, item = entry
         if "itemprop" in child.attrs:
             names = child.attrs["itemprop"].split()
             if "itemscope" in child.attrs:
-                value = {"item": _build_microdata_item(child, base)}
-                out.extend([name, value] for name in names)
-                continue
-            stack.append((names, {"literal": _microdata_value(child, base)}))
+                nested = _new_microdata_item(child, base)
+                item.properties.extend((name, nested) for name in names)
+                item = nested
+            else:
+                stack.append((names, _microdata_value(child, base), item))
         elif "itemscope" in child.attrs:
             continue  # a separate top-level item, not a property of this one
-        stack.extend(c for c in reversed(child.children)
+        stack.extend((c, item) for c in reversed(child.children)
                      if isinstance(c, Element))
+    return root
 
 
 def _microdata_value(element: Element, base: str) -> str:
@@ -271,7 +288,7 @@ def _microdata_value(element: Element, base: str) -> str:
 # parsing
 
 
-def parse_annotation(raw_block: RawBlock | str | dict,
+def parse_annotation(raw_block: RawBlock | str | MicrodataItem,
                      source_format: SourceFormat | None = None,
                      block_index: int = 0,
                      first_root_ordinal: int = 0,
@@ -290,30 +307,40 @@ def parse_annotation(raw_block: RawBlock | str | dict,
     else:
         payload = raw_block
         if source_format is None:
-            source_format = (SourceFormat.MICRODATA if isinstance(payload, dict)
+            source_format = (SourceFormat.MICRODATA
+                             if isinstance(payload, MicrodataItem)
                              else SourceFormat.JSON_LD)
 
     entries: list[ReportEntry] = []
     if source_format is SourceFormat.JSON_LD:
         roots = _parse_jsonld(payload, entries)
+    elif isinstance(payload, MicrodataItem):
+        roots = [_GraphBuilder(entries).build(payload)]
     else:
-        roots = _parse_microdata(payload, entries)
+        entries.append(make_entry("E101", "$", "microdata payload is not an item"))
+        roots = None
     if roots is None:
         return None, entries
 
-    _materialize_references(roots)
-    roots = _dedup_roots(roots)
-    if not _has_typed_node(roots):
+    # one node listed twice (an @id repeated in @graph) is one root
+    roots = list({id(root): root for root in roots}.values())
+    nodes = _finish(roots, first_root_ordinal)
+    if not any(node.types for node in nodes):
         entries.append(make_entry(
             "E102", "$", "annotation block contains no typed node"))
         return None, entries
-    _assign_paths(roots, first_root_ordinal)
-    graph = AnnotationGraph(roots=roots, block_index=block_index,
-                            source_format=source_format)
-    return graph, entries
+    return AnnotationGraph(roots, block_index, source_format, nodes), entries
 
 
-class _JsonLdBuilder:
+class _GraphBuilder:
+    """Builds the nodes of JSON-LD objects and Microdata items.
+
+    ``build_node`` and ``build_value`` are generators: each yields the
+    generator of a nested node or value it needs and is sent back that
+    generator's result.  ``build`` runs them from an explicit stack, so the
+    nesting depth is not bounded by the recursion limit.
+    """
+
     def __init__(self, entries: list[ReportEntry]):
         self.entries = entries
         self.by_id: dict[str, AnnotationNode] = {}
@@ -328,33 +355,56 @@ class _JsonLdBuilder:
             self.by_id[identifier] = node
         return node
 
-    def build_node(self, obj: dict, top_level: bool = False) -> AnnotationNode:
-        identifier = obj.get("@id")
+    def build(self, obj: dict | MicrodataItem,
+              top_level: bool = False) -> AnnotationNode:
+        stack = [self.build_node(obj, top_level)]
+        result = None
+        while True:
+            try:
+                stack.append(stack[-1].send(result))
+                result = None
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                result = done.value
+
+    def build_node(self, obj: dict | MicrodataItem, top_level: bool = False):
+        if isinstance(obj, MicrodataItem):
+            identifier, types, pairs = obj.identifier, obj.types, obj.properties
+            if obj.itemref:
+                self.warn("itemref is not supported; "
+                          "referenced properties skipped")
+        else:
+            identifier = obj.get("@id")
+            types, pairs = _string_list(obj.get("@type")), obj.items()
         if isinstance(identifier, str) and identifier:
             node = self.node_for_id(identifier)
         else:
             node = AnnotationNode()
-        for t in _string_list(obj.get("@type")):
+        for t in types:
             stripped = strip_namespace(t)
             if stripped not in node.types:
                 node.types.append(stripped)
-        for key, value in obj.items():
-            if key in _HONORED_KEYWORDS:
+        keywords = isinstance(obj, dict)  # an itemprop is never a keyword
+        for key, value in pairs:
+            if keywords and key.startswith("@"):
                 if key == "@context" and not top_level:
                     self.warn("embedded @context ignored")
+                elif key not in _HONORED_KEYWORDS:
+                    self.warn(f"keyword {key!r} is not supported; skipped")
                 continue
-            if key.startswith("@"):
-                self.warn(f"keyword {key!r} is not supported; skipped")
-                continue
-            prop = strip_namespace(key)
-            values = value if isinstance(value, list) else [value]
-            parsed = [pv for pv in (self.build_value(v) for v in values)
-                      if pv is not None]
+            parsed = []
+            for item in value if isinstance(value, list) else [value]:
+                built = yield self.build_value(item)
+                if built is not None:
+                    parsed.append(built)
             if parsed:
-                node.properties.setdefault(prop, []).extend(parsed)
+                node.properties.setdefault(strip_namespace(key),
+                                           []).extend(parsed)
         return node
 
-    def build_value(self, value) -> PropertyValue | None:
+    def build_value(self, value):
         if isinstance(value, bool):
             return Literal("true" if value else "false", "Boolean")
         if isinstance(value, int):
@@ -363,6 +413,8 @@ class _JsonLdBuilder:
             return Literal(json.dumps(value), "Float")
         if isinstance(value, str):
             return Literal(value, classify_literal(value))
+        if isinstance(value, MicrodataItem):
+            return Entity((yield self.build_node(value)))
         if value is None:
             return None
         if isinstance(value, list):
@@ -373,7 +425,7 @@ class _JsonLdBuilder:
                 self.warn("@list/@set containers are not supported; skipped")
                 return None
             if "@value" in value:
-                inner = self.build_value(value["@value"])
+                inner = yield self.build_value(value["@value"])
                 if inner is None or not isinstance(inner, Literal):
                     self.warn("non-scalar @value; skipped")
                     return None
@@ -382,13 +434,56 @@ class _JsonLdBuilder:
             if not meaningful and isinstance(value.get("@id"), str):
                 # bare node reference; resolves to a full node if one exists
                 return Entity(self.node_for_id(value["@id"]))
-            return Entity(self.build_node(value))
+            return Entity((yield self.build_node(value)))
         self.warn(f"unsupported value {value!r}; skipped")
         return None
 
 
+def _finish(roots: list[AnnotationNode],
+            first_root_ordinal: int) -> list[AnnotationNode]:
+    """The one pass over a built graph, preorder from the roots in order.
+
+    Turns each bare-identifier placeholder that never gained types or
+    properties into a Reference, gives every node and value its path (a
+    node reached twice keeps the path of its first visit), and returns the
+    nodes in visit order.
+    """
+    nodes: list[AnnotationNode] = []
+    seen: set[int] = set()
+    stack = [(root, AnnotationPath(first_root_ordinal + i))
+             for i, root in reversed(list(enumerate(roots)))]
+    while stack:
+        node, path = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        node.path = path
+        nodes.append(node)
+        children = []
+        for prop, values in node.properties.items():
+            multi = len(values) > 1
+            for i, value in enumerate(values):
+                if isinstance(value, Entity):
+                    target = value.node
+                    if (target.identifier and not target.types
+                            and not target.properties):
+                        value = values[i] = Reference(target.identifier)
+                value.path = path.child(prop, i if multi else None)
+                if isinstance(value, Entity):
+                    children.append((value.node, value.path))
+        stack.extend(reversed(children))
+    return nodes
+
+
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number (RFC 8259 section 6)")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} does not fit a float")
+    return value
 
 
 def _parse_jsonld(payload, entries: list[ReportEntry]):
@@ -396,9 +491,11 @@ def _parse_jsonld(payload, entries: list[ReportEntry]):
         entries.append(make_entry("E101", "$", "JSON-LD payload is not text"))
         return None
     try:
-        doc = json.loads(payload, parse_constant=_reject_constant)
+        doc = json.loads(payload, parse_constant=_reject_constant,
+                         parse_float=_finite_float)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers syntax errors and the int-string digit limit
+        # ValueError covers syntax errors, non-finite numbers and the
+        # int-string digit limit
         entries.append(make_entry("E101", "$", f"block does not parse: {exc}"))
         return None
     if not isinstance(doc, (dict, list)):
@@ -406,7 +503,7 @@ def _parse_jsonld(payload, entries: list[ReportEntry]):
             "E101", "$", "top-level JSON value is not an object or array"))
         return None
 
-    builder = _JsonLdBuilder(entries)
+    builder = _GraphBuilder(entries)
     top_objects = doc if isinstance(doc, list) else [doc]
     roots: list[AnnotationNode] = []
     for top in top_objects:
@@ -418,11 +515,11 @@ def _parse_jsonld(payload, entries: list[ReportEntry]):
         if isinstance(top.get("@graph"), list):
             for item in top["@graph"]:
                 if isinstance(item, dict):
-                    roots.append(builder.build_node(item, top_level=True))
+                    roots.append(builder.build(item, top_level=True))
                 else:
                     builder.warn("@graph entry is not an object; skipped")
         else:
-            roots.append(builder.build_node(top, top_level=True))
+            roots.append(builder.build(top, top_level=True))
     return roots
 
 
@@ -433,7 +530,7 @@ def _context_string_ok(value: str) -> bool:
     return value.rstrip("/") in _ACCEPTED_CONTEXT_BASES
 
 
-def _context_accepted(context, builder: _JsonLdBuilder) -> bool:
+def _context_accepted(context, builder: _GraphBuilder) -> bool:
     """True when the block declares a schema.org context (or none at all)."""
     if context is None:
         return True
@@ -462,109 +559,6 @@ def _context_accepted(context, builder: _JsonLdBuilder) -> bool:
             return True
     builder.warn("unsupported @context form; block skipped")
     return False
-
-
-def _parse_microdata(payload, entries: list[ReportEntry]):
-    if not isinstance(payload, dict):
-        entries.append(make_entry("E101", "$", "microdata payload is not an item"))
-        return None
-    builder = _JsonLdBuilder(entries)  # shares the id-merging machinery
-    root = _microdata_node(payload, builder)
-    return [root]
-
-
-def _microdata_node(item: dict, builder: _JsonLdBuilder) -> AnnotationNode:
-    identifier = item.get("id")
-    if identifier:
-        node = builder.node_for_id(identifier)
-    else:
-        node = AnnotationNode()
-    if item.get("itemref"):
-        builder.warn("itemref is not supported; referenced properties skipped")
-    for t in item.get("types", []):
-        stripped = strip_namespace(t)
-        if stripped and stripped not in node.types:
-            node.types.append(stripped)
-    for name, value in item.get("properties", []):
-        prop = strip_namespace(name)
-        if "item" in value:
-            parsed: PropertyValue = Entity(_microdata_node(value["item"], builder))
-        else:
-            raw = value.get("literal", "")
-            parsed = Literal(raw, classify_literal(raw))
-        node.properties.setdefault(prop, []).append(parsed)
-    return node
-
-
-# ---------------------------------------------------------------------------
-# finalization
-
-
-def _materialize_references(roots: list[AnnotationNode]) -> None:
-    """Turn bare-identifier placeholders that never gained substance into
-    Reference values."""
-    seen: set[int] = set()
-
-    def walk(node: AnnotationNode) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for values in node.properties.values():
-            for i, value in enumerate(values):
-                if isinstance(value, Entity):
-                    target = value.node
-                    if (target.identifier and not target.types
-                            and not target.properties):
-                        values[i] = Reference(iri=target.identifier)
-                    else:
-                        walk(target)
-
-    for root in roots:
-        walk(root)
-
-
-def _dedup_roots(roots: list[AnnotationNode]) -> list[AnnotationNode]:
-    out: list[AnnotationNode] = []
-    seen: set[int] = set()
-    for root in roots:
-        if id(root) not in seen:
-            seen.add(id(root))
-            out.append(root)
-    return out
-
-
-def _has_typed_node(roots: list[AnnotationNode]) -> bool:
-    stack = list(roots)
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.types:
-            return True
-        for values in node.properties.values():
-            stack.extend(v.node for v in values if isinstance(v, Entity))
-    return False
-
-
-def _assign_paths(roots: list[AnnotationNode], first_root_ordinal: int) -> None:
-    assigned: set[int] = set()
-
-    def assign(node: AnnotationNode, path: AnnotationPath) -> None:
-        if id(node) in assigned:
-            return
-        assigned.add(id(node))
-        node.path = path
-        for prop, values in node.properties.items():
-            multi = len(values) > 1
-            for i, value in enumerate(values):
-                value.path = path.child(prop, i if multi else None)
-                if isinstance(value, Entity):
-                    assign(value.node, value.path)
-
-    for i, root in enumerate(roots):
-        assign(root, AnnotationPath(first_root_ordinal + i))
 
 
 def resolve_path(graph: AnnotationGraph, rendered: str):

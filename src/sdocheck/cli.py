@@ -63,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["error", "warning", "never"],
                        default="error",
                        help="lowest severity that fails the run")
-        p.add_argument("--validation-config", metavar="PATH",
-                       default=None,
-                       help="content validation configuration (JSON)")
+        return p
 
     add_check_options(sub.add_parser("verify", help="check vocabulary and "
                                      "constraint conformance"))
-    add_check_options(sub.add_parser("validate", help="verify plus "
-                                     "page-content consistency scoring"))
+    validate = add_check_options(sub.add_parser(
+        "validate", help="verify plus page-content consistency scoring"))
+    validate.add_argument("--validation-config", metavar="PATH", default=None,
+                          help="content validation configuration (JSON)")
     sub.add_parser("extract", help="print the parsed annotation "
                    "graphs").add_argument("input", help=input_help)
     return parser
@@ -238,49 +238,77 @@ def _cmd_extract(args) -> int:
     loaded = _load_input(args.input)
     dumps = []
     for block, graph, entries in _parse_blocks(_blocks_for(loaded)):
-        dump = {
+        dumps.append({
             "block_index": block.block_index,
             "format": block.source_format.value,
-            "roots": None,
+            "roots": None if graph is None else graph.roots,
             "findings": [
                 {"code": e.code, "severity": e.severity.value,
                  "path": e.path, "description": e.description}
                 for e in entries
             ],
-        }
-        if graph is not None:
-            seen: set[int] = set()
-            dump["roots"] = [_node_to_dict(r, seen) for r in graph.roots]
-        dumps.append(dump)
-    text = json.dumps(dumps, indent=2, ensure_ascii=False)
-    sys.stdout.write(text + "\n")
+        })
+    _write_json(dumps, sys.stdout.write, _graph_object_to_dict())
+    sys.stdout.write("\n")
     return 0
 
 
-def _node_to_dict(node: anno.AnnotationNode, seen: set[int]) -> dict:
-    if id(node) in seen:
-        return {"ref": node.path.render() if node.path else None}
-    seen.add(id(node))
-    properties = {}
-    for prop, values in node.properties.items():
-        properties[prop] = [_value_to_dict(v, seen) for v in values]
-    return {
-        "path": node.path.render() if node.path else None,
-        "types": list(node.types),
-        "identifier": node.identifier,
-        "properties": properties,
-    }
+def _graph_object_to_dict():
+    """The ``default`` that writes graph objects: a node in full where it is
+    first written, as a ``ref`` to its path after that."""
+    seen: set[int] = set()
+
+    def to_dict(obj) -> dict:
+        path = obj.path.render() if obj.path else None
+        if isinstance(obj, anno.Literal):
+            return {"kind": "literal", "path": path,
+                    "raw": obj.raw, "datatype": obj.datatype}
+        if isinstance(obj, anno.Reference):
+            return {"kind": "reference", "path": path, "iri": obj.iri}
+        if isinstance(obj, anno.Entity):
+            return {"kind": "entity", "path": path, "node": obj.node}
+        if id(obj) in seen:
+            return {"ref": path}
+        seen.add(id(obj))
+        return {"path": path, "types": list(obj.types),
+                "identifier": obj.identifier, "properties": obj.properties}
+
+    return to_dict
 
 
-def _value_to_dict(value, seen: set[int]) -> dict:
-    rendered_path = value.path.render() if value.path else None
-    if isinstance(value, anno.Literal):
-        return {"kind": "literal", "path": rendered_path,
-                "raw": value.raw, "datatype": value.datatype}
-    if isinstance(value, anno.Reference):
-        return {"kind": "reference", "path": rendered_path, "iri": value.iri}
-    return {"kind": "entity", "path": rendered_path,
-            "node": _node_to_dict(value.node, seen)}
+def _write_json(value, write, default) -> None:
+    """Write ``json.dumps(value, indent=2, ensure_ascii=False,
+    default=default)`` piece by piece from an explicit stack: the json
+    module recurses once per nesting level, and the text of a deep graph
+    grows with the square of its depth."""
+    # entries are text to write or (value, the newline and indent before it)
+    stack: list = [(value, "\n")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            write(item)
+            continue
+        value, newline = item
+        if not isinstance(value, (dict, list, str, int, float, type(None))):
+            value = default(value)
+        if isinstance(value, dict):
+            brackets = "{}"
+            members = [(json.dumps(k, ensure_ascii=False) + ": ", v)
+                       for k, v in value.items()]
+        elif isinstance(value, list):
+            brackets, members = "[]", [("", v) for v in value]
+        else:
+            write(json.dumps(value, ensure_ascii=False))
+            continue
+        if not members:
+            write(brackets)
+            continue
+        inner = newline + "  "
+        parts: list = [brackets[0]]
+        for prefix, member in members:
+            parts += [inner + prefix, (member, inner), ","]
+        parts[-1] = newline + brackets[1]
+        stack.extend(reversed(parts))
 
 
 if __name__ == "__main__":

@@ -46,9 +46,12 @@ _MONTHS = {
 _ISO_DATE_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
 _DOTTED_DATE_RE = re.compile(r"(?<!\d)(\d{1,2})\.(\d{1,2})\.(\d{4})(?!\d)")
 _SLASHED_DATE_RE = re.compile(r"(?<!\d)(\d{1,2})/(\d{1,2})/(\d{4})(?!\d)")
+_MONTH = r"(" + "|".join(sorted(_MONTHS, key=len, reverse=True)) + r")\.?"
+_DAY = r"(\d{1,2})(?:st|nd|rd|th)?"
+# month first ("July 10, 2026") or day first ("10 July 2026", "10th Jul 2026")
 _MONTH_NAME_RE = re.compile(
-    r"\b(" + "|".join(sorted(_MONTHS, key=len, reverse=True)) + r")\.?\s+"
-    r"(\d{1,2})(?:st|nd|rd|th)?,?\s+(\d{4})\b", re.IGNORECASE)
+    rf"\b(?:{_MONTH}\s+{_DAY},?|{_DAY}\.?\s+{_MONTH},?)\s+(\d{{4}})\b",
+    re.IGNORECASE)
 
 # elements that break the text flow; prevents token fusion across tags
 _BLOCK_TAGS = frozenset({
@@ -206,8 +209,9 @@ def _extract_dates(text: str, date_order: str) -> set[date]:
             day, month = (first, second) if date_order == "DMY" else (second, first)
             _add_date(found, year, month, day)
     for match in _MONTH_NAME_RE.finditer(text):
-        month = _MONTHS[match.group(1).lower()]
-        _add_date(found, match.group(3), str(month), match.group(2))
+        name1, day1, day2, name2, year = match.groups()
+        month = _MONTHS[(name1 or name2).lower()]
+        _add_date(found, year, str(month), day1 or day2)
     return found
 
 

@@ -21,14 +21,12 @@ NON_CONTENT_ELEMENTS = frozenset({"script", "style", "template"})
 
 
 class Element:
-    __slots__ = ("tag", "attrs", "children", "parent")
+    __slots__ = ("tag", "attrs", "children")
 
-    def __init__(self, tag: str, attrs: dict[str, str] | None = None,
-                 parent: "Element | None" = None):
+    def __init__(self, tag: str, attrs: dict[str, str] | None = None):
         self.tag = tag
         self.attrs = attrs or {}
         self.children: list[Element | str] = []
-        self.parent = parent
 
     def __repr__(self) -> str:
         return f"<Element {self.tag} attrs={self.attrs}>"
@@ -71,7 +69,7 @@ class _TreeBuilder(HTMLParser):
         self.stack: list[Element] = [self.root]
 
     def _append(self, tag: str, attr_map: dict[str, str]) -> Element:
-        element = Element(tag, attr_map, parent=self.stack[-1])
+        element = Element(tag, attr_map)
         self.stack[-1].children.append(element)
         if (tag == "base" and attr_map.get("href")
                 and self.root.base_href is None):

@@ -25,10 +25,6 @@ from .vocab import (DATATYPE_WIDENING, TermKind, VocabularyGraph, lookup_term,
                     is_subclass_of, property_applies_to, strip_namespace)
 
 
-class DuplicateRuleId(Exception):
-    """A semantic rule with this id is already registered."""
-
-
 @dataclass(frozen=True)
 class RuleViolation:
     description: str
@@ -93,27 +89,8 @@ def builtin_rules() -> tuple[SemanticRule, ...]:
     )
 
 
-class SemanticRuleRegistry:
-    def __init__(self, rules: tuple[SemanticRule, ...] = ()):
-        self._rules: dict[str, SemanticRule] = {}
-        for rule in rules:
-            self.register(rule)
-
-    def register(self, rule: SemanticRule) -> None:
-        if rule.id in self._rules:
-            raise DuplicateRuleId(rule.id)
-        self._rules[rule.id] = rule
-
-    def rules(self) -> list[SemanticRule]:
-        return sorted(self._rules.values(), key=lambda r: r.id)
-
-
-DEFAULT_REGISTRY = SemanticRuleRegistry(builtin_rules())
-
-
-def register_semantic_rule(rule: SemanticRule) -> None:
-    """Add a rule to the default registry used by verify_schema_org."""
-    DEFAULT_REGISTRY.register(rule)
+# the semantic rules every run checks, in id order
+_RULES = tuple(sorted(builtin_rules(), key=lambda rule: rule.id))
 
 
 def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
@@ -143,20 +120,17 @@ def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
 
 
 def verify_schema_org(graph: AnnotationGraph, vocab: VocabularyGraph,
-                      strict: bool = False,
-                      registry: SemanticRuleRegistry | None = None,
-                      ) -> list[ReportEntry]:
+                      strict: bool = False) -> list[ReportEntry]:
     """Run all vocabulary conformance checks over every reachable node."""
-    rules = (registry or DEFAULT_REGISTRY).rules()
     findings: list[ReportEntry] = []
     for node in graph.iter_nodes():
-        _check_node(node, vocab, strict, rules, findings)
+        _check_node(node, vocab, strict, findings)
     findings.sort(key=lambda e: (e.path, e.code))
     return findings
 
 
 def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
-                rules: list[SemanticRule], findings: list[ReportEntry]) -> None:
+                findings: list[ReportEntry]) -> None:
     node_path = node.path.render()
     known_types = []
     for t in node.types:
@@ -194,7 +168,7 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
             _check_value(value, prop, prop_known, vocab, strict, findings)
         _check_duplicates(prop, prop_path, values, findings, strict)
 
-    for rule in rules:
+    for rule in _RULES:
         if not _rule_applies(rule, known_types, vocab):
             continue
         violation = rule.check(node)

@@ -1,4 +1,5 @@
 import json
+from html import escape
 
 import pytest
 from hypothesis import given, strategies as st
@@ -176,6 +177,26 @@ class TestJsonLdParsing:
         assert len(nodes) == 2
         assert all(n.path is not None for n in nodes)
 
+    def test_shared_node_keeps_its_first_preorder_path(self):
+        block = json.dumps({
+            "@context": "https://schema.org",
+            "@graph": [
+                {"@type": "Event", "name": "E", "location": {"@id": "#a"},
+                 "organizer": {"@id": "#nobody"}},
+                {"@id": "#a", "@type": "Place", "name": "A"},
+            ],
+        })
+        graph, _ = parse_jsonld(block)
+        event, place = graph.roots
+        assert [n.path.render() for n in graph.iter_nodes()] == [
+            "$0", "$0.location"]
+        assert place.path.render() == "$0.location"
+        assert event.properties["location"][0].node is place
+        organizer = event.properties["organizer"][0]
+        assert isinstance(organizer, a.Reference)
+        assert (organizer.iri, organizer.path.render()) == (
+            "#nobody", "$0.organizer")
+
     def test_foreign_context_skips_block(self):
         block = '{"@context":"https://example.com/vocab","@type":"Event"}'
         graph, entries = a.parse_annotation(block)
@@ -276,6 +297,18 @@ class TestMicrodataParsing:
         graph, _ = a.parse_annotation(blocks[0])
         assert set(graph.roots[0].properties) == {"description", "name"}
 
+    def test_keyword_shaped_itemprop_is_an_ordinary_property(self):
+        html = (b'<div itemscope itemtype="https://schema.org/Event">'
+                b'<span itemprop="@type">Person</span>'
+                b'<span itemprop="@id">x</span></div>')
+        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        graph, entries = a.parse_annotation(blocks[0])
+        assert entries == []
+        root = graph.roots[0]
+        assert (root.types, root.identifier) == (["Event"], None)
+        assert [(p, v[0].raw) for p, v in root.properties.items()] == [
+            ("@type", "Person"), ("@id", "x")]
+
     def test_itemref_is_unsupported(self):
         html = (b'<div itemscope itemref="extra" '
                 b'itemtype="https://schema.org/Event">'
@@ -351,16 +384,17 @@ literal_values = st.one_of(st.text(min_size=1, max_size=8),
 
 
 @st.composite
-def annotation_objects(draw, depth=2):
+def annotation_objects(draw, depth=2, literals=literal_values):
     node = {"@type": draw(st.sampled_from(["Event", "Place", "Person"]))}
     for prop in draw(st.lists(prop_names, min_size=1, max_size=4,
                               unique=True)):
         if depth > 0 and draw(st.booleans()):
-            child = draw(annotation_objects(depth=depth - 1))
+            child = draw(annotation_objects(depth=depth - 1,
+                                            literals=literals))
         else:
-            child = draw(literal_values)
+            child = draw(literals)
         if draw(st.booleans()):
-            node[prop] = [child, draw(literal_values)]
+            node[prop] = [child, draw(literals)]
         else:
             node[prop] = child
     return node
@@ -395,3 +429,28 @@ def test_parsing_twice_is_structurally_identical(obj):
     g2, e2 = a.parse_annotation(block)
     assert graph_fingerprint(g1) == graph_fingerprint(g2)
     assert [x.code for x in e1] == [x.code for x in e2]
+
+
+def microdata_page(obj: dict, prop: str | None = None) -> str:
+    """``obj`` as one Microdata item, every literal in a content attribute."""
+    scope = f' itemprop="{prop}"' if prop else ""
+    parts = [f'<div{scope} itemscope '
+             f'itemtype="https://schema.org/{obj["@type"]}">']
+    for name, value in obj.items():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, dict):
+                parts.append(microdata_page(item, name))
+            elif name != "@type":
+                parts.append(f'<meta itemprop="{name}" '
+                             f'content="{escape(item)}">')
+    return "".join(parts) + "</div>"
+
+
+@given(annotation_objects(literals=st.text(min_size=1, max_size=8)))
+def test_both_carriers_build_the_same_graph(obj):
+    blocks = a.extract_annotation_blocks(microdata_page(obj).encode(),
+                                         "https://x.example/")
+    from_microdata, _ = a.parse_annotation(blocks[0])
+    from_jsonld, _ = a.parse_annotation(
+        json.dumps({"@context": "https://schema.org", **obj}))
+    assert graph_fingerprint(from_microdata) == graph_fingerprint(from_jsonld)

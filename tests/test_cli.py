@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sdocheck import annotation, cli, htmltree, sdo_verifier
 
@@ -138,6 +139,15 @@ class TestValidate:
                          "--validation-config", str(config))
         assert result.returncode == 0
 
+    def test_validation_config_is_not_a_verify_option(self, tmp_path, capsys):
+        config = tmp_path / "vc.json"
+        config.write_text('{"threshold": 0.1}')
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["verify", str(FIXTURES / "clean_event.json"),
+                      "--validation-config", str(config)])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestExtract:
     def test_page_with_one_block(self):
@@ -203,7 +213,8 @@ class TestRobustness:
         assert result.stdout.decode().strip() == "False", result.stderr
 
     @pytest.mark.parametrize("probe", ["nan_min_value.json", "big_integer.json",
-                                       "deep_nesting.json"])
+                                       "deep_nesting.json",
+                                       "float_overflow.json"])
     def test_undecodable_jsonld_is_e101(self, probe, capsysbinary):
         assert cli.main(["verify", str(FIXTURES / "probes" / probe)]) == 1
         report = json.loads(capsysbinary.readouterr().out)
@@ -226,3 +237,62 @@ class TestRobustness:
         assert captured.err.splitlines() == [
             "sdocheck: internal error: "
             "RecursionError('maximum recursion depth exceeded')"]
+
+
+class _Tally:
+    """A stdout that keeps no text: counts one marker across writes."""
+
+    def __init__(self, marker: str):
+        self.marker, self.tail, self.count = marker, "", 0
+
+    def write(self, text: str) -> int:
+        window = self.tail + text
+        self.count += window.count(self.marker)
+        self.tail = window[1 - len(self.marker):]
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestDeepAnnotations:
+    """Nesting deeper than the recursion limit still gets a full report.
+
+    Each probe is a chain of ``subEvent`` items whose deepest one carries
+    the misspelt property ``nmae``."""
+
+    PROBES = [("jsonld_300_deep.html", 300),
+              ("microdata_1200_nested.html", 1200)]
+
+    @pytest.mark.parametrize("command", ["verify", "validate"])
+    @pytest.mark.parametrize("probe, depth", PROBES)
+    def test_deepest_node_is_checked(self, command, probe, depth,
+                                     capsysbinary):
+        code = cli.main([command, str(FIXTURES / "probes" / probe)])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert code in (0, 1)
+        deepest = "$0" + ".subEvent" * (depth - 1) + ".nmae"
+        assert ("E202", deepest) in [(e["code"], e["path"])
+                                     for e in report["entries"]]
+
+    @pytest.mark.parametrize("probe, depth", PROBES)
+    def test_extract_prints_every_level(self, probe, depth, monkeypatch):
+        tally = _Tally('"kind": "entity"')
+        monkeypatch.setattr(sys, "stdout", tally)
+        assert cli.main(["extract", str(FIXTURES / "probes" / probe)]) == 0
+        assert tally.count == depth - 1
+        assert tally.tail.endswith("]\n")
+
+
+json_values = st.recursive(
+    st.none() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_extract_writer_matches_json_dumps(value):
+    pieces = []
+    cli._write_json(value, pieces.append, None)
+    assert "".join(pieces) == json.dumps(value, indent=2, ensure_ascii=False)

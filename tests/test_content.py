@@ -97,6 +97,11 @@ class TestDatePatterns:
         assert {date(2020, 5, 1), date(2021, 8, 17),
                 date(1999, 12, 3)} <= page.dates
 
+    @pytest.mark.parametrize("text", ["10 July 2026", "10th July 2026",
+                                      "Sat, 10 Jul 2026", "10. Jul. 2026"])
+    def test_day_first_month_names(self, text):
+        assert page_from(f"<p>{text}</p>").dates == {date(2026, 7, 10)}
+
     def test_invalid_calendar_dates_skipped(self):
         page = page_from("<p>2020-13-45 and 40.40.2020</p>")
         assert page.dates == frozenset()

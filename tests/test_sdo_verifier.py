@@ -23,10 +23,10 @@ COMPLIANT_EVENT = {
 }
 
 
-def verify(block, vocab, strict=False, registry=None):
+def verify(block, vocab, strict=False):
     graph, entries = parse_jsonld(block)
     assert entries == []
-    return sv.verify_schema_org(graph, vocab, strict, registry)
+    return sv.verify_schema_org(graph, vocab, strict)
 
 
 class TestCheckFamilies:
@@ -231,12 +231,6 @@ class TestValueFitsRange:
 
 
 class TestSemanticRules:
-    def test_registering_twice_is_an_error(self):
-        registry = sv.SemanticRuleRegistry(sv.builtin_rules())
-        with pytest.raises(sv.DuplicateRuleId):
-            registry.register(sv.SemanticRule("event-dates", "Event",
-                                              lambda node: None))
-
     def test_compliant_event_fires_no_rule(self, vocab):
         assert verify(COMPLIANT_EVENT, vocab) == []
 
@@ -268,29 +262,6 @@ class TestSemanticRules:
                  "endDate": "2026-07-01"}
         findings = verify(block, vocab)
         assert [f.code for f in findings] == ["E208"]
-
-    def test_custom_rule_in_isolated_registry(self, vocab):
-        def no_all_caps_names(node):
-            name = node.properties.get("name", [None])[0]
-            if name is not None and name.raw.isupper():
-                return sv.RuleViolation("name is all caps", "name")
-            return None
-
-        registry = sv.SemanticRuleRegistry(sv.builtin_rules())
-        registry.register(sv.SemanticRule("no-shouting", "Thing",
-                                          no_all_caps_names))
-        block = {**COMPLIANT_EVENT, "name": "LOUD EVENT"}
-        findings = verify(block, vocab, registry=registry)
-        assert [(f.code, f.path) for f in findings] == [("E208", "$0.name")]
-
-    def test_default_registry_registration_round_trip(self):
-        rule = sv.SemanticRule("test-transient", "Thing", lambda node: None)
-        sv.register_semantic_rule(rule)
-        try:
-            with pytest.raises(sv.DuplicateRuleId):
-                sv.register_semantic_rule(rule)
-        finally:
-            del sv.DEFAULT_REGISTRY._rules[rule.id]
 
 
 class TestDeterminismAndSoundness:
