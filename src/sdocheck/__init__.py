@@ -1,13 +1,12 @@
 """sdocheck: verify schema.org annotations, validate them against page content.
 
-Typical flow:
+Typical flow, the pipeline behind ``sdocheck validate``:
 
-    from sdocheck import vocab, annotation, sdo_verifier, ds, content, report
+    from sdocheck import content, pipeline, vocab
 
-    graph_vocab = vocab.load_default_vocabulary()
-    blocks = annotation.extract_annotation_blocks(html, base_url)
-    parsed, findings = annotation.parse_annotation(blocks[0])
-    findings += sdo_verifier.verify_schema_org(parsed, graph_vocab)
+    vocabulary = vocab.load_default_vocabulary()
+    report = pipeline.run(page_bytes, base_url, vocabulary,
+                          validate=content.ValidationConfig())
 """
 
 __version__ = "0.1.0"

@@ -28,9 +28,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
-from urllib.parse import urljoin, urlparse
+from urllib.parse import urlsplit
 
-from .htmltree import Document, Element, effective_base_url, parse_html
+from .htmltree import Document, Element, effective_base_url, resolve_url
 from .report import ReportEntry, make_entry
 from .vocab import strip_namespace
 
@@ -66,21 +66,18 @@ class SourceFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class AnnotationPath:
-    """Location of a node or value: root ordinal plus property steps."""
+    """Location of a node or value: its root ordinal and its rendered text,
+    ``$0.offers[1].price``, built once as the path grows."""
 
     root: int
-    steps: tuple[tuple[str, int | None], ...] = ()
+    text: str
 
     def child(self, prop: str, index: int | None = None) -> "AnnotationPath":
-        return AnnotationPath(self.root, self.steps + ((prop, index),))
+        step = f".{prop}" if index is None else f".{prop}[{index}]"
+        return AnnotationPath(self.root, self.text + step)
 
     def render(self) -> str:
-        out = [f"${self.root}"]
-        for prop, index in self.steps:
-            out.append(f".{prop}")
-            if index is not None:
-                out.append(f"[{index}]")
-        return "".join(out)
+        return self.text
 
 
 @dataclass
@@ -116,8 +113,6 @@ class AnnotationNode:
 @dataclass
 class AnnotationGraph:
     roots: list[AnnotationNode]
-    block_index: int
-    source_format: SourceFormat
     nodes: list[AnnotationNode]  # every reachable node once, preorder
 
     def iter_nodes(self):
@@ -148,8 +143,13 @@ class RawBlock:
     textual block to preserve).
     """
     payload: str | MicrodataItem
-    source_format: SourceFormat
     block_index: int
+
+    @property
+    def source_format(self) -> SourceFormat:
+        if isinstance(self.payload, MicrodataItem):
+            return SourceFormat.MICRODATA
+        return SourceFormat.JSON_LD
 
 
 def _string_list(value) -> list[str]:
@@ -191,10 +191,9 @@ def classify_literal(raw: str) -> str:
     if _FLOAT_RE.match(raw):
         return "Float"
     if raw.startswith(("http://", "https://")):
-        parsed = urlparse(raw)
-        if parsed.netloc and " " not in raw:
+        url = resolve_url(raw)
+        if url is not None and urlsplit(url).netloc and " " not in raw:
             return "URL"
-        return "Text"
     return "Text"
 
 
@@ -202,27 +201,25 @@ def classify_literal(raw: str) -> str:
 # block extraction
 
 
-def extract_annotation_blocks(html: bytes | str | Document,
+def extract_annotation_blocks(tree: Document,
                               base_url: str) -> list[RawBlock]:
-    """All annotation blocks of a page, in document order.
+    """All annotation blocks of a page tree, in document order.
 
-    ``html`` is the page source or its tree from ``htmltree.parse_html``.
     JSON-LD script blocks come first (verbatim, even if malformed), followed
     by one synthetic block per top-level Microdata item scope.  Block indices
     are global and zero-based.
     """
-    tree = html if isinstance(html, Document) else parse_html(html)
     base = effective_base_url(tree, base_url)
     blocks: list[RawBlock] = []
     items: list[MicrodataItem] = []
     for element in tree.iter_elements():
         if element.tag == "script" and _is_jsonld_type(element):
             text = "".join(c for c in element.children if isinstance(c, str))
-            blocks.append(RawBlock(text, SourceFormat.JSON_LD, len(blocks)))
+            blocks.append(RawBlock(text, len(blocks)))
         if "itemscope" in element.attrs and "itemprop" not in element.attrs:
             items.append(_read_microdata_item(element, base))
     for item in items:
-        blocks.append(RawBlock(item, SourceFormat.MICRODATA, len(blocks)))
+        blocks.append(RawBlock(item, len(blocks)))
     return blocks
 
 
@@ -237,7 +234,7 @@ def _new_microdata_item(element: Element, base: str) -> MicrodataItem:
     return MicrodataItem(
         types=[t for t in attrs.get("itemtype", "").split()
                if strip_namespace(t)],
-        identifier=urljoin(base, itemid) if itemid else None,
+        identifier=(resolve_url(itemid, base) or itemid) if itemid else None,
         itemref="itemref" in attrs)
 
 
@@ -272,13 +269,15 @@ def _read_microdata_item(element: Element, base: str) -> MicrodataItem:
 
 
 def _microdata_value(element: Element, base: str) -> str:
+    """The WHATWG HTML value of a property element; a link or media URL that
+    does not parse keeps its text as written."""
     attrs = element.attrs
     if "content" in attrs:
         return attrs["content"]
     if element.tag in _LINK_HREF_TAGS and attrs.get("href"):
-        return urljoin(base, attrs["href"])
+        return resolve_url(attrs["href"], base) or attrs["href"]
     if element.tag in _MEDIA_SRC_TAGS and attrs.get("src"):
-        return urljoin(base, attrs["src"])
+        return resolve_url(attrs["src"], base) or attrs["src"]
     if element.tag == "time" and attrs.get("datetime"):
         return attrs["datetime"]
     return element.text_content().strip()
@@ -288,10 +287,7 @@ def _microdata_value(element: Element, base: str) -> str:
 # parsing
 
 
-def parse_annotation(raw_block: RawBlock | str | MicrodataItem,
-                     source_format: SourceFormat | None = None,
-                     block_index: int = 0,
-                     first_root_ordinal: int = 0,
+def parse_annotation(block: RawBlock, first_root_ordinal: int = 0,
                      ) -> tuple[AnnotationGraph | None, list[ReportEntry]]:
     """Parse one block into an annotation graph.
 
@@ -300,25 +296,11 @@ def parse_annotation(raw_block: RawBlock | str | MicrodataItem,
     may accompany a successful parse.  ``first_root_ordinal`` offsets root
     numbering so paths stay unique when a page carries several blocks.
     """
-    if isinstance(raw_block, RawBlock):
-        payload = raw_block.payload
-        source_format = raw_block.source_format
-        block_index = raw_block.block_index
-    else:
-        payload = raw_block
-        if source_format is None:
-            source_format = (SourceFormat.MICRODATA
-                             if isinstance(payload, MicrodataItem)
-                             else SourceFormat.JSON_LD)
-
     entries: list[ReportEntry] = []
-    if source_format is SourceFormat.JSON_LD:
-        roots = _parse_jsonld(payload, entries)
-    elif isinstance(payload, MicrodataItem):
-        roots = [_GraphBuilder(entries).build(payload)]
+    if isinstance(block.payload, MicrodataItem):
+        roots = [_GraphBuilder(entries).build(block.payload)]
     else:
-        entries.append(make_entry("E101", "$", "microdata payload is not an item"))
-        roots = None
+        roots = _parse_jsonld(block.payload, entries)
     if roots is None:
         return None, entries
 
@@ -329,7 +311,7 @@ def parse_annotation(raw_block: RawBlock | str | MicrodataItem,
         entries.append(make_entry(
             "E102", "$", "annotation block contains no typed node"))
         return None, entries
-    return AnnotationGraph(roots, block_index, source_format, nodes), entries
+    return AnnotationGraph(roots, nodes), entries
 
 
 class _GraphBuilder:
@@ -450,8 +432,8 @@ def _finish(roots: list[AnnotationNode],
     """
     nodes: list[AnnotationNode] = []
     seen: set[int] = set()
-    stack = [(root, AnnotationPath(first_root_ordinal + i))
-             for i, root in reversed(list(enumerate(roots)))]
+    stack = [(root, AnnotationPath(n, f"${n}"))
+             for n, root in enumerate(roots, first_root_ordinal)][::-1]
     while stack:
         node, path = stack.pop()
         if id(node) in seen:
@@ -486,10 +468,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_jsonld(payload, entries: list[ReportEntry]):
-    if not isinstance(payload, str):
-        entries.append(make_entry("E101", "$", "JSON-LD payload is not text"))
-        return None
+def _parse_jsonld(payload: str, entries: list[ReportEntry]):
     try:
         doc = json.loads(payload, parse_constant=_reject_constant,
                          parse_float=_finite_float)

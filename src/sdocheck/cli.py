@@ -1,4 +1,4 @@
-"""Command line front end: fetch -> extract -> verify -> validate -> report.
+"""Command line front end: argv -> inputs -> ``pipeline.run`` -> report.
 
 Three subcommands:
 
@@ -16,14 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import annotation as anno
 from . import content as content_mod
 from . import ds as ds_mod
-from . import htmltree
+from . import pipeline
 from . import report as report_mod
-from . import sdo_verifier
 from . import vocab as vocab_mod
 from .fetch import FetchError, fetch
 from .report import Severity
@@ -31,14 +29,6 @@ from .report import Severity
 
 class CliFailure(Exception):
     """Tool-level failure: maps to exit code 2."""
-
-
-@dataclass
-class LoadedInput:
-    target: str        # identifier used in the report
-    data: bytes
-    base_url: str
-    page: htmltree.Document | None  # parsed HTML; None for an annotation file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,9 +71,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "extract":
             return _cmd_extract(args)
-        report = check(args)
+        vocabulary = _load_vocab(args.vocab)
+        spec = _load_ds(args.ds, vocabulary)
+        config = (_load_validation_config(args.validation_config)
+                  if args.command == "validate" else None)
+        data, base_url = _load_input(args.input)
+        report = pipeline.run(data, base_url, vocabulary, target=args.input,
+                              spec=spec, validate=config, strict=args.strict)
         output = report_mod.serialize_report(report, args.format)
-    except CliFailure as exc:
+    except (CliFailure, pipeline.NotAPageError) as exc:
         print(f"sdocheck: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as exit 1, "findings"
@@ -102,77 +98,49 @@ def entry_point() -> None:
 # input handling
 
 
-def _load_input(raw: str) -> LoadedInput:
+def _load_input(raw: str) -> tuple[bytes, str]:
+    """The input's bytes and its base URL."""
     if raw.startswith(("http://", "https://")):
         try:
             result = fetch(raw)
         except FetchError as exc:
             raise CliFailure(f"fetch failed: {exc}") from exc
-        return LoadedInput(target=raw, data=result.body,
-                           base_url=result.final_url,
-                           page=_parse_if_html(result.body))
+        return result.body, result.final_url
     try:
         with open(raw, "rb") as handle:
-            data = handle.read()
+            return handle.read(), f"file://{raw}"
     except OSError as exc:
         raise CliFailure(f"cannot read input: {exc}") from exc
-    return LoadedInput(target=raw, data=data, base_url=f"file://{raw}",
-                       page=_parse_if_html(data))
 
 
-def _parse_if_html(data: bytes) -> htmltree.Document | None:
-    if data.lstrip()[:1] != b"<":
-        return None
-    return htmltree.parse_html(data)
-
-
-def _load_vocab(args):
+def _load_vocab(path: str | None):
     try:
-        if args.vocab:
-            with open(args.vocab, "rb") as handle:
+        if path:
+            with open(path, "rb") as handle:
                 return vocab_mod.load_vocabulary(handle.read())
         return vocab_mod.load_default_vocabulary()
     except (OSError, vocab_mod.ParseError, vocab_mod.IntegrityError) as exc:
         raise CliFailure(f"cannot load vocabulary: {exc}") from exc
 
 
-def _load_ds(args, vocabulary):
-    if not args.ds:
+def _load_ds(path: str | None, vocabulary):
+    if not path:
         return None
     try:
-        with open(args.ds, "rb") as handle:
+        with open(path, "rb") as handle:
             return ds_mod.load_domain_specification(handle.read(), vocabulary)
     except (OSError, ds_mod.DsParseError, ds_mod.DsIntegrityError) as exc:
         raise CliFailure(f"cannot load domain specification: {exc}") from exc
 
 
-def _load_validation_config(args):
-    if not args.validation_config:
+def _load_validation_config(path: str | None):
+    if not path:
         return content_mod.ValidationConfig()
     try:
-        with open(args.validation_config, "rb") as handle:
+        with open(path, "rb") as handle:
             return content_mod.load_validation_config(handle.read())
     except (OSError, ValueError) as exc:
         raise CliFailure(f"cannot load validation config: {exc}") from exc
-
-
-def _blocks_for(loaded: LoadedInput) -> list[anno.RawBlock]:
-    if loaded.page is not None:
-        return anno.extract_annotation_blocks(loaded.page, loaded.base_url)
-    text = loaded.data.decode("utf-8", errors="replace")
-    return [anno.RawBlock(text, anno.SourceFormat.JSON_LD, 0)]
-
-
-def _parse_blocks(blocks: list[anno.RawBlock]):
-    """Parse blocks in order, numbering roots across them so every path on
-    a page is unique; yields ``(block, graph, findings)``."""
-    next_root = 0
-    for block in blocks:
-        graph, entries = anno.parse_annotation(block,
-                                               first_root_ordinal=next_root)
-        if graph is not None:
-            next_root += len(graph.roots)
-        yield block, graph, entries
 
 
 # ---------------------------------------------------------------------------
@@ -189,55 +157,10 @@ def _exit_code(report: report_mod.VerificationReport, fail_level: str) -> int:
     return 0
 
 
-def check(args: argparse.Namespace) -> report_mod.VerificationReport:
-    """Run the ``verify`` or ``validate`` subcommand over one input.
-
-    Both check the annotation against the vocabulary and, given ``--ds``,
-    the domain specification; ``validate`` also scores every value against
-    the page content.  Raises CliFailure on a tool-level failure.
-    """
-    validate = args.command == "validate"
-    vocabulary = _load_vocab(args)
-    spec = _load_ds(args, vocabulary)
-    config = _load_validation_config(args) if validate else None
-    loaded = _load_input(args.input)
-    page = None
-    if validate:
-        if loaded.page is None:
-            raise CliFailure("validate needs a web page; "
-                             "got a standalone annotation file")
-        page = content_mod.extract_page_content(loaded.page, loaded.base_url,
-                                                config)
-    blocks = _blocks_for(loaded)
-    parts = []
-    if loaded.page is not None and not blocks:
-        parts.append([report_mod.make_entry(
-            "E102", "$", "page contains no annotation blocks")])
-    consistencies = []
-    for _, graph, entries in _parse_blocks(blocks):
-        parts.append(entries)
-        if graph is None:
-            continue
-        parts.append(sdo_verifier.verify_schema_org(graph, vocabulary,
-                                                    args.strict))
-        if spec is not None:
-            parts.append(ds_mod.verify_against_ds(graph, spec, vocabulary))
-        if page is not None:
-            consistencies.extend(content_mod.collect_consistencies(
-                graph, page, config, vocabulary))
-    score = None
-    if page is not None:
-        parts.append(content_mod.consistency_entries(consistencies))
-        score = content_mod.aggregate_scores(consistencies)
-    return report_mod.merge_reports(
-        parts, target=loaded.target, snapshot_id=vocabulary.snapshot_id,
-        ds_name=spec.name if spec else None, content_score=score)
-
-
 def _cmd_extract(args) -> int:
-    loaded = _load_input(args.input)
+    _, blocks = pipeline.parse(*_load_input(args.input))
     dumps = []
-    for block, graph, entries in _parse_blocks(_blocks_for(loaded)):
+    for block, graph, entries in blocks:
         dumps.append({
             "block_index": block.block_index,
             "format": block.source_format.value,

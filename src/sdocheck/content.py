@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from typing import BinaryIO
-from urllib.parse import urljoin, urlsplit, urlunsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .annotation import (AnnotationGraph, Literal, Reference, UNDETERMINED,
                          parse_temporal)
 from .htmltree import (Document, Element, NON_CONTENT_ELEMENTS,
-                       effective_base_url, parse_html)
+                       effective_base_url, resolve_url)
 from .report import ReportEntry, ScoreSummary, make_entry
 from .vocab import VocabularyGraph, strip_namespace
 
@@ -48,9 +48,11 @@ _DOTTED_DATE_RE = re.compile(r"(?<!\d)(\d{1,2})\.(\d{1,2})\.(\d{4})(?!\d)")
 _SLASHED_DATE_RE = re.compile(r"(?<!\d)(\d{1,2})/(\d{1,2})/(\d{4})(?!\d)")
 _MONTH = r"(" + "|".join(sorted(_MONTHS, key=len, reverse=True)) + r")\.?"
 _DAY = r"(\d{1,2})(?:st|nd|rd|th)?"
-# month first ("July 10, 2026") or day first ("10 July 2026", "10th Jul 2026")
+# month first ("July 10, 2026") or day first ("10 July 2026", "10th Jul 2026");
+# the lookahead tries the alternation only where a digit or month can start
 _MONTH_NAME_RE = re.compile(
-    rf"\b(?:{_MONTH}\s+{_DAY},?|{_DAY}\.?\s+{_MONTH},?)\s+(\d{{4}})\b",
+    rf"\b(?=[\dadfjmnos])"
+    rf"(?:{_MONTH}\s+{_DAY},?|{_DAY}\.?\s+{_MONTH},?)\s+(\d{{4}})\b",
     re.IGNORECASE)
 
 # elements that break the text flow; prevents token fusion across tags
@@ -141,7 +143,11 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT_RE.split(normalized) if t]
 
 
-def normalize_url(url: str) -> str:
+def normalize_url(url: str) -> str | None:
+    """``url`` in the form both pools compare: scheme and host lowercased,
+    trailing slash and fragment dropped.  None when it does not parse."""
+    if resolve_url(url) is None:
+        return None
     parts = urlsplit(url)
     path = parts.path.rstrip("/")
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), path,
@@ -152,16 +158,14 @@ def camel_case_tokens(name: str) -> list[str]:
     return [t.lower() for t in _CAMEL_RE.findall(name)]
 
 
-def extract_page_content(html: bytes | str | Document, base_url: str,
+def extract_page_content(tree: Document, base_url: str,
                          config: ValidationConfig | None = None) -> PageContent:
-    """Reduce a page to its comparable pools.
+    """Reduce a page tree to its comparable pools.
 
-    ``html`` is the page source or its tree from ``htmltree.parse_html``.
     Script, style and template content is invisible, which keeps embedded
     JSON-LD annotation blocks out of their own evidence.
     """
     config = config or ValidationConfig()
-    tree = html if isinstance(html, Document) else parse_html(html)
     base = effective_base_url(tree, base_url)
     text, urls = _visible_text_and_urls(tree, base)
     return PageContent(
@@ -175,7 +179,7 @@ def extract_page_content(html: bytes | str | Document, base_url: str,
 
 def _visible_text_and_urls(tree: Element, base: str) -> tuple[str, set[str]]:
     """The page text, block elements set apart by newlines, and every
-    href/src target resolved against ``base``."""
+    href/src target that parses, resolved against ``base``."""
     chunks: list[str] = []
     urls: set[str] = set()
     # entries are elements still to visit, or text (a block's closing
@@ -191,7 +195,9 @@ def _visible_text_and_urls(tree: Element, base: str) -> tuple[str, set[str]]:
         if item.tag != "base":
             for attr in ("href", "src"):
                 if item.attrs.get(attr):
-                    urls.add(normalize_url(urljoin(base, item.attrs[attr])))
+                    url = resolve_url(item.attrs[attr], base)
+                    if url is not None:
+                        urls.add(normalize_url(url))
         if item.tag in _BLOCK_TAGS:
             chunks.append("\n")
             stack.append("\n")
@@ -317,7 +323,7 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
         normalized = normalize_url(raw)
         hit = normalized in page.urls
         return _scored(path, kind, 1.0 if hit else 0.0, config,
-                       f"URL {normalized!r} "
+                       f"URL {normalized or raw!r} "
                        + ("found on page" if hit else "not found on page"))
     if kind is ValueKind.DATE:
         when = _calendar_date(value)
@@ -428,21 +434,12 @@ def consistency_entries(items: list[ValueConsistency]) -> list[ReportEntry]:
     return entries
 
 
-def validate_annotation_against_page(graph: AnnotationGraph, page: PageContent,
-                                     config: ValidationConfig | None = None,
-                                     vocab: VocabularyGraph | None = None,
-                                     ) -> tuple[list[ReportEntry], ScoreSummary]:
-    """Score every literal and reference value in the graph and report the
-    unmatched ones; entity values are recursed into, not scored as wholes."""
-    config = config or ValidationConfig()
-    consistencies = collect_consistencies(graph, page, config, vocab)
-    return consistency_entries(consistencies), aggregate_scores(consistencies)
-
-
 def collect_consistencies(graph: AnnotationGraph, page: PageContent,
                           config: ValidationConfig,
                           vocab: VocabularyGraph | None = None,
                           ) -> list[ValueConsistency]:
+    """Score every literal and reference value of the graph; entity values
+    are walked into, not scored as wholes."""
     out: list[ValueConsistency] = []
     for node in graph.iter_nodes():
         for prop, values in node.properties.items():

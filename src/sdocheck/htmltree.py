@@ -9,7 +9,7 @@ microdata walking and visible-text extraction; not a rendering engine.
 from __future__ import annotations
 
 from html.parser import HTMLParser
-from urllib.parse import urljoin
+from urllib.parse import urljoin, urlsplit
 
 VOID_ELEMENTS = frozenset({
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -99,6 +99,12 @@ class _TreeBuilder(HTMLParser):
         if data:
             self.stack[-1].children.append(data)
 
+    def parse_marked_section(self, i, report=1):
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:  # an unknown keyword, as in <![foo bar]>
+            return self.parse_bogus_comment(i, report)
+
 
 def parse_html(data: bytes | str) -> Document:
     if isinstance(data, (bytes, bytearray)):
@@ -109,8 +115,21 @@ def parse_html(data: bytes | str) -> Document:
     return builder.root
 
 
+def resolve_url(text: str, base: str = "") -> str | None:
+    """``text`` resolved against ``base`` as ``urljoin`` does, or None when
+    it does not parse (an unclosed IPv6 bracket, say).  Every URL read from
+    page or annotation text goes through here."""
+    try:
+        joined = urljoin(base, text)
+        urlsplit(joined)
+    except ValueError:
+        return None
+    return joined
+
+
 def effective_base_url(root: Document, fallback: str) -> str:
-    """The document base: the first <base href>, resolved against fallback."""
+    """The document base: the first <base href>, resolved against fallback.
+    A <base href> that does not parse is ignored, as in WHATWG HTML."""
     if root.base_href:
-        return urljoin(fallback, root.base_href)
+        return resolve_url(root.base_href, fallback) or fallback
     return fallback

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable
 
 from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
                          PropertyValue, Reference, parse_temporal)
@@ -29,19 +28,6 @@ from .vocab import (DATATYPE_WIDENING, TermKind, VocabularyGraph, lookup_term,
 class RuleViolation:
     description: str
     property_name: str | None = None
-
-
-@dataclass(frozen=True)
-class SemanticRule:
-    """A consistency predicate over nodes of one applicable type.
-
-    ``check`` must be side-effect free and total over nodes whose type is
-    (a subclass of) ``applicable_type``; it returns None when satisfied.
-    """
-
-    id: str
-    applicable_type: str
-    check: Callable[[AnnotationNode], RuleViolation | None]
 
 
 def _first_literal(node: AnnotationNode, prop: str) -> Literal | None:
@@ -82,15 +68,13 @@ def _check_value_order(node: AnnotationNode) -> RuleViolation | None:
     return None
 
 
-def builtin_rules() -> tuple[SemanticRule, ...]:
-    return (
-        SemanticRule("event-dates", "Event", _check_event_dates),
-        SemanticRule("value-order", "Thing", _check_value_order),
-    )
-
-
-# the semantic rules every run checks, in id order
-_RULES = tuple(sorted(builtin_rules(), key=lambda rule: rule.id))
+# the semantic rules every run checks, in id order: (id, applicable type,
+# check), where a check is side-effect free, total over nodes of (a subclass
+# of) its type, and returns None when the node satisfies it
+_RULES = (
+    ("event-dates", "Event", _check_event_dates),
+    ("value-order", "Thing", _check_value_order),
+)
 
 
 def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
@@ -168,28 +152,28 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
             _check_value(value, prop, prop_known, vocab, strict, findings)
         _check_duplicates(prop, prop_path, values, findings, strict)
 
-    for rule in _RULES:
-        if not _rule_applies(rule, known_types, vocab):
+    for rule_id, applicable_type, check in _RULES:
+        if not _rule_applies(applicable_type, known_types, vocab):
             continue
-        violation = rule.check(node)
+        violation = check(node)
         if violation is not None:
             path = node_path
             if violation.property_name:
                 path = node.path.child(violation.property_name).render()
             findings.append(make_entry(
                 "E208", path,
-                f"rule {rule.id!r}: {violation.description}", strict))
+                f"rule {rule_id!r}: {violation.description}", strict))
 
 
 def _type_list_text(types: list[str]) -> str:
     return "type " + "/".join(types) if types else "an untyped node"
 
 
-def _rule_applies(rule: SemanticRule, known_types: list[str],
+def _rule_applies(applicable_type: str, known_types: list[str],
                   vocab: VocabularyGraph) -> bool:
-    if rule.applicable_type not in vocab.classes:
+    if applicable_type not in vocab.classes:
         return False
-    return any(is_subclass_of(vocab, t, rule.applicable_type)
+    return any(is_subclass_of(vocab, t, applicable_type)
                for t in known_types)
 
 

@@ -3,7 +3,7 @@
 import json
 
 from sdocheck.annotation import (AnnotationGraph, AnnotationNode, Entity,
-                                 Literal, Reference, SourceFormat,
+                                 Literal, RawBlock, Reference,
                                  parse_annotation)
 
 
@@ -11,7 +11,7 @@ def parse_jsonld(payload, **kwargs):
     """Parse a JSON-LD block given as dict or str; fail the test on errors."""
     if isinstance(payload, dict):
         payload = json.dumps(payload)
-    graph, entries = parse_annotation(payload, SourceFormat.JSON_LD, **kwargs)
+    graph, entries = parse_annotation(RawBlock(payload, 0), **kwargs)
     assert graph is not None, [e.description for e in entries]
     return graph, entries
 

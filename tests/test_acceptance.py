@@ -18,11 +18,13 @@ import pytest
 
 from sdocheck import content as c
 from sdocheck import ds as d
+from sdocheck import pipeline
 from sdocheck import report as r
 from sdocheck import sdo_verifier as sv
 from sdocheck import vocab as vb
-from sdocheck.annotation import (Literal, extract_annotation_blocks,
+from sdocheck.annotation import (Literal, RawBlock, extract_annotation_blocks,
                                  parse_annotation)
+from sdocheck.htmltree import parse_html
 from generators import (delete_property, duplicate_property,
                         random_ds_with_annotation)
 from helpers import graph_fingerprint, parse_jsonld
@@ -143,8 +145,9 @@ def test_criterion_4_format_equivalence(vocab):
     for name in EQUIV_NAMES:
         jsonld_text = (FIXTURES / "equiv" / f"{name}.jsonld").read_text()
         html_bytes = (FIXTURES / "equiv" / f"{name}.html").read_bytes()
-        g_json, e_json = parse_annotation(jsonld_text)
-        blocks = extract_annotation_blocks(html_bytes, "https://x.example/")
+        g_json, e_json = parse_annotation(RawBlock(jsonld_text, 0))
+        blocks = extract_annotation_blocks(parse_html(html_bytes),
+                                           "https://x.example/")
         assert len(blocks) == 1, name
         g_micro, e_micro = parse_annotation(blocks[0])
         assert g_json is not None and g_micro is not None, name
@@ -198,11 +201,12 @@ FRAGMENTS = {
 
 def _page_score(vocab, fragment_keys) -> float:
     html = ("<html><body>" + "".join(FRAGMENTS[k] for k in fragment_keys)
-            + "<p>filler words only</p></body></html>")
-    page = c.extract_page_content(html.encode(), "https://x.example/")
-    graph, _ = parse_jsonld(SCORED_ANNOTATION)
-    _, score = c.validate_annotation_against_page(
-        graph, page, c.ValidationConfig(), vocab)
+            + "<p>filler words only</p>"
+            + '<script type="application/ld+json">'
+            + json.dumps(SCORED_ANNOTATION) + "</script></body></html>")
+    report = pipeline.run(html.encode(), "https://x.example/", vocab,
+                          validate=c.ValidationConfig())
+    score = report.content_score
     assert score.score is not None
     return score.score
 
@@ -228,7 +232,8 @@ def test_criterion_5_content_extremes_and_monotonicity(vocab):
 
 def test_criterion_6_hand_computed_oracles(vocab):
     page = c.extract_page_content(
-        "<p>hotel alpenhof fügen</p>".encode(), "https://x.example/")
+        parse_html("<p>hotel alpenhof fügen</p>".encode()),
+        "https://x.example/")
     result = c.consistency_of_value(
         Literal("Hotel Alpenhof Zillertal", "Text"),
         "name", page, c.ValidationConfig())
@@ -236,7 +241,8 @@ def test_criterion_6_hand_computed_oracles(vocab):
     assert result.status is c.MatchStatus.UNMATCHED
 
     page2 = c.extract_page_content(
-        b'<a href="https://x.example/found">l</a>', "https://x.example/")
+        parse_html(b'<a href="https://x.example/found">l</a>'),
+        "https://x.example/")
     config = c.ValidationConfig()
     items = [
         c.consistency_of_value(Literal("https://x.example/found", "URL"),
@@ -258,28 +264,17 @@ def test_criterion_6_hand_computed_oracles(vocab):
 def _fixture_reports(vocab):
     reports = []
     for name in EQUIV_NAMES:
-        jsonld_text = (FIXTURES / "equiv" / f"{name}.jsonld").read_text()
-        graph, entries = parse_annotation(jsonld_text)
-        parts = [entries, sv.verify_schema_org(graph, vocab)]
-        reports.append(r.merge_reports(parts, target=f"{name}.jsonld",
-                                       snapshot_id=vocab.snapshot_id))
+        data = (FIXTURES / "equiv" / f"{name}.jsonld").read_bytes()
+        reports.append(pipeline.run(data, f"{name}.jsonld", vocab))
     for fault, (mutate, _, _) in SINGLE_FAULTS.items():
         block = copy.deepcopy(COMPLIANT_EVENT)
         mutate(block)
-        graph, entries = parse_jsonld(block)
-        reports.append(r.merge_reports(
-            [entries, sv.verify_schema_org(graph, vocab)],
-            target=f"fault:{fault}", snapshot_id=vocab.snapshot_id))
+        reports.append(pipeline.run(json.dumps(block).encode(),
+                                    f"fault:{fault}", vocab))
     page_html = (FIXTURES / "page_good.html").read_bytes()
-    page = c.extract_page_content(page_html, "https://x.example/")
-    blocks = extract_annotation_blocks(page_html, "https://x.example/")
-    graph, entries = parse_annotation(blocks[0])
-    content_entries, score = c.validate_annotation_against_page(
-        graph, page, c.ValidationConfig(), vocab)
-    reports.append(r.merge_reports(
-        [entries, sv.verify_schema_org(graph, vocab), content_entries],
-        target="page_good.html", snapshot_id=vocab.snapshot_id,
-        content_score=score))
+    reports.append(pipeline.run(page_html, "https://x.example/", vocab,
+                                target="page_good.html",
+                                validate=c.ValidationConfig()))
     return reports
 
 

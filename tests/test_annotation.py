@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdocheck import annotation as a
+from sdocheck.htmltree import parse_html
 from helpers import graph_fingerprint, parse_jsonld
+
+
+def blocks_of(html, base="https://x.example/"):
+    return a.extract_annotation_blocks(parse_html(html), base)
 
 
 EVENT_BLOCK = ('{"@context":"https://schema.org","@type":"Event",'
@@ -19,14 +24,14 @@ class TestBlockExtraction:
         <p>filler</p>
         <script type="application/ld+json">{"b":2}</script>
         </body></html>"""
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         assert [(b.block_index, b.source_format) for b in blocks] == [
             (0, a.SourceFormat.JSON_LD), (1, a.SourceFormat.JSON_LD)]
         assert '"a"' in blocks[0].payload and '"b"' in blocks[1].payload
 
     def test_page_without_structured_data(self):
         html = b"<html><body><p>just text</p></body></html>"
-        assert a.extract_annotation_blocks(html, "https://x.example/") == []
+        assert blocks_of(html) == []
 
     def test_jsonld_then_microdata_ordering(self):
         html = b"""<html><body>
@@ -34,18 +39,18 @@ class TestBlockExtraction:
           <span itemprop="name">E</span></div>
         <script type="application/ld+json">{}</script>
         </body></html>"""
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         assert [(b.block_index, b.source_format) for b in blocks] == [
             (0, a.SourceFormat.JSON_LD), (1, a.SourceFormat.MICRODATA)]
 
     def test_media_type_parameters_are_tolerated(self):
         html = (b'<script type="application/ld+json; charset=utf-8">{}'
                 b'</script>')
-        assert len(a.extract_annotation_blocks(html, "https://x.example/")) == 1
+        assert len(blocks_of(html)) == 1
 
     def test_plain_script_is_not_an_annotation_block(self):
         html = b'<script>var x = {"@type": "Event"};</script>'
-        assert a.extract_annotation_blocks(html, "https://x.example/") == []
+        assert blocks_of(html) == []
 
 
 class TestJsonLdParsing:
@@ -59,12 +64,13 @@ class TestJsonLdParsing:
         assert name.path.render() == "$0.name"
 
     def test_context_only_block_is_empty(self):
-        graph, entries = a.parse_annotation('{"@context":"https://schema.org"}')
+        graph, entries = a.parse_annotation(
+            a.RawBlock('{"@context":"https://schema.org"}', 0))
         assert graph is None
         assert [e.code for e in entries] == ["E102"]
 
     def test_truncated_block_is_invalid_syntax(self):
-        graph, entries = a.parse_annotation('{"@type":"Event"')
+        graph, entries = a.parse_annotation(a.RawBlock('{"@type":"Event"', 0))
         assert graph is None
         assert [e.code for e in entries] == ["E101"]
 
@@ -199,21 +205,21 @@ class TestJsonLdParsing:
 
     def test_foreign_context_skips_block(self):
         block = '{"@context":"https://example.com/vocab","@type":"Event"}'
-        graph, entries = a.parse_annotation(block)
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is None
         assert [e.code for e in entries] == ["E103", "E102"]
 
     def test_context_object_with_vocab_and_aliases(self):
         block = ('{"@context":{"@vocab":"https://schema.org/","n":"name"},'
                  '"@type":"Event","name":"A"}')
-        graph, entries = a.parse_annotation(block)
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is not None
         assert [e.code for e in entries] == ["E103"]
 
     def test_reverse_keyword_is_skipped_with_warning(self):
         block = ('{"@context":"https://schema.org","@type":"Event","name":"A",'
                  '"@reverse":{"organizer":{"@type":"Person"}}}')
-        graph, entries = a.parse_annotation(block)
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is not None
         assert [e.code for e in entries] == ["E103"]
         assert "organizer" not in graph.roots[0].properties
@@ -222,8 +228,8 @@ class TestJsonLdParsing:
         "http://schema.org", "https://schema.org", "http://schema.org/",
         "https://schema.org/", "schema.org"])
     def test_accepted_context_strings(self, context):
-        graph, entries = a.parse_annotation(
-            json.dumps({"@context": context, "@type": "Event", "name": "A"}))
+        text = json.dumps({"@context": context, "@type": "Event", "name": "A"})
+        graph, entries = a.parse_annotation(a.RawBlock(text, 0))
         assert graph is not None and entries == []
 
     def test_round_trip_stability(self):
@@ -250,7 +256,7 @@ class TestMicrodataParsing:
     </div></body></html>"""
 
     def parse(self):
-        blocks = a.extract_annotation_blocks(self.HTML, "https://x.example/p")
+        blocks = blocks_of(self.HTML, "https://x.example/p")
         assert len(blocks) == 1
         graph, entries = a.parse_annotation(blocks[0])
         assert graph is not None, entries
@@ -276,14 +282,14 @@ class TestMicrodataParsing:
     def test_content_attribute_beats_text(self):
         html = (b'<div itemscope itemtype="https://schema.org/Event">'
                 b'<span itemprop="name" content="Real">shown text</span></div>')
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         graph, _ = a.parse_annotation(blocks[0])
         assert graph.roots[0].properties["name"][0].raw == "Real"
 
     def test_multi_token_itemprop_assigns_both(self):
         html = (b'<div itemscope itemtype="https://schema.org/Event">'
                 b'<span itemprop="name alternateName">Fest</span></div>')
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         graph, _ = a.parse_annotation(blocks[0])
         props = graph.roots[0].properties
         assert props["name"][0].raw == "Fest"
@@ -293,7 +299,7 @@ class TestMicrodataParsing:
         html = (b'<div itemscope itemtype="https://schema.org/Event">'
                 b'<div itemprop="description">with <span itemprop="name">N'
                 b'</span></div></div>')
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         graph, _ = a.parse_annotation(blocks[0])
         assert set(graph.roots[0].properties) == {"description", "name"}
 
@@ -301,7 +307,7 @@ class TestMicrodataParsing:
         html = (b'<div itemscope itemtype="https://schema.org/Event">'
                 b'<span itemprop="@type">Person</span>'
                 b'<span itemprop="@id">x</span></div>')
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         graph, entries = a.parse_annotation(blocks[0])
         assert entries == []
         root = graph.roots[0]
@@ -313,14 +319,14 @@ class TestMicrodataParsing:
         html = (b'<div itemscope itemref="extra" '
                 b'itemtype="https://schema.org/Event">'
                 b'<span itemprop="name">E</span></div>')
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         graph, entries = a.parse_annotation(blocks[0])
         assert graph is not None
         assert [e.code for e in entries] == ["E103"]
 
     def test_untyped_microdata_item_is_empty_annotation(self):
         html = b'<div itemscope><span itemprop="name">x</span></div>'
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         graph, entries = a.parse_annotation(blocks[0])
         assert graph is None
         assert [e.code for e in entries] == ["E102"]
@@ -333,7 +339,7 @@ class TestMicrodataParsing:
                 b'<time itemprop="startDate" datetime="2026-07-10">x</time>'
                 b'</div>')
         g1, _ = parse_jsonld(jsonld)
-        blocks = a.extract_annotation_blocks(html, "https://x.example/")
+        blocks = blocks_of(html)
         g2, _ = a.parse_annotation(blocks[0])
         assert graph_fingerprint(g1) == graph_fingerprint(g2)
 
@@ -403,7 +409,7 @@ def annotation_objects(draw, depth=2, literals=literal_values):
 @given(annotation_objects())
 def test_every_rendered_path_matches_grammar_and_resolves(obj):
     obj["@context"] = "https://schema.org"
-    graph, _ = a.parse_annotation(json.dumps(obj))
+    graph, _ = a.parse_annotation(a.RawBlock(json.dumps(obj), 0))
     assert graph is not None
 
     def walk(node):
@@ -425,8 +431,8 @@ def test_every_rendered_path_matches_grammar_and_resolves(obj):
 def test_parsing_twice_is_structurally_identical(obj):
     obj["@context"] = "https://schema.org"
     block = json.dumps(obj)
-    g1, e1 = a.parse_annotation(block)
-    g2, e2 = a.parse_annotation(block)
+    g1, e1 = a.parse_annotation(a.RawBlock(block, 0))
+    g2, e2 = a.parse_annotation(a.RawBlock(block, 0))
     assert graph_fingerprint(g1) == graph_fingerprint(g2)
     assert [x.code for x in e1] == [x.code for x in e2]
 
@@ -448,9 +454,8 @@ def microdata_page(obj: dict, prop: str | None = None) -> str:
 
 @given(annotation_objects(literals=st.text(min_size=1, max_size=8)))
 def test_both_carriers_build_the_same_graph(obj):
-    blocks = a.extract_annotation_blocks(microdata_page(obj).encode(),
-                                         "https://x.example/")
+    blocks = blocks_of(microdata_page(obj).encode())
     from_microdata, _ = a.parse_annotation(blocks[0])
-    from_jsonld, _ = a.parse_annotation(
-        json.dumps({"@context": "https://schema.org", **obj}))
+    from_jsonld, _ = a.parse_annotation(a.RawBlock(
+        json.dumps({"@context": "https://schema.org", **obj}), 0))
     assert graph_fingerprint(from_microdata) == graph_fingerprint(from_jsonld)

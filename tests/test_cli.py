@@ -221,6 +221,33 @@ class TestRobustness:
         assert [(e["code"], e["path"]) for e in report["entries"]] == [
             ("E101", "$")]
 
+    PAGE_PROBES = ["bad_ipv6_microdata_href.html", "bad_ipv6_itemid.html",
+                   "bad_ipv6_base.html", "bad_ipv6_page_link.html",
+                   "bad_ipv6_reference.html", "unknown_marked_section.html"]
+
+    @pytest.mark.parametrize("command, probe", [
+        ("verify", "bad_ipv6_literal.json"),
+        *[(command, probe) for probe in PAGE_PROBES
+          for command in ("verify", "validate")]])
+    def test_malformed_urls_and_marked_sections_get_a_report(
+            self, command, probe, capsysbinary):
+        code = cli.main([command, str(FIXTURES / "probes" / probe)])
+        captured = capsysbinary.readouterr()
+        assert code in (0, 1)
+        assert b"internal error" not in captured.err
+        json.loads(captured.out)
+
+    @pytest.mark.parametrize("command, probe, finding", [
+        ("verify", "bad_ipv6_literal.json", ("E205", "$0.url")),
+        ("verify", "bad_ipv6_microdata_href.html", ("E205", "$0.url")),
+        ("validate", "bad_ipv6_reference.html", ("E402", "$0.organizer")),
+    ])
+    def test_unparseable_url_is_text_or_unmatched(self, command, probe,
+                                                  finding, capsysbinary):
+        cli.main([command, str(FIXTURES / "probes" / probe)])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert finding in [(e["code"], e["path"]) for e in report["entries"]]
+
     @pytest.mark.parametrize("command, layer, name", [
         ("verify", sdo_verifier, "verify_schema_org"),
         ("extract", annotation, "parse_annotation"),

@@ -6,12 +6,19 @@ from hypothesis import given, strategies as st
 
 from sdocheck import content as c
 from sdocheck.annotation import Literal, Reference
+from sdocheck.htmltree import parse_html
 from helpers import parse_jsonld
 
 
 def page_from(html: str, base="https://x.example/",
               config=None) -> c.PageContent:
-    return c.extract_page_content(html.encode(), base, config)
+    return c.extract_page_content(parse_html(html.encode()), base, config)
+
+
+def score_graph(graph, page, vocab):
+    """The content layer's entries and score for one graph."""
+    items = c.collect_consistencies(graph, page, c.ValidationConfig(), vocab)
+    return c.consistency_entries(items), c.aggregate_scores(items)
 
 
 def literal(raw: str, datatype=None) -> Literal:
@@ -251,8 +258,7 @@ class TestAggregation:
         page = page_from('<h1>Hotel Alpenhof</h1>'
                          '<a href="https://x.example/hotel">home</a>'
                          '<p>since Dec 3, 1999</p>')
-        entries, score = c.validate_annotation_against_page(
-            graph, page, c.ValidationConfig(), vocab)
+        entries, score = score_graph(graph, page, vocab)
         assert entries == []
         assert score.score == 1.0
         assert score.checked == 3
@@ -264,8 +270,7 @@ class TestAggregation:
                  "foundingDate": "1999-12-03"}
         graph, _ = parse_jsonld(block)
         page = page_from("<p>unrelated content 2020-01-01</p>")
-        entries, score = c.validate_annotation_against_page(
-            graph, page, c.ValidationConfig(), vocab)
+        entries, score = score_graph(graph, page, vocab)
         assert [(e.code, e.path) for e in entries] == [
             ("E403", "$0.foundingDate"), ("E401", "$0.name"),
             ("E402", "$0.url")]
