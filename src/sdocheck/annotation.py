@@ -26,8 +26,8 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from datetime import date, datetime, time
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .htmltree import Document, Element, effective_base_url, resolve_url
@@ -64,8 +64,7 @@ class SourceFormat(enum.Enum):
     MICRODATA = "microdata"
 
 
-@dataclass(frozen=True)
-class AnnotationPath:
+class AnnotationPath(NamedTuple):
     """Location of a node or value: its root ordinal and its rendered text,
     ``$0.offers[1].price``, built once as the path grows."""
 
@@ -80,38 +79,50 @@ class AnnotationPath:
         return self.text
 
 
-@dataclass
 class Literal:
-    raw: str
-    datatype: str  # a vocabulary datatype name or UNDETERMINED
-    path: AnnotationPath | None = None
+    __slots__ = ("raw", "datatype", "path")
+
+    def __init__(self, raw: str, datatype: str,
+                 path: AnnotationPath | None = None):
+        self.raw = raw
+        self.datatype = datatype  # a vocabulary datatype name or UNDETERMINED
+        self.path = path
 
 
-@dataclass
 class Reference:
-    iri: str
-    path: AnnotationPath | None = None
+    __slots__ = ("iri", "path")
+
+    def __init__(self, iri: str, path: AnnotationPath | None = None):
+        self.iri = iri
+        self.path = path
 
 
-@dataclass
 class Entity:
-    node: "AnnotationNode"
-    path: AnnotationPath | None = None
+    __slots__ = ("node", "path")
+
+    def __init__(self, node: "AnnotationNode",
+                 path: AnnotationPath | None = None):
+        self.node = node
+        self.path = path
 
 
 PropertyValue = Literal | Reference | Entity
 
 
-@dataclass
 class AnnotationNode:
-    types: list[str] = field(default_factory=list)
-    identifier: str | None = None
-    properties: dict[str, list[PropertyValue]] = field(default_factory=dict)
-    path: AnnotationPath | None = None
+    __slots__ = ("types", "identifier", "properties", "path")
+
+    def __init__(self, types: list[str] | None = None,
+                 identifier: str | None = None,
+                 properties: dict[str, list[PropertyValue]] | None = None,
+                 path: AnnotationPath | None = None):
+        self.types = [] if types is None else types
+        self.identifier = identifier
+        self.properties = {} if properties is None else properties
+        self.path = path
 
 
-@dataclass
-class AnnotationGraph:
+class AnnotationGraph(NamedTuple):
     roots: list[AnnotationNode]
     nodes: list[AnnotationNode]  # every reachable node once, preorder
 
@@ -121,21 +132,17 @@ class AnnotationGraph:
         return iter(self.nodes)
 
 
-@dataclass
-class MicrodataItem:
+class MicrodataItem(NamedTuple):
     """One Microdata item: its ``itemtype`` tokens, resolved ``itemid`` and
     ``(itemprop name, value)`` pairs in document order, where a value is the
     property's text or a nested item."""
-
     types: list[str]
     identifier: str | None
     itemref: bool
-    properties: list[tuple[str, "str | MicrodataItem"]] = field(
-        default_factory=list)
+    properties: list[tuple]
 
 
-@dataclass(frozen=True)
-class RawBlock:
+class RawBlock(NamedTuple):
     """One annotation block as found on a page.
 
     For JSON-LD the payload is the verbatim script text; for Microdata it is
@@ -190,9 +197,10 @@ def classify_literal(raw: str) -> str:
         return "Integer"
     if _FLOAT_RE.match(raw):
         return "Float"
-    if raw.startswith(("http://", "https://")):
+    if " " not in raw and raw.startswith(("http://", "https://", "file:/")):
         url = resolve_url(raw)
-        if url is not None and urlsplit(url).netloc and " " not in raw:
+        # a web URL names a host, a file URL an absolute path
+        if url is not None and (raw.startswith("file:") or urlsplit(url).netloc):
             return "URL"
     return "Text"
 
@@ -235,7 +243,7 @@ def _new_microdata_item(element: Element, base: str) -> MicrodataItem:
         types=[t for t in attrs.get("itemtype", "").split()
                if strip_namespace(t)],
         identifier=(resolve_url(itemid, base) or itemid) if itemid else None,
-        itemref="itemref" in attrs)
+        itemref="itemref" in attrs, properties=[])
 
 
 def _read_microdata_item(element: Element, base: str) -> MicrodataItem:

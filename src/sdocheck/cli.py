@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from urllib.parse import quote
 
 from . import annotation as anno
 from . import content as content_mod
@@ -23,7 +25,6 @@ from . import ds as ds_mod
 from . import pipeline
 from . import report as report_mod
 from . import vocab as vocab_mod
-from .fetch import FetchError, fetch
 from .report import Severity
 
 
@@ -99,8 +100,10 @@ def entry_point() -> None:
 
 
 def _load_input(raw: str) -> tuple[bytes, str]:
-    """The input's bytes and its base URL."""
+    """The input's bytes and its base URL: the final URL of a fetch, or the
+    ``file:`` URL of the file's absolute path."""
     if raw.startswith(("http://", "https://")):
+        from .fetch import FetchError, fetch  # file inputs skip its import
         try:
             result = fetch(raw)
         except FetchError as exc:
@@ -108,9 +111,10 @@ def _load_input(raw: str) -> tuple[bytes, str]:
         return result.body, result.final_url
     try:
         with open(raw, "rb") as handle:
-            return handle.read(), f"file://{raw}"
+            data = handle.read()
     except OSError as exc:
         raise CliFailure(f"cannot read input: {exc}") from exc
+    return data, "file://" + quote(os.fsencode(os.path.abspath(raw)))
 
 
 def _load_vocab(path: str | None):

@@ -19,10 +19,9 @@ import enum
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from .annotation import (AnnotationGraph, Literal, Reference, UNDETERMINED,
@@ -84,14 +83,19 @@ class MatchStatus(enum.Enum):
     UNVERIFIABLE = "unverifiable"
 
 
-@dataclass
 class ValidationConfig:
-    threshold: float = 0.75
-    date_order: str = "DMY"  # "DMY" or "MDY" for dotted/slashed page dates
-    decimal_separator: str = "point"  # "point" or "comma"
-    # property name -> {"true": [phrases], "false": [phrases]}
-    boolean_surface_forms: dict[str, dict[str, list[str]]] = field(
-        default_factory=dict)
+    __slots__ = ("threshold", "date_order", "decimal_separator",
+                 "boolean_surface_forms")
+
+    def __init__(self, threshold: float = 0.75, date_order: str = "DMY",
+                 decimal_separator: str = "point",
+                 boolean_surface_forms: dict | None = None):
+        self.threshold = threshold
+        self.date_order = date_order  # "DMY" or "MDY" for dotted/slashed page dates
+        self.decimal_separator = decimal_separator  # "point" or "comma"
+        # property name -> {"true": [phrases], "false": [phrases]}
+        self.boolean_surface_forms = ({} if boolean_surface_forms is None
+                                      else boolean_surface_forms)
 
 
 def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
@@ -119,8 +123,7 @@ def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
     return config
 
 
-@dataclass(frozen=True)
-class ValueConsistency:
+class ValueConsistency(NamedTuple):
     path: str
     value_kind: ValueKind
     score: float
@@ -128,8 +131,7 @@ class ValueConsistency:
     evidence: str
 
 
-@dataclass(frozen=True)
-class PageContent:
+class PageContent(NamedTuple):
     text_tokens: frozenset[str]
     urls: frozenset[str]
     dates: frozenset[date]

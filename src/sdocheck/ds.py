@@ -33,8 +33,7 @@ concurrently against one document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .annotation import AnnotationGraph, AnnotationNode, Entity, PropertyValue
 from .report import ReportEntry, make_entry
@@ -50,30 +49,26 @@ class DsIntegrityError(Exception):
     """The document names unknown terms or breaks structural rules."""
 
 
-@dataclass(frozen=True)
-class RangeNode:
+class RangeNode(NamedTuple):
     """A range term (datatype, enumeration or class), with the nested type
     node of the object form."""
     name: str
     node: "TypeNode | None" = None
 
 
-@dataclass(frozen=True)
-class PropertyNode:
+class PropertyNode(NamedTuple):
     name: str
     is_optional: bool
     multiple_values_allowed: bool
     ranges: tuple[RangeNode, ...]
 
 
-@dataclass(frozen=True)
-class TypeNode:
+class TypeNode(NamedTuple):
     target_types: tuple[str, ...]
     properties: tuple[PropertyNode, ...]
 
 
-@dataclass(frozen=True)
-class DomainSpecification:
+class DomainSpecification(NamedTuple):
     name: str
     ds_version: str
     root: TypeNode

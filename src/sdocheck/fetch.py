@@ -7,7 +7,7 @@ persistence, no JavaScript: the served HTML is what gets audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_USER_AGENT = "sdocheck/0.1 (annotation verification tool)"
 
@@ -28,16 +28,14 @@ class TooManyRedirects(FetchError):
     """The redirect chain exceeded the configured maximum."""
 
 
-@dataclass(frozen=True)
-class FetchConfig:
+class FetchConfig(NamedTuple):
     timeout: float = 10.0
     max_redirects: int = 5
     max_body: int = 8 * 1024 * 1024
     user_agent: str = DEFAULT_USER_AGENT
 
 
-@dataclass(frozen=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     final_url: str
     body: bytes
     status: int

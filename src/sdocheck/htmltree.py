@@ -2,12 +2,15 @@
 
 Lenient by design: unmatched end tags are dropped, unclosed elements are
 closed when an ancestor closes, and decoding falls back to UTF-8 with
-replacement characters.  Enough structure for annotation-block discovery,
-microdata walking and visible-text extraction; not a rendering engine.
+replacement characters when the page declares no encoding a browser knows.
+Enough structure for annotation-block discovery, microdata walking and
+visible-text extraction; not a rendering engine.
 """
 
 from __future__ import annotations
 
+import codecs
+import re
 from html.parser import HTMLParser
 from urllib.parse import urljoin, urlsplit
 
@@ -18,6 +21,68 @@ VOID_ELEMENTS = frozenset({
 
 # elements whose raw content never counts as page text
 NON_CONTENT_ELEMENTS = frozenset({"script", "style", "template"})
+
+# the charset a <meta charset> or <meta http-equiv="Content-Type"> names
+_META_CHARSET_RE = re.compile(
+    rb"""<meta\s[^>]*?charset\s*=\s*["']?\s*([\w.:-]+)""", re.IGNORECASE)
+
+# the WHATWG Encoding Standard's labels, by the Python codec that decodes
+# them as a browser does; a meta tag naming UTF-8, UTF-16 or any label not
+# listed here means UTF-8
+_CHARSET_CODECS = {label: codec for codec, labels in (
+    ("cp866", "866 cp866 csibm866 ibm866"),
+    ("iso8859_2", "csisolatin2 iso-8859-2 iso-ir-101 iso8859-2 iso88592 "
+                  "iso_8859-2 iso_8859-2:1987 l2 latin2"),
+    ("iso8859_3", "csisolatin3 iso-8859-3 iso-ir-109 iso8859-3 iso88593 "
+                  "iso_8859-3 iso_8859-3:1988 l3 latin3"),
+    ("iso8859_4", "csisolatin4 iso-8859-4 iso-ir-110 iso8859-4 iso88594 "
+                  "iso_8859-4 iso_8859-4:1988 l4 latin4"),
+    ("iso8859_5", "csisolatincyrillic cyrillic iso-8859-5 iso-ir-144 "
+                  "iso8859-5 iso88595 iso_8859-5 iso_8859-5:1988"),
+    ("iso8859_6", "arabic asmo-708 csiso88596e csiso88596i csisolatinarabic "
+                  "ecma-114 iso-8859-6 iso-8859-6-e iso-8859-6-i iso-ir-127 "
+                  "iso8859-6 iso88596 iso_8859-6 iso_8859-6:1987"),
+    ("iso8859_7", "csisolatingreek ecma-118 elot_928 greek greek8 iso-8859-7 "
+                  "iso-ir-126 iso8859-7 iso88597 iso_8859-7 iso_8859-7:1987 "
+                  "sun_eu_greek"),
+    ("iso8859_8", "csiso88598e csisolatinhebrew hebrew iso-8859-8 "
+                  "iso-8859-8-e iso-ir-138 iso8859-8 iso88598 iso_8859-8 "
+                  "iso_8859-8:1988 visual csiso88598i iso-8859-8-i logical"),
+    ("iso8859_10", "csisolatin6 iso-8859-10 iso-ir-157 iso8859-10 "
+                   "iso885910 l6 latin6"),
+    ("iso8859_13", "iso-8859-13 iso8859-13 iso885913"),
+    ("iso8859_14", "iso-8859-14 iso8859-14 iso885914"),
+    ("iso8859_15", "csisolatin9 iso-8859-15 iso8859-15 iso885915 "
+                   "iso_8859-15 l9"),
+    ("iso8859_16", "iso-8859-16"),
+    ("koi8_r", "cskoi8r koi koi8 koi8-r koi8_r"),
+    ("koi8_u", "koi8-ru koi8-u"),
+    ("mac_roman", "csmacintosh mac macintosh x-mac-roman"),
+    ("cp874", "dos-874 iso-8859-11 iso8859-11 iso885911 tis-620 windows-874"),
+    ("cp1250", "cp1250 windows-1250 x-cp1250"),
+    ("cp1251", "cp1251 windows-1251 x-cp1251"),
+    # Latin-1 and ASCII labels read as windows-1252, as browsers do
+    ("cp1252", "ansi_x3.4-1968 ascii cp1252 cp819 csisolatin1 ibm819 "
+               "iso-8859-1 iso-ir-100 iso8859-1 iso88591 iso_8859-1 "
+               "iso_8859-1:1987 l1 latin1 us-ascii windows-1252 x-cp1252"),
+    ("cp1253", "cp1253 windows-1253 x-cp1253"),
+    ("cp1254", "cp1254 csisolatin5 iso-8859-9 iso-ir-148 iso8859-9 iso88599 "
+               "iso_8859-9 iso_8859-9:1989 l5 latin5 windows-1254 x-cp1254"),
+    ("cp1255", "cp1255 windows-1255 x-cp1255"),
+    ("cp1256", "cp1256 windows-1256 x-cp1256"),
+    ("cp1257", "cp1257 windows-1257 x-cp1257"),
+    ("cp1258", "cp1258 windows-1258 x-cp1258"),
+    ("mac_cyrillic", "x-mac-cyrillic x-mac-ukrainian"),
+    ("gb18030", "chinese csgb2312 csiso58gb231280 gb2312 gb_2312 gb_2312-80 "
+                "gbk iso-ir-58 x-gbk gb18030"),
+    ("big5hkscs", "big5 big5-hkscs cn-big5 csbig5 x-x-big5"),
+    ("euc_jp", "cseucpkdfmtjapanese euc-jp x-euc-jp"),
+    ("iso2022_jp", "csiso2022jp iso-2022-jp"),
+    ("cp932", "csshiftjis ms932 ms_kanji shift-jis shift_jis sjis "
+              "windows-31j x-sjis"),
+    ("cp949", "cseuckr csksc56011987 euc-kr iso-ir-149 korean ks_c_5601-1987 "
+              "ks_c_5601-1989 ksc5601 ksc_5601 windows-949"),
+) for label in labels.split()}
 
 
 class Element:
@@ -106,9 +171,22 @@ class _TreeBuilder(HTMLParser):
             return self.parse_bogus_comment(i, report)
 
 
+def decode_html(data: bytes) -> str:
+    """A page's text.  A UTF-8 byte order mark means UTF-8.  Otherwise the
+    first ``<meta charset>`` or ``<meta http-equiv="Content-Type"
+    content="...; charset=...">`` within the first 1,024 bytes names the
+    encoding, read through the WHATWG label table.  Otherwise UTF-8.  Bytes
+    that do not decode become U+FFFD."""
+    if data.startswith(codecs.BOM_UTF8):
+        return data[3:].decode("utf-8", errors="replace")
+    match = _META_CHARSET_RE.search(data, 0, 1024)
+    label = match.group(1).decode("ascii").lower() if match else ""
+    return data.decode(_CHARSET_CODECS.get(label, "utf-8"), errors="replace")
+
+
 def parse_html(data: bytes | str) -> Document:
     if isinstance(data, (bytes, bytearray)):
-        data = bytes(data).decode("utf-8", errors="replace")
+        data = decode_html(bytes(data))
     builder = _TreeBuilder()
     builder.feed(data)
     builder.close()

@@ -8,8 +8,13 @@ ValidationConfig, the page-content scoring, and merge their findings.
 
 from __future__ import annotations
 
+import re
+
 from . import annotation, content, ds, htmltree, report, sdo_verifier
 from .vocab import VocabularyGraph
+
+
+_PAGE_START_RE = re.compile(rb"(?:\xef\xbb\xbf)?\s*<")
 
 
 class NotAPageError(ValueError):
@@ -19,21 +24,21 @@ class NotAPageError(ValueError):
 def parse(data: bytes, base_url: str):
     """Parse one input into ``(page, blocks)``.
 
-    Input whose first non-space byte is ``<`` is an HTML page: ``page`` is
-    its tree and the blocks are the page's annotation blocks.  Anything
-    else is one standalone JSON-LD block and ``page`` is None.  ``blocks``
-    yields ``(block, graph, findings)`` in block order, parsing each block
-    when it is asked for, so a caller that checks one block at a time holds
-    one graph at a time.  Roots are numbered across blocks, so every path
-    in one input is unique.
+    Input whose first non-space byte, after any UTF-8 byte order mark, is
+    ``<`` is an HTML page: ``page`` is its tree and the blocks are the
+    page's annotation blocks.  Anything else is one standalone JSON-LD
+    block and ``page`` is None.  ``blocks`` yields ``(block, graph,
+    findings)`` in block order, parsing each block when it is asked for, so
+    a caller that checks one block at a time holds one graph at a time.
+    Roots are numbered across blocks, so every path in one input is unique.
     """
-    if data.lstrip()[:1] == b"<":
+    if _PAGE_START_RE.match(data):
         page = htmltree.parse_html(data)
         raw_blocks = annotation.extract_annotation_blocks(page, base_url)
     else:
         page = None
         raw_blocks = [annotation.RawBlock(
-            data.decode("utf-8", errors="replace"), 0)]
+            data.decode("utf-8-sig", errors="replace"), 0)]
     return page, _parse_blocks(raw_blocks)
 
 
@@ -62,12 +67,14 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     ``validate`` is given for an input that is not a web page.
     """
     page, blocks = parse(data, base_url)
+    is_page = page is not None
     page_content = None
     if validate is not None:
-        if page is None:
+        if not is_page:
             raise NotAPageError("validate needs a web page; "
                                 "got a standalone annotation file")
         page_content = content.extract_page_content(page, base_url, validate)
+    del page  # the blocks and pools are read; free the tree before checking
     parts = []
     consistencies = []
     block_count = 0
@@ -82,7 +89,7 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
         if page_content is not None:
             consistencies.extend(content.collect_consistencies(
                 graph, page_content, validate, vocab))
-    if page is not None and block_count == 0:
+    if is_page and block_count == 0:
         parts.append([report.make_entry(
             "E102", "$", "page contains no annotation blocks")])
     score = None

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Severity(enum.Enum):
@@ -49,8 +49,7 @@ class Source(enum.Enum):
     CONTENT = "content"
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     code: str
     title: str
     severity: Severity
@@ -87,8 +86,7 @@ _ROWS = [
 CATALOG: dict[str, CatalogRow] = {row.code: row for row in _ROWS}
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     """One finding: code, title, severity, annotation path, description."""
 
     code: str
@@ -114,8 +112,7 @@ def make_entry(code: str, path: str, description: str,
                        path=path, description=description, source=row.source)
 
 
-@dataclass(frozen=True)
-class ScoreSummary:
+class ScoreSummary(NamedTuple):
     """Aggregate content consistency over the checkable annotation values."""
 
     score: float | None  # None iff checked == 0
@@ -124,12 +121,11 @@ class ScoreSummary:
     unverifiable: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     target: str
     snapshot_id: str
-    ds_name: str | None = None
-    entries: list[ReportEntry] = field(default_factory=list)
+    ds_name: str | None
+    entries: list[ReportEntry]
     content_score: ScoreSummary | None = None
 
     @property

@@ -14,8 +14,8 @@ returned list is ordered by (path, code) so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
                          PropertyValue, Reference, parse_temporal)
@@ -24,8 +24,7 @@ from .vocab import (DATATYPE_WIDENING, TermKind, VocabularyGraph, lookup_term,
                     is_subclass_of, property_applies_to, strip_namespace)
 
 
-@dataclass(frozen=True)
-class RuleViolation:
+class RuleViolation(NamedTuple):
     description: str
     property_name: str | None = None
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import BinaryIO
+import os
+from typing import BinaryIO, NamedTuple
 
 DEFAULT_SNAPSHOT_RESOURCE = "schemaorg.jsonld"
 
@@ -68,31 +67,35 @@ def strip_namespace(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(NamedTuple):
     name: str
     sub_class_of: frozenset[str]
     is_enumeration: bool = False
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(NamedTuple):
     name: str
     domain_includes: frozenset[str]
     range_includes: frozenset[str]
 
 
-@dataclass
 class VocabularyGraph:
-    classes: dict[str, ClassDef]
-    properties: dict[str, PropertyDef]
-    enumeration_members: dict[str, frozenset[str]]
-    datatypes: frozenset[str]
-    snapshot_id: str
-    # reflexive-transitive superclass closure, precomputed at load time
-    _ancestors: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
-    # member name -> enumeration classes it belongs to
-    _member_index: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
+    __slots__ = ("classes", "properties", "enumeration_members", "datatypes",
+                 "snapshot_id", "_ancestors", "_member_index")
+
+    def __init__(self, classes: dict[str, ClassDef],
+                 properties: dict[str, PropertyDef],
+                 enumeration_members: dict[str, frozenset[str]],
+                 datatypes: frozenset[str], snapshot_id: str):
+        self.classes = classes
+        self.properties = properties
+        self.enumeration_members = enumeration_members
+        self.datatypes = datatypes
+        self.snapshot_id = snapshot_id
+        # reflexive-transitive superclass closure, precomputed at load time
+        self._ancestors: dict[str, frozenset[str]] = {}
+        # member name -> enumeration classes it belongs to
+        self._member_index: dict[str, frozenset[str]] = {}
 
     def ancestors(self, class_name: str) -> frozenset[str]:
         return self._ancestors[class_name]
@@ -189,9 +192,10 @@ def load_vocabulary(source: bytes | BinaryIO) -> VocabularyGraph:
 
 def load_default_vocabulary() -> VocabularyGraph:
     """Load the snapshot vendored with the package."""
-    data = resources.files("sdocheck.data").joinpath(
-        DEFAULT_SNAPSHOT_RESOURCE).read_bytes()
-    return load_vocabulary(data)
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        DEFAULT_SNAPSHOT_RESOURCE)
+    with open(path, "rb") as handle:
+        return load_vocabulary(handle.read())
 
 
 def _link_members(graph: VocabularyGraph, decls: list[tuple[str, list[str]]]) -> None:
@@ -266,9 +270,7 @@ def _compute_closure(graph: VocabularyGraph) -> None:
 def _mark_enumerations(graph: VocabularyGraph) -> None:
     for name, cls in list(graph.classes.items()):
         if "Enumeration" in graph._ancestors[name]:
-            graph.classes[name] = ClassDef(name=cls.name,
-                                           sub_class_of=cls.sub_class_of,
-                                           is_enumeration=True)
+            graph.classes[name] = cls._replace(is_enumeration=True)
 
 
 def lookup_term(vocab: VocabularyGraph, name: str) -> TermKind:

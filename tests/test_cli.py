@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 from sdocheck import annotation, cli, htmltree, sdo_verifier
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
+DS_DIR = SRC / "sdocheck" / "data" / "ds"
 
 
 def run_cli(*args):
@@ -211,6 +214,72 @@ class TestRobustness:
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True, timeout=60)
         assert result.stdout.decode().strip() == "False", result.stderr
+
+    def test_cli_import_loads_only_what_a_file_run_uses(self):
+        # -S: a site hook may import modules of its own (certifi, say)
+        probe = ("import json, sys, sdocheck.cli; "
+                 "print(json.dumps(sorted(sys.modules)))")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 0, result.stderr
+        loaded = set(json.loads(result.stdout))
+        unused = {"dataclasses", "inspect", "importlib.resources",
+                  "sdocheck.fetch", "requests"}
+        assert loaded & unused == set()
+        # the benchmark's tracer finds its targets in sys.modules
+        layers = {f"sdocheck.{name}" for name in (
+            "vocab", "ds", "htmltree", "annotation", "sdo_verifier",
+            "content", "report", "pipeline")}
+        assert layers <= loaded
+
+    def test_relative_link_resolves_against_the_file_path(self, capsysbinary):
+        probe = FIXTURES / "probes" / "relative_link.html"
+        code = cli.main(["verify", str(probe),
+                         "--ds", str(DS_DIR / "local-business.json")])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert (code, report["entries"]) == (0, [])
+
+    @pytest.mark.parametrize("probe", ["relative_link.html",
+                                       "utf8_bom_page.html",
+                                       "latin1_meta_charset.html"])
+    def test_page_probe_validates_clean(self, probe, capsysbinary):
+        code = cli.main(["validate", str(FIXTURES / "probes" / probe)])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert (code, report["entries"]) == (0, [])
+        assert report["content_score"]["score"] == 1.0
+
+    @pytest.mark.parametrize("head, body, text", [
+        (b"", "café’".encode(), "café’"),
+        (b'<meta charset="iso-8859-1">', b"caf\xe9\x92", "café’"),
+        (b'<meta charset="US-ASCII">', b"caf\xe9\x92", "café’"),
+        (b"<meta http-equiv=Content-Type "
+         b"content='text/html; charset=iso-8859-15'>",
+         "café €".encode("iso-8859-15"), "café €"),
+        (b'<meta charset="no-such-encoding">', "café".encode(), "café"),
+        (b'<meta charset="base64">', "café".encode(), "café"),
+        (b'<meta charset="unicode_escape">', '\\"café'.encode(), '\\"café'),
+        (b'<meta charset="utf-16">', "café".encode(), "café"),
+        (b"<!--" + b" " * 1024 + b'--><meta charset="iso-8859-1">',
+         "café".encode(), "café"),
+    ], ids=["undeclared", "latin1-as-windows-1252", "ascii-as-windows-1252",
+            "http-equiv", "unknown-label", "not-a-text-encoding",
+            "python-only-label", "utf-16", "past-1024-bytes"])
+    def test_page_decodes_as_its_meta_charset_declares(self, head, body,
+                                                        text):
+        assert htmltree.decode_html(head + body).endswith(text)
+
+    def test_byte_order_mark_wins_over_meta_charset(self):
+        data = b'\xef\xbb\xbf<meta charset="iso-8859-1">' + "é".encode()
+        assert htmltree.decode_html(data) == '<meta charset="iso-8859-1">é'
+
+    def test_jsonld_file_may_start_with_a_byte_order_mark(
+            self, tmp_path, capsysbinary):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf{"@context": "https://schema.org", '
+                         b'"@type": "Thing", "name": "Caf\xc3\xa9"}')
+        assert cli.main(["verify", str(path)]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["entries"] == []
 
     @pytest.mark.parametrize("probe", ["nan_min_value.json", "big_integer.json",
                                        "deep_nesting.json",
