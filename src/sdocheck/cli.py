@@ -108,6 +108,9 @@ def _load_input(raw: str) -> tuple[bytes, str]:
             result = fetch(raw)
         except FetchError as exc:
             raise CliFailure(f"fetch failed: {exc}") from exc
+        if not 200 <= result.status < 300:
+            print(f"sdocheck: warning: HTTP {result.status} from "
+                  f"{result.final_url}", file=sys.stderr)
         return result.body, result.final_url
     try:
         with open(raw, "rb") as handle:
@@ -163,79 +166,34 @@ def _exit_code(report: report_mod.VerificationReport, fail_level: str) -> int:
 
 def _cmd_extract(args) -> int:
     _, blocks = pipeline.parse(*_load_input(args.input))
-    dumps = []
-    for block, graph, entries in blocks:
-        dumps.append({
-            "block_index": block.block_index,
-            "format": block.source_format.value,
-            "roots": None if graph is None else graph.roots,
-            "findings": [
-                {"code": e.code, "severity": e.severity.value,
-                 "path": e.path, "description": e.description}
-                for e in entries
-            ],
-        })
-    _write_json(dumps, sys.stdout.write, _graph_object_to_dict())
-    sys.stdout.write("\n")
+    dumps = [{
+        "block_index": block.block_index,
+        "format": block.source_format.value,
+        "roots": None if graph is None else [root.path for root in graph.roots],
+        "nodes": None if graph is None else graph.nodes,
+        "findings": [
+            {"code": e.code, "severity": e.severity.value,
+             "path": e.path, "description": e.description}
+            for e in entries
+        ],
+    } for block, graph, entries in blocks]
+    print(json.dumps(dumps, indent=2, ensure_ascii=False,
+                     default=_graph_object_to_dict))
     return 0
 
 
-def _graph_object_to_dict():
-    """The ``default`` that writes graph objects: a node in full where it is
-    first written, as a ``ref`` to its path after that."""
-    seen: set[int] = set()
-
-    def to_dict(obj) -> dict:
-        path = obj.path.render() if obj.path else None
-        if isinstance(obj, anno.Literal):
-            return {"kind": "literal", "path": path,
-                    "raw": obj.raw, "datatype": obj.datatype}
-        if isinstance(obj, anno.Reference):
-            return {"kind": "reference", "path": path, "iri": obj.iri}
-        if isinstance(obj, anno.Entity):
-            return {"kind": "entity", "path": path, "node": obj.node}
-        if id(obj) in seen:
-            return {"ref": path}
-        seen.add(id(obj))
-        return {"path": path, "types": list(obj.types),
-                "identifier": obj.identifier, "properties": obj.properties}
-
-    return to_dict
-
-
-def _write_json(value, write, default) -> None:
-    """Write ``json.dumps(value, indent=2, ensure_ascii=False,
-    default=default)`` piece by piece from an explicit stack: the json
-    module recurses once per nesting level, and the text of a deep graph
-    grows with the square of its depth."""
-    # entries are text to write or (value, the newline and indent before it)
-    stack: list = [(value, "\n")]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            write(item)
-            continue
-        value, newline = item
-        if not isinstance(value, (dict, list, str, int, float, type(None))):
-            value = default(value)
-        if isinstance(value, dict):
-            brackets = "{}"
-            members = [(json.dumps(k, ensure_ascii=False) + ": ", v)
-                       for k, v in value.items()]
-        elif isinstance(value, list):
-            brackets, members = "[]", [("", v) for v in value]
-        else:
-            write(json.dumps(value, ensure_ascii=False))
-            continue
-        if not members:
-            write(brackets)
-            continue
-        inner = newline + "  "
-        parts: list = [brackets[0]]
-        for prefix, member in members:
-            parts += [inner + prefix, (member, inner), ","]
-        parts[-1] = newline + brackets[1]
-        stack.extend(reversed(parts))
+def _graph_object_to_dict(obj) -> dict:
+    """A node or value as JSON; an entity names its node by path, so each
+    node is written once, in the node list."""
+    if isinstance(obj, anno.Literal):
+        return {"kind": "literal", "path": obj.path,
+                "raw": obj.raw, "datatype": obj.datatype}
+    if isinstance(obj, anno.Reference):
+        return {"kind": "reference", "path": obj.path, "iri": obj.iri}
+    if isinstance(obj, anno.Entity):
+        return {"kind": "entity", "path": obj.path, "node": obj.node.path}
+    return {"path": obj.path, "types": obj.types,
+            "identifier": obj.identifier, "properties": obj.properties}
 
 
 if __name__ == "__main__":

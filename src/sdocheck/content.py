@@ -99,14 +99,24 @@ class ValidationConfig:
 
 
 def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
+    """Read a configuration document; raises ValueError when it does not
+    parse or a field has the wrong shape."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
         source = bytes(source).decode("utf-8")
-    raw = json.loads(source)
+    try:
+        raw = json.loads(source)
+    except RecursionError as exc:
+        raise ValueError(f"document nests too deeply: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("document must be a JSON object")
     config = ValidationConfig()
     if "threshold" in raw:
-        config.threshold = float(raw["threshold"])
+        try:
+            config.threshold = float(raw["threshold"])
+        except TypeError as exc:
+            raise ValueError(f"threshold must be a number: {exc}") from exc
     if "dateOrder" in raw:
         if raw["dateOrder"] not in ("DMY", "MDY"):
             raise ValueError("dateOrder must be 'DMY' or 'MDY'")
@@ -115,11 +125,20 @@ def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
         if raw["decimalSeparator"] not in ("point", "comma"):
             raise ValueError("decimalSeparator must be 'point' or 'comma'")
         config.decimal_separator = raw["decimalSeparator"]
-    for prop, forms in raw.get("booleanSurfaceForms", {}).items():
-        config.boolean_surface_forms[prop] = {
-            "true": list(forms.get("true", [])),
-            "false": list(forms.get("false", [])),
-        }
+    surface_forms = raw.get("booleanSurfaceForms", {})
+    if not isinstance(surface_forms, dict):
+        raise ValueError("booleanSurfaceForms must be an object")
+    for prop, forms in surface_forms.items():
+        if not isinstance(forms, dict):
+            raise ValueError(f"booleanSurfaceForms of {prop!r} must be an object")
+        config.boolean_surface_forms[prop] = {}
+        for key in ("true", "false"):
+            phrases = forms.get(key, [])
+            if (not isinstance(phrases, list)
+                    or not all(isinstance(p, str) for p in phrases)):
+                raise ValueError(f"booleanSurfaceForms of {prop!r}: {key!r} "
+                                 "must be a list of strings")
+            config.boolean_surface_forms[prop][key] = phrases
     return config
 
 
@@ -136,7 +155,6 @@ class PageContent(NamedTuple):
     urls: frozenset[str]
     dates: frozenset[date]
     numbers: frozenset[Decimal]
-    base_url: str
 
 
 def tokenize(text: str) -> list[str]:
@@ -175,7 +193,6 @@ def extract_page_content(tree: Document, base_url: str,
         urls=frozenset(urls),
         dates=frozenset(_extract_dates(text, config.date_order)),
         numbers=frozenset(_extract_numbers(text, config.decimal_separator)),
-        base_url=base,
     )
 
 
@@ -314,7 +331,7 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
                          vocab: VocabularyGraph | None = None,
                          ) -> ValueConsistency:
     """Score one annotation value against the page pools."""
-    path = value.path.render() if value.path else "$0"
+    path = value.path or "$0"
     kind = classify_value_kind(value, property_name, vocab)
     raw = value.iri if isinstance(value, Reference) else value.raw
 

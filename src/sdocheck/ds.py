@@ -99,7 +99,7 @@ def _read_document(source) -> dict:
         source = bytes(source).decode("utf-8", errors="replace")
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DsParseError(f"document does not parse: {exc}") from exc
     if not isinstance(doc, dict):
         raise DsParseError("document must be a JSON object")
@@ -240,7 +240,7 @@ def _check_type_node(node: AnnotationNode, tnode: TypeNode,
     findings: list[ReportEntry] = []
     for pnode in tnode.properties:
         values = node.properties.get(pnode.name, [])
-        prop_path = node.path.child(pnode.name).render()
+        prop_path = f"{node.path}.{pnode.name}"
         if not values:
             if not pnode.is_optional:
                 findings.append(make_entry(
@@ -255,18 +255,17 @@ def _check_type_node(node: AnnotationNode, tnode: TypeNode,
         for value in values:
             clean, nested_failure = _match_ranges(value, pnode.ranges,
                                                   vocab, memo)
-            value_path = value.path.render()
             if clean:
                 continue
             if nested_failure is None:
                 findings.append(make_entry(
-                    "E304", value_path,
+                    "E304", value.path,
                     f"value conforms to no declared range of {pnode.name!r} "
                     f"({_range_names(pnode.ranges)})"))
             else:
                 class_name, nested_findings = nested_failure
                 findings.append(make_entry(
-                    "E305", value_path,
+                    "E305", value.path,
                     f"value matches type {class_name!r} but fails its nested "
                     f"constraints"))
                 findings.extend(nested_findings)

@@ -114,27 +114,26 @@ def verify_schema_org(graph: AnnotationGraph, vocab: VocabularyGraph,
 
 def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
                 findings: list[ReportEntry]) -> None:
-    node_path = node.path.render()
     known_types = []
     for t in node.types:
         kind = lookup_term(vocab, t)
         if kind not in (TermKind.CLASS, TermKind.ENUMERATION):
             findings.append(make_entry(
-                "E201", node_path, f"type {t!r} is not defined by the vocabulary",
+                "E201", node.path, f"type {t!r} is not defined by the vocabulary",
                 strict))
         else:
             known_types.append(t)
 
     if not node.types and node.properties:
         findings.append(make_entry(
-            "E209", node_path,
+            "E209", node.path,
             "entity has no type; domain and range checks were skipped"))
     if not node.properties:
         findings.append(make_entry(
-            "E206", node_path, "entity has no properties"))
+            "E206", node.path, "entity has no properties"))
 
     for prop, values in node.properties.items():
-        prop_path = node.path.child(prop).render()
+        prop_path = f"{node.path}.{prop}"
         prop_known = lookup_term(vocab, prop) is TermKind.PROPERTY
         if not prop_known:
             findings.append(make_entry(
@@ -156,9 +155,9 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
             continue
         violation = check(node)
         if violation is not None:
-            path = node_path
+            path = node.path
             if violation.property_name:
-                path = node.path.child(violation.property_name).render()
+                path = f"{node.path}.{violation.property_name}"
             findings.append(make_entry(
                 "E208", path,
                 f"rule {rule_id!r}: {violation.description}", strict))
@@ -179,10 +178,9 @@ def _rule_applies(applicable_type: str, known_types: list[str],
 def _check_value(value: PropertyValue, prop: str, prop_known: bool,
                  vocab: VocabularyGraph, strict: bool,
                  findings: list[ReportEntry]) -> None:
-    value_path = value.path.render()
     if isinstance(value, Literal) and value.raw.strip() == "":
         findings.append(make_entry(
-            "E206", value_path, f"value of {prop!r} is empty"))
+            "E206", value.path, f"value of {prop!r} is empty"))
         return
     if not prop_known:
         return
@@ -196,27 +194,27 @@ def _check_value(value: PropertyValue, prop: str, prop_known: bool,
     if isinstance(value, Literal):
         if value.datatype == "Text" and not any_class_range:
             findings.append(make_entry(
-                "E205", value_path,
+                "E205", value.path,
                 f"value {_shorten(value.raw)!r} is plain text but {prop!r} "
                 f"expects {_range_text(ranges)}", strict))
         else:
             findings.append(make_entry(
-                "E204", value_path,
+                "E204", value.path,
                 f"value {_shorten(value.raw)!r} ({value.datatype}) does not "
                 f"conform to {_range_text(ranges)}", strict))
     elif isinstance(value, Reference):
         findings.append(make_entry(
-            "E204", value_path,
+            "E204", value.path,
             f"reference {value.iri!r} where {prop!r} expects "
             f"{_range_text(ranges)}", strict))
     elif any(t in vocab.classes for t in value.node.types):
         findings.append(make_entry(
-            "E204", value_path,
+            "E204", value.path,
             f"entity of {_type_list_text(value.node.types)} does not "
             f"conform to {_range_text(ranges)}", strict))
     elif not value.node.types and not any_class_range:
         findings.append(make_entry(
-            "E204", value_path,
+            "E204", value.path,
             f"untyped entity where {prop!r} expects {_range_text(ranges)}",
             strict))
     # an entity whose declared types are all unknown: E201 is filed there

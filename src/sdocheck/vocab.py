@@ -144,7 +144,7 @@ def load_vocabulary(source: bytes | BinaryIO) -> VocabularyGraph:
     snapshot_id = "sha256:" + hashlib.sha256(data).hexdigest()[:16]
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"vocabulary dump does not parse: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("@graph"), list):
         raise ParseError("vocabulary dump must be an object with a '@graph' array")
@@ -246,24 +246,24 @@ def _check_integrity(graph: VocabularyGraph) -> None:
 
 def _compute_closure(graph: VocabularyGraph) -> None:
     ancestors: dict[str, frozenset[str]] = {}
-
-    def visit(name: str, trail: tuple[str, ...]) -> frozenset[str]:
-        if name in ancestors:
-            return ancestors[name]
-        if name in trail:
-            cycle = " -> ".join(trail + (name,))
-            raise IntegrityError(f"cyclic subclass chain: {cycle}")
-        reached = {name}
-        for sup in graph.classes[name].sub_class_of:
-            if sup in graph.classes:
-                reached |= visit(sup, trail + (name,))
+    for start in graph.classes:
+        # a subclass chain, child first, whose closures are still open
+        trail = [] if start in ancestors else [start]
+        while trail:
+            name = trail[-1]
+            supers = graph.classes[name].sub_class_of
+            pending = next((sup for sup in supers if sup in graph.classes
+                            and sup not in ancestors), None)
+            if pending is None:
+                # a datatype superclass is a leaf for the closure
+                ancestors[name] = frozenset({name}.union(
+                    *(ancestors.get(sup, {sup}) for sup in supers)))
+                trail.pop()
+            elif pending in trail:
+                cycle = " -> ".join(trail + [pending])
+                raise IntegrityError(f"cyclic subclass chain: {cycle}")
             else:
-                reached.add(sup)  # datatype superclass, a leaf for the closure
-        ancestors[name] = frozenset(reached)
-        return ancestors[name]
-
-    for name in graph.classes:
-        visit(name, ())
+                trail.append(pending)
     graph._ancestors = ancestors
 
 

@@ -61,7 +61,7 @@ class TestJsonLdParsing:
         assert root.types == ["Event"]
         name = root.properties["name"][0]
         assert isinstance(name, a.Literal) and name.raw == "X"
-        assert name.path.render() == "$0.name"
+        assert name.path == "$0.name"
 
     def test_context_only_block_is_empty(self):
         graph, entries = a.parse_annotation(
@@ -79,7 +79,7 @@ class TestJsonLdParsing:
                  '{"@type":"Event","name":"A"},{"@type":"Person","name":"B"}]}')
         graph, _ = parse_jsonld(block)
         assert [r.types for r in graph.roots] == [["Event"], ["Person"]]
-        assert [r.path.render() for r in graph.roots] == ["$0", "$1"]
+        assert [r.path for r in graph.roots] == ["$0", "$1"]
 
     def test_top_level_array(self):
         block = ('[{"@context":"https://schema.org","@type":"Event","name":"A"},'
@@ -89,8 +89,8 @@ class TestJsonLdParsing:
 
     def test_first_root_ordinal_offsets_paths(self):
         graph, _ = parse_jsonld(EVENT_BLOCK, first_root_ordinal=3)
-        assert graph.roots[0].path.render() == "$3"
-        assert graph.roots[0].properties["name"][0].path.render() == "$3.name"
+        assert graph.roots[0].path == "$3"
+        assert graph.roots[0].properties["name"][0].path == "$3.name"
 
     def test_namespace_prefixes_stripped_from_terms(self):
         block = ('{"@context":"https://schema.org",'
@@ -110,8 +110,8 @@ class TestJsonLdParsing:
                  '"name":"A","image":["https://x.example/1","https://x.example/2"]}')
         graph, _ = parse_jsonld(block)
         root = graph.roots[0]
-        assert root.properties["name"][0].path.render() == "$0.name"
-        assert [v.path.render() for v in root.properties["image"]] == [
+        assert root.properties["name"][0].path == "$0.name"
+        assert [v.path for v in root.properties["image"]] == [
             "$0.image[0]", "$0.image[1]"]
 
     def test_scalar_json_values_become_typed_literals(self):
@@ -194,13 +194,13 @@ class TestJsonLdParsing:
         })
         graph, _ = parse_jsonld(block)
         event, place = graph.roots
-        assert [n.path.render() for n in graph.iter_nodes()] == [
+        assert [n.path for n in graph.iter_nodes()] == [
             "$0", "$0.location"]
-        assert place.path.render() == "$0.location"
+        assert place.path == "$0.location"
         assert event.properties["location"][0].node is place
         organizer = event.properties["organizer"][0]
         assert isinstance(organizer, a.Reference)
-        assert (organizer.iri, organizer.path.render()) == (
+        assert (organizer.iri, organizer.path) == (
             "#nobody", "$0.organizer")
 
     def test_foreign_context_skips_block(self):
@@ -413,17 +413,17 @@ def test_every_rendered_path_matches_grammar_and_resolves(obj):
     assert graph is not None
 
     def walk(node):
-        assert a.PATH_GRAMMAR_RE.match(node.path.render())
+        assert a.PATH_GRAMMAR_RE.match(node.path)
         for values in node.properties.values():
             for value in values:
-                rendered = value.path.render()
+                rendered = value.path
                 assert a.PATH_GRAMMAR_RE.match(rendered)
                 assert a.resolve_path(graph, rendered) is value
                 if isinstance(value, a.Entity):
                     walk(value.node)
 
     for root in graph.roots:
-        assert a.resolve_path(graph, root.path.render()) is root
+        assert a.resolve_path(graph, root.path) is root
         walk(root)
 
 

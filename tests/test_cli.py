@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from sdocheck import annotation, cli, htmltree, sdo_verifier
 
@@ -159,9 +158,17 @@ class TestExtract:
         dumps = json.loads(result.stdout.decode())
         assert len(dumps) == 1
         assert dumps[0]["format"] == "json-ld"
-        root = dumps[0]["roots"][0]
-        assert root["types"] == ["Hotel"]
+        assert dumps[0]["roots"] == ["$0"]
+        root = dumps[0]["nodes"][0]
+        assert (root["path"], root["types"]) == ("$0", ["Hotel"])
         assert root["properties"]["name"][0]["raw"] == "Hotel Alpenhof"
+
+    def test_unparsed_block_has_no_roots_or_nodes(self, capsys):
+        assert cli.main(["extract",
+                         str(FIXTURES / "probes" / "nan_min_value.json")]) == 0
+        [dump] = json.loads(capsys.readouterr().out)
+        assert (dump["roots"], dump["nodes"]) == (None, None)
+        assert [f["code"] for f in dump["findings"]] == ["E101"]
 
     def test_page_without_blocks_is_empty_list(self):
         result = run_cli("extract", str(FIXTURES / "page_none.html"))
@@ -317,6 +324,36 @@ class TestRobustness:
         report = json.loads(capsysbinary.readouterr().out)
         assert finding in [(e["code"], e["path"]) for e in report["entries"]]
 
+    DEEP_DS = ('{"name": "deep", "root": ' + '{"targetTypes": ["Event"], '
+               '"properties": [{"name": "subEvent", "ranges": [{"type": '
+               '"Event", "node": ' * 199 + '{"targetTypes": ["Event"]}'
+               + "}]}]}" * 199 + "}")
+
+    @pytest.mark.parametrize("option, document, loader", [
+        ("--ds", DEEP_DS, "domain specification"),
+        ("--vocab", '{"@graph": ' + "[" * 3000 + "]" * 3000 + "}",
+         "vocabulary"),
+        ("--validation-config", "[1, 2]", "validation config"),
+        ("--validation-config", "[" * 3000 + "]" * 3000, "validation config"),
+        ("--validation-config", '{"booleanSurfaceForms": {"petsAllowed": 3}}',
+         "validation config"),
+        ("--validation-config",
+         '{"booleanSurfaceForms": {"petsAllowed": {"true": [3]}}}',
+         "validation config"),
+        ("--validation-config", '{"threshold": [1]}', "validation config"),
+    ], ids=["ds-200-deep", "vocab-3000-deep", "config-list",
+            "config-3000-deep", "config-forms-int", "config-phrase-int",
+            "config-threshold-list"])
+    def test_unloadable_document_exits_2(self, option, document, loader,
+                                         tmp_path, capsys):
+        path = tmp_path / "document.json"
+        path.write_text(document)
+        code = cli.main(["validate", str(FIXTURES / "page_good.html"),
+                         option, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"sdocheck: cannot load {loader}: ")
+
     @pytest.mark.parametrize("command, layer, name", [
         ("verify", sdo_verifier, "verify_schema_org"),
         ("extract", annotation, "parse_annotation"),
@@ -379,16 +416,15 @@ class TestDeepAnnotations:
         assert tally.count == depth - 1
         assert tally.tail.endswith("]\n")
 
-
-json_values = st.recursive(
-    st.none() | st.integers() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-    max_leaves=20)
-
-
-@given(json_values)
-def test_extract_writer_matches_json_dumps(value):
-    pieces = []
-    cli._write_json(value, pieces.append, None)
-    assert "".join(pieces) == json.dumps(value, indent=2, ensure_ascii=False)
+    def test_extract_lists_each_node_once_by_path(self, capsys):
+        probe = FIXTURES / "probes" / "jsonld_300_deep.html"
+        assert cli.main(["extract", str(probe)]) == 0
+        [dump] = json.loads(capsys.readouterr().out)
+        paths = [node["path"] for node in dump["nodes"]]
+        assert len(paths) == len(set(paths)) == 300
+        assert dump["roots"] == ["$0"]
+        entities = [value for node in dump["nodes"]
+                    for values in node["properties"].values()
+                    for value in values if value["kind"] == "entity"]
+        assert len(entities) == 299
+        assert {value["node"] for value in entities} <= set(paths)

@@ -1,10 +1,11 @@
+import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from sdocheck import fetch as f
+from sdocheck import cli, fetch as f
 
 
 class Handler(BaseHTTPRequestHandler):
@@ -74,6 +75,14 @@ def test_body_cap(server):
 def test_non_2xx_is_returned_not_raised(server):
     result = f.fetch(f"{server}/nowhere")
     assert result.status == 404
+
+
+def test_cli_warns_of_a_non_2xx_fetch(server, capsys):
+    assert cli.main(["verify", f"{server}/missing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"sdocheck: warning: HTTP 404 from {server}/missing"]
+    assert json.loads(captured.out)["entries"]
 
 
 def test_refused_connection_is_a_network_error():

@@ -45,7 +45,7 @@ def test_roots_are_numbered_across_blocks():
     </body></html>"""
     tree, blocks = pipeline.parse(page, BASE)
     assert tree is not None
-    roots = [[root.path.render() for root in graph.roots] if graph else None
+    roots = [[root.path for root in graph.roots] if graph else None
              for _, graph, _ in blocks]
     assert roots == [["$0", "$1"], None, ["$2"], ["$3"]]
 

@@ -56,8 +56,20 @@ class TestLoading:
             {"@id": "schema:B", "@type": "rdfs:Class",
              "rdfs:subClassOf": {"@id": "schema:A"}},
         ]
-        with pytest.raises(v.IntegrityError):
+        with pytest.raises(v.IntegrityError,
+                           match="^cyclic subclass chain: A -> B -> A$"):
             v.load_vocabulary(dump(terms))
+
+    def test_long_subclass_chain_listed_child_first(self):
+        chain = [{"@id": f"schema:C{i}", "@type": "rdfs:Class",
+                  "rdfs:subClassOf": {"@id": f"schema:C{i + 1}"}}
+                 for i in range(1499)]
+        chain.append({"@id": "schema:C1499", "@type": "rdfs:Class",
+                      "rdfs:subClassOf": {"@id": "schema:Event"}})
+        graph = v.load_vocabulary(dump(chain + MINI))
+        assert v.is_subclass_of(graph, "C0", "Event")
+        assert v.is_subclass_of(graph, "C0", "Thing")
+        assert not v.is_subclass_of(graph, "C1", "C0")
 
     def test_property_without_range_is_rejected(self):
         terms = MINI + [{"@id": "schema:broken", "@type": "rdf:Property",
