@@ -208,29 +208,18 @@ def classify_literal(raw: str) -> str:
 
 def extract_annotation_blocks(tree: Document,
                               base_url: str) -> list[RawBlock]:
-    """All annotation blocks of a page tree, in document order.
+    """All annotation blocks of a parsed page, in document order.
 
     JSON-LD script blocks come first (verbatim, even if malformed), followed
     by one synthetic block per top-level Microdata item scope.  Block indices
     are global and zero-based.
     """
     base = effective_base_url(tree, base_url)
-    blocks: list[RawBlock] = []
-    items: list[MicrodataItem] = []
-    for element in tree.iter_elements():
-        if element.tag == "script" and _is_jsonld_type(element):
-            text = "".join(c for c in element.children if isinstance(c, str))
-            blocks.append(RawBlock(text, len(blocks)))
-        if "itemscope" in element.attrs and "itemprop" not in element.attrs:
-            items.append(_read_microdata_item(element, base))
-    for item in items:
-        blocks.append(RawBlock(item, len(blocks)))
+    blocks = [RawBlock("".join(script.children), index)
+              for index, script in enumerate(tree.scripts)]
+    blocks.extend(RawBlock(_read_microdata_item(element, base), index)
+                  for index, element in enumerate(tree.items, len(blocks)))
     return blocks
-
-
-def _is_jsonld_type(element: Element) -> bool:
-    media_type = element.attrs.get("type", "")
-    return media_type.split(";")[0].strip().lower() == "application/ld+json"
 
 
 def _new_microdata_item(element: Element, base: str) -> MicrodataItem:
@@ -383,7 +372,10 @@ class _GraphBuilder:
                 continue
             parsed = []
             for item in value if isinstance(value, list) else [value]:
-                built = yield self.build_value(item)
+                if isinstance(item, str):  # the common case: no generator
+                    built = Literal(item, classify_literal(item))
+                else:
+                    built = yield self.build_value(item)
                 if built is not None:
                     parsed.append(built)
             if parsed:

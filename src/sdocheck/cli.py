@@ -8,7 +8,8 @@ Three subcommands:
 
 Exit codes: 0 no finding at or above --fail-level, 1 findings, 2 tool
 failure (unreadable input, bad vocabulary or constraint document, network
-error, internal error).  The report goes to stdout, diagnostics to stderr.
+error, internal error, a stdout that cannot take the output).  The report
+goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -71,28 +72,63 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "extract":
-            return _cmd_extract(args)
-        vocabulary = _load_vocab(args.vocab)
-        spec = _load_ds(args.ds, vocabulary)
-        config = (_load_validation_config(args.validation_config)
-                  if args.command == "validate" else None)
-        data, base_url = _load_input(args.input)
-        report = pipeline.run(data, base_url, vocabulary, target=args.input,
-                              spec=spec, validate=config, strict=args.strict)
-        output = report_mod.serialize_report(report, args.format)
+            output, code = _extract_json(args) + "\n", 0
+        else:
+            vocabulary = _load_vocab(args.vocab)
+            spec = _load_ds(args.ds, vocabulary)
+            config = (_load_validation_config(args.validation_config)
+                      if args.command == "validate" else None)
+            data, base_url = _load_input(args.input)
+            report = pipeline.run(data, base_url, vocabulary,
+                                  target=args.input, spec=spec,
+                                  validate=config, strict=args.strict)
+            output = report_mod.serialize_report(report, args.format)
+            code = _exit_code(report, args.fail_level)
     except (CliFailure, pipeline.NotAPageError) as exc:
         print(f"sdocheck: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as exit 1, "findings"
         print(f"sdocheck: internal error: {exc!r}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(output)
-    sys.stdout.buffer.flush()
-    return _exit_code(report, args.fail_level)
+    # a stdout that cannot take the output is a tool failure, not "findings"
+    return code if _write_output(output) else 2
 
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+def _write_output(output: str | bytes) -> bool:
+    """Write the command's output to stdout.  False when stdout cannot take
+    it, after one line on stderr, or none when a reader left early."""
+    if sys.stdout is None:  # the interpreter started with it closed
+        print("sdocheck: cannot write output: stdout is closed",
+              file=sys.stderr)
+        return False
+    try:
+        if isinstance(output, bytes):
+            sys.stdout.buffer.write(output)
+        else:
+            sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        if not isinstance(exc, BrokenPipeError):
+            print(f"sdocheck: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at the null device, so the output still
+    buffered does not fail again when the interpreter flushes it at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stream: nothing flushes it to a descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +200,7 @@ def _exit_code(report: report_mod.VerificationReport, fail_level: str) -> int:
     return 0
 
 
-def _cmd_extract(args) -> int:
+def _extract_json(args) -> str:
     _, blocks = pipeline.parse(*_load_input(args.input))
     dumps = [{
         "block_index": block.block_index,
@@ -177,9 +213,8 @@ def _cmd_extract(args) -> int:
             for e in entries
         ],
     } for block, graph, entries in blocks]
-    print(json.dumps(dumps, indent=2, ensure_ascii=False,
-                     default=_graph_object_to_dict))
-    return 0
+    return json.dumps(dumps, indent=2, ensure_ascii=False,
+                      default=_graph_object_to_dict)
 
 
 def _graph_object_to_dict(obj) -> dict:

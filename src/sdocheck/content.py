@@ -26,8 +26,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 from .annotation import (AnnotationGraph, Literal, Reference, UNDETERMINED,
                          parse_temporal)
-from .htmltree import (Document, Element, NON_CONTENT_ELEMENTS,
-                       effective_base_url, resolve_url)
+from .htmltree import Document, effective_base_url, resolve_url
 from .report import ReportEntry, ScoreSummary, make_entry
 from .vocab import VocabularyGraph, strip_namespace
 
@@ -53,15 +52,6 @@ _MONTH_NAME_RE = re.compile(
     rf"\b(?=[\dadfjmnos])"
     rf"(?:{_MONTH}\s+{_DAY},?|{_DAY}\.?\s+{_MONTH},?)\s+(\d{{4}})\b",
     re.IGNORECASE)
-
-# elements that break the text flow; prevents token fusion across tags
-_BLOCK_TAGS = frozenset({
-    "address", "article", "aside", "blockquote", "br", "caption", "dd",
-    "div", "dl", "dt", "fieldset", "figcaption", "figure", "footer", "form",
-    "h1", "h2", "h3", "h4", "h5", "h6", "header", "hr", "li", "main", "nav",
-    "ol", "option", "p", "pre", "section", "select", "table", "td", "tfoot",
-    "th", "thead", "title", "tr", "ul",
-})
 
 _RATING_PROPERTIES = frozenset({"ratingValue", "bestRating", "worstRating"})
 
@@ -180,48 +170,25 @@ def camel_case_tokens(name: str) -> list[str]:
 
 def extract_page_content(tree: Document, base_url: str,
                          config: ValidationConfig | None = None) -> PageContent:
-    """Reduce a page tree to its comparable pools.
+    """Reduce a parsed page to its comparable pools.
 
     Script, style and template content is invisible, which keeps embedded
     JSON-LD annotation blocks out of their own evidence.
     """
     config = config or ValidationConfig()
     base = effective_base_url(tree, base_url)
-    text, urls = _visible_text_and_urls(tree, base)
+    urls: set[str] = set()
+    for link in tree.links:
+        url = resolve_url(link, base)
+        if url is not None:
+            urls.add(normalize_url(url))
+    text = tree.text
     return PageContent(
         text_tokens=frozenset(tokenize(text)),
         urls=frozenset(urls),
         dates=frozenset(_extract_dates(text, config.date_order)),
         numbers=frozenset(_extract_numbers(text, config.decimal_separator)),
     )
-
-
-def _visible_text_and_urls(tree: Element, base: str) -> tuple[str, set[str]]:
-    """The page text, block elements set apart by newlines, and every
-    href/src target that parses, resolved against ``base``."""
-    chunks: list[str] = []
-    urls: set[str] = set()
-    # entries are elements still to visit, or text (a block's closing
-    # newline among it) to emit in document order
-    stack: list[Element | str] = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            chunks.append(item)
-            continue
-        if item.tag in NON_CONTENT_ELEMENTS:
-            continue
-        if item.tag != "base":
-            for attr in ("href", "src"):
-                if item.attrs.get(attr):
-                    url = resolve_url(item.attrs[attr], base)
-                    if url is not None:
-                        urls.add(normalize_url(url))
-        if item.tag in _BLOCK_TAGS:
-            chunks.append("\n")
-            stack.append("\n")
-        stack.extend(reversed(item.children))
-    return "".join(chunks), urls
 
 
 def _extract_dates(text: str, date_order: str) -> set[date]:
@@ -249,8 +216,9 @@ def _add_date(found: set[date], year: str, month: str, day: str) -> None:
 
 def _extract_numbers(text: str, decimal_separator: str) -> set[Decimal]:
     found: set[Decimal] = set()
-    for match in _NUMERAL_RE.finditer(text):
-        value = parse_numeral(match.group(0), decimal_separator)
+    # a page repeats its numerals: parse each distinct run once
+    for run in set(_NUMERAL_RE.findall(text)):
+        value = parse_numeral(run, decimal_separator)
         if value is not None:
             found.add(value)
     return found

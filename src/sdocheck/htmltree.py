@@ -1,10 +1,18 @@
-"""Minimal DOM built on the stdlib HTML parser.
+"""One pass of the stdlib HTML parser over a page, keeping only what the
+later stages read.
+
+While it parses, the builder records the page's JSON-LD ``<script>``
+elements and its top-level Microdata items (``itemscope`` without
+``itemprop``) in document order, the first ``<base href>``, the visible
+text and the raw ``href``/``src`` values.  It keeps an element's children
+only where something reads them: the whole subtree of an open item, and the
+text of a ``<script>``.  Every other element is dropped once it closes, so
+no full tree of the page is ever held.
 
 Lenient by design: unmatched end tags are dropped, unclosed elements are
-closed when an ancestor closes, and decoding falls back to UTF-8 with
-replacement characters when the page declares no encoding a browser knows.
-Enough structure for annotation-block discovery, microdata walking and
-visible-text extraction; not a rendering engine.
+closed when an ancestor closes or the page ends, and decoding falls back to
+UTF-8 with replacement characters when the page declares no encoding a
+browser knows.  Not a rendering engine.
 """
 
 from __future__ import annotations
@@ -21,6 +29,16 @@ VOID_ELEMENTS = frozenset({
 
 # elements whose raw content never counts as page text
 NON_CONTENT_ELEMENTS = frozenset({"script", "style", "template"})
+
+# elements that break the text flow: a newline at their open and at their
+# close keeps the words on either side apart
+BLOCK_ELEMENTS = frozenset({
+    "address", "article", "aside", "blockquote", "br", "caption", "dd",
+    "div", "dl", "dt", "fieldset", "figcaption", "figure", "footer", "form",
+    "h1", "h2", "h3", "h4", "h5", "h6", "header", "hr", "li", "main", "nav",
+    "ol", "option", "p", "pre", "section", "select", "table", "td", "tfoot",
+    "th", "thead", "title", "tr", "ul",
+})
 
 # the charset a <meta charset> or <meta http-equiv="Content-Type"> names
 _META_CHARSET_RE = re.compile(
@@ -96,15 +114,6 @@ class Element:
     def __repr__(self) -> str:
         return f"<Element {self.tag} attrs={self.attrs}>"
 
-    def iter_elements(self):
-        """All descendant elements in document order, self excluded."""
-        stack = [c for c in reversed(self.children) if isinstance(c, Element)]
-        while stack:
-            element = stack.pop()
-            yield element
-            stack.extend(c for c in reversed(element.children)
-                         if isinstance(c, Element))
-
     def text_content(self, skip: frozenset[str] = NON_CONTENT_ELEMENTS) -> str:
         parts: list[str] = []
         stack: list[Element | str] = [self]
@@ -117,52 +126,119 @@ class Element:
         return "".join(parts)
 
 
-class Document(Element):
-    """The root of a parsed page; remembers the first ``<base href>``."""
+class Document:
+    """What one parse of a page records.
 
-    __slots__ = ("base_href",)
+    ``scripts`` are the JSON-LD script elements and ``items`` the top-level
+    Microdata item elements, each with its children, in document order.
+    ``text`` is the visible text, with a newline at each block element's
+    open and close.  ``links`` are the raw ``href`` and ``src`` values of
+    visible elements other than ``<base>``, unresolved, because the first
+    ``<base href>`` also applies to links that come before it.
+    """
+
+    __slots__ = ("base_href", "scripts", "items", "text", "links")
 
     def __init__(self):
-        super().__init__("#document")
         self.base_href: str | None = None
+        self.scripts: list[Element] = []
+        self.items: list[Element] = []
+        self.text = ""
+        self.links: set[str] = set()
+
+
+def _is_jsonld_type(attrs: dict[str, str]) -> bool:
+    media_type = attrs.get("type", "")
+    return media_type.split(";")[0].strip().lower() == "application/ld+json"
 
 
 class _TreeBuilder(HTMLParser):
+    """Records a ``Document`` while the parser reads the page."""
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.root = Document()
-        self.stack: list[Element] = [self.root]
+        self.document = Document()
+        # the open elements, the document's own sentinel at the bottom
+        self.stack: list[Element] = [Element("#document")]
+        # stack index of the outermost open item and of the outermost open
+        # script, style or template, or None
+        self.item_at: int | None = None
+        self.hidden_at: int | None = None
+        self.text: list[str] = []
 
-    def _append(self, tag: str, attr_map: dict[str, str]) -> Element:
-        element = Element(tag, attr_map)
-        self.stack[-1].children.append(element)
-        if (tag == "base" and attr_map.get("href")
-                and self.root.base_href is None):
-            self.root.base_href = attr_map["href"]
-        return element
+    def updatepos(self, i, j):
+        # the private _markupbase hook that counts lines for getpos(); nothing
+        # here reads positions, so the count is skipped
+        return j
 
-    def handle_starttag(self, tag, attrs):
+    def _open(self, tag: str, attrs, pushed: bool) -> None:
         attr_map: dict[str, str] = {}
         for key, value in attrs:
             # a bare attribute (itemscope) carries an empty string value
             attr_map.setdefault(key, value if value is not None else "")
-        element = self._append(tag, attr_map)
-        if tag not in VOID_ELEMENTS:
-            self.stack.append(element)
+        element = Element(tag, attr_map)
+        stack = self.stack
+        document = self.document
+        if self.item_at is not None:
+            stack[-1].children.append(element)
+        if tag == "base":
+            if document.base_href is None and attr_map.get("href"):
+                document.base_href = attr_map["href"]
+        elif self.hidden_at is None and tag not in NON_CONTENT_ELEMENTS:
+            if attr_map.get("href"):
+                document.links.add(attr_map["href"])
+            if attr_map.get("src"):
+                document.links.add(attr_map["src"])
+            if tag in BLOCK_ELEMENTS:
+                self.text.append("\n" if pushed else "\n\n")
+        if tag == "script" and _is_jsonld_type(attr_map):
+            document.scripts.append(element)
+        if "itemscope" in attr_map and "itemprop" not in attr_map:
+            document.items.append(element)
+            if pushed and self.item_at is None:
+                self.item_at = len(stack)
+        if pushed:
+            if tag in NON_CONTENT_ELEMENTS and self.hidden_at is None:
+                self.hidden_at = len(stack)
+            stack.append(element)
+
+    def _close_from(self, index: int) -> None:
+        """Close the open elements from stack position ``index`` up; each
+        block element among them below any hidden one ends its block."""
+        for element in self.stack[index:self.hidden_at]:
+            if element.tag in BLOCK_ELEMENTS:
+                self.text.append("\n")
+        if self.item_at is not None and self.item_at >= index:
+            self.item_at = None
+        if self.hidden_at is not None and self.hidden_at >= index:
+            self.hidden_at = None
+        del self.stack[index:]
+
+    def handle_starttag(self, tag, attrs):
+        self._open(tag, attrs, tag not in VOID_ELEMENTS)
 
     def handle_startendtag(self, tag, attrs):
-        self._append(tag, {k: (v if v is not None else "") for k, v in attrs})
+        self._open(tag, attrs, False)
 
     def handle_endtag(self, tag):
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
+        stack = self.stack
+        for i in range(len(stack) - 1, 0, -1):
+            if stack[i].tag == tag:
+                self._close_from(i)
                 return
         # no matching open element: ignore
 
     def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
+        if self.hidden_at is None:
+            self.text.append(data)
+        top = self.stack[-1]
+        if self.item_at is not None or top.tag == "script":
+            top.children.append(data)
+
+    def close(self):
+        super().close()
+        self._close_from(1)
+        self.document.text = "".join(self.text)
 
     def parse_marked_section(self, i, report=1):
         try:
@@ -190,7 +266,7 @@ def parse_html(data: bytes | str) -> Document:
     builder = _TreeBuilder()
     builder.feed(data)
     builder.close()
-    return builder.root
+    return builder.document
 
 
 def resolve_url(text: str, base: str = "") -> str | None:

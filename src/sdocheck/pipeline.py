@@ -25,8 +25,9 @@ def parse(data: bytes, base_url: str):
     """Parse one input into ``(page, blocks)``.
 
     Input whose first non-space byte, after any UTF-8 byte order mark, is
-    ``<`` is an HTML page: ``page`` is its tree and the blocks are the
-    page's annotation blocks.  Anything else is one standalone JSON-LD
+    ``<`` is an HTML page: ``page`` is what its one parse recorded
+    (``htmltree.Document``) and the blocks are the page's annotation
+    blocks.  Anything else is one standalone JSON-LD
     block and ``page`` is None.  ``blocks`` yields ``(block, graph,
     findings)`` in block order, parsing each block when it is asked for, so
     a caller that checks one block at a time holds one graph at a time.
@@ -74,7 +75,7 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
             raise NotAPageError("validate needs a web page; "
                                 "got a standalone annotation file")
         page_content = content.extract_page_content(page, base_url, validate)
-    del page  # the blocks and pools are read; free the tree before checking
+    del page  # the blocks and pools are read; free the page before checking
     parts = []
     consistencies = []
     block_count = 0

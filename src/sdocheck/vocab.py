@@ -7,8 +7,11 @@ shape: a top-level object with a ``@graph`` array of term objects carrying
 ``schema:domainIncludes`` and ``schema:rangeIncludes``.  Term names are
 stored bare, without namespace prefix.
 
-A loaded :class:`VocabularyGraph` is immutable and safe to share across
-concurrent verification runs.
+The terms of a loaded :class:`VocabularyGraph` never change.  Each graph
+memoizes whether a property applies to a type in a table of its own, keyed
+on the two vocabulary terms, so the memo's size depends on the vocabulary,
+not on the input checked against it.  Graphs share no memo; any run computes
+the same answer, so sharing a graph across concurrent runs stays safe.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class TermKind(enum.Enum):
 
 def strip_namespace(name: str) -> str:
     """Strip any schema.org namespace prefix; other names pass through."""
+    if ":" not in name:  # every prefix holds a colon
+        return name
     for prefix in _NAMESPACE_PREFIXES:
         if name.startswith(prefix):
             return name[len(prefix):]
@@ -81,7 +86,7 @@ class PropertyDef(NamedTuple):
 
 class VocabularyGraph:
     __slots__ = ("classes", "properties", "enumeration_members", "datatypes",
-                 "snapshot_id", "_ancestors", "_member_index")
+                 "snapshot_id", "_ancestors", "_member_index", "_applies")
 
     def __init__(self, classes: dict[str, ClassDef],
                  properties: dict[str, PropertyDef],
@@ -96,6 +101,9 @@ class VocabularyGraph:
         self._ancestors: dict[str, frozenset[str]] = {}
         # member name -> enumeration classes it belongs to
         self._member_index: dict[str, frozenset[str]] = {}
+        # (property, type) -> whether the property applies to the type,
+        # filled as property_applies_to answers
+        self._applies: dict[tuple[str, str], bool] = {}
 
     def ancestors(self, class_name: str) -> frozenset[str]:
         return self._ancestors[class_name]
@@ -300,10 +308,16 @@ def is_subclass_of(vocab: VocabularyGraph, sub: str, super_: str) -> bool:
 def property_applies_to(vocab: VocabularyGraph, property_name: str,
                         type_name: str) -> bool:
     """True iff the property's expected domains cover the given type."""
+    applies = vocab._applies.get((property_name, type_name))
+    if applies is not None:
+        return applies
     prop = vocab.properties.get(property_name)
     if prop is None:
         raise UnknownTerm(f"not a property: {property_name!r}")
     if type_name not in vocab.classes:
         raise UnknownTerm(f"not a class: {type_name!r}")
-    return any(d in vocab._ancestors[type_name] for d in prop.domain_includes)
+    applies = any(d in vocab._ancestors[type_name]
+                  for d in prop.domain_includes)
+    vocab._applies[(property_name, type_name)] = applies
+    return applies
 

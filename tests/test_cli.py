@@ -372,6 +372,50 @@ class TestRobustness:
             "RecursionError('maximum recursion depth exceeded')"]
 
 
+class TestUnwritableStdout:
+    """A stdout that cannot take the output exits 2, never 1 ("findings"),
+    and prints no traceback."""
+
+    COMMANDS = ["verify", "validate", "extract"]
+
+    @staticmethod
+    def run_with_stdout(command, stdout, **kwargs):
+        return subprocess.run(
+            [sys.executable, "-m", "sdocheck", command,
+             str(FIXTURES / "page_bad.html")],
+            stdout=stdout, stderr=subprocess.PIPE, timeout=60, **kwargs)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pipe_closed_before_reading_exits_2_silently(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run_with_stdout(command, write_end)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this system")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_full_device_exits_2_with_one_line(self, command):
+        with open("/dev/full", "wb") as full:
+            result = self.run_with_stdout(command, full)
+        assert result.returncode == 2
+        assert result.stderr.decode().splitlines() == [
+            "sdocheck: cannot write output: "
+            "[Errno 28] No space left on device"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX descriptors")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_closed_descriptor_exits_2_with_one_line(self, command):
+        result = self.run_with_stdout(command, None,
+                                      preexec_fn=lambda: os.close(1))
+        assert result.returncode == 2
+        assert result.stderr.decode().splitlines() == [
+            "sdocheck: cannot write output: stdout is closed"]
+
+
 class _Tally:
     """A stdout that keeps no text: counts one marker across writes."""
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdocheck import pipeline, report
-from sdocheck.content import ValidationConfig
+from sdocheck.annotation import extract_annotation_blocks
+from sdocheck.content import ValidationConfig, extract_page_content
+from sdocheck.htmltree import parse_html
+
+from helpers import (oracle_blocks, oracle_page_content,
+                     oracle_text_and_urls)
 
 ROOT = Path(__file__).resolve().parent.parent
 BASE = "https://x.example/page"
@@ -84,7 +89,19 @@ ATTRIBUTES = st.lists(st.tuples(
 RAW_MARKUP = st.sampled_from([
     "<![foo bar]>", "<![CDATA[x]]>", "<![if !IE]>", "<![endif]>", "<![",
     "<![ ]>", "<!x>", "</p>", "<p", "&amp;", "&#xZZ;", "July 10, 2026",
-    "10 July 2026", "2026-07-10", "12.5"]) | st.text(max_size=8)
+    "10 July 2026", "2026-07-10", "12.5",
+    # unclosed elements and stray end tags
+    "<div>", "<li>x", "<ul><li>a<li>b</ul>", "</div>", "</li>", "</template>",
+    "</script>", "<template>", "<style>", "<span itemscope>", "<br/>",
+    "<div/>", "<p>a<br>b",
+    # a <base> after a link still resolves it; only the first one counts
+    '<a href="rel/x">l</a><base href="https://b.example/d/">',
+    '<base href="/other/"><img src="i.png">',
+    # an item hidden in a template is still a block; its text is not shown
+    '<template><div itemscope itemtype="https://schema.org/Event">'
+    '<span itemprop="name">T 2026-07-10</span></div></template>',
+    '<script type="application/ld+json"/>',
+]) | st.text(max_size=8)
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
                                "startDate", "minValue", "maxValue"])
@@ -103,16 +120,22 @@ def _element(tag: str, attributes, children: list[str]) -> str:
     return f"<{tag}{attrs}>" + "".join(children) + f"</{tag}>"
 
 
-SCRIPTS = (JSON_VALUES.map(json.dumps) | st.text(max_size=20)).map(
-    lambda text: f'<script type="application/ld+json">{text}</script>')
+SCRIPTS = st.builds(
+    lambda kind, text: f"<script{kind}>{text}</script>",
+    st.sampled_from([' type="application/ld+json"',
+                     ' type="Application/LD+JSON; charset=utf-8"', "",
+                     ' type="text/javascript"']),
+    JSON_VALUES.map(json.dumps) | st.text(max_size=20))
 HTML_NODES = st.recursive(
     RAW_MARKUP | SCRIPTS,
     lambda children: st.builds(
         _element,
         st.sampled_from(["div", "span", "a", "img", "link", "meta", "time",
-                         "base", "p"]),
+                         "base", "p", "template", "style", "br", "li"]),
         ATTRIBUTES, st.lists(children, max_size=4)),
     max_leaves=20)
+PAGES = st.lists(HTML_NODES, max_size=5).map(
+    lambda nodes: "<html><body>" + "".join(nodes) + "</body></html>")
 
 
 @settings(max_examples=60)
@@ -122,10 +145,25 @@ def test_random_bytes_get_a_report(vocab, data):
 
 
 @settings(max_examples=100)
-@given(st.lists(HTML_NODES, max_size=5))
-def test_random_pages_get_a_report(vocab, nodes):
-    page = "<html><body>" + "".join(nodes) + "</body></html>"
+@given(PAGES)
+def test_random_pages_get_a_report(vocab, page):
     check_every_way(vocab, page.encode())
+
+
+@settings(max_examples=150)
+@given(PAGES)
+@example('<p><a href="a">x</a><base href="https://b.example/d/">'
+         '<base href="/other/"><div itemscope><li>y<template>'
+         '<b itemscope itemtype="Event">z</b>')
+def test_one_read_of_a_page_matches_a_full_tree_walk(page):
+    """The blocks and pools that one parse records are those that walks of
+    the page's full tree find."""
+    document = parse_html(page.encode())
+    assert extract_annotation_blocks(document, BASE) == oracle_blocks(page,
+                                                                      BASE)
+    assert document.text == oracle_text_and_urls(page, BASE)[0]
+    assert extract_page_content(document, BASE) == oracle_page_content(page,
+                                                                       BASE)
 
 
 @settings(max_examples=60)

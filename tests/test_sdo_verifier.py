@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sdocheck import ds, sdo_verifier as sv
 from sdocheck.annotation import AnnotationNode, Entity, Literal, Reference
 from sdocheck.report import Severity
+from sdocheck.vocab import load_default_vocabulary
 from generators import random_compliant_annotation
 from helpers import parse_jsonld
 
@@ -296,3 +297,21 @@ class TestDeterminismAndSoundness:
         assert findings
         for finding in findings:
             assert finding.path.startswith("$0")
+
+
+def test_vocabulary_memo_does_not_grow_with_the_input():
+    """Checking 10,000 distinct types, properties and values asks the
+    vocabulary's memo nothing it was not asked for one of each."""
+    vocab = load_default_vocabulary()  # a memo no other test has filled
+
+    def check(count):
+        block = {"@context": "https://schema.org",
+                 "@type": ["Event"] + [f"Kind{i}" for i in range(count)],
+                 "name": [f"text number {i}" for i in range(count)],
+                 **{f"prop{i}": "x" for i in range(count)}}
+        sv.verify_schema_org(parse_jsonld(block)[0], vocab)
+
+    check(1)
+    assert list(vocab._applies) == [("name", "Event")]
+    check(10_000)
+    assert list(vocab._applies) == [("name", "Event")]

@@ -156,6 +156,18 @@ class TestDomainRange:
         with pytest.raises(v.UnknownTerm):
             v.property_applies_to(vocab, "name", "Hotell")
 
+    def test_each_vocabulary_answers_from_its_own_memo(self):
+        """Two vocabularies that give one property different domains keep
+        their own answers in one process, whichever is asked first."""
+        on_event = [dict(term) for term in MINI]
+        on_event[3]["schema:domainIncludes"] = {"@id": "schema:Event"}
+        wide = v.load_vocabulary(dump(MINI))
+        narrow = v.load_vocabulary(dump(on_event))
+        for _ in range(2):
+            assert v.property_applies_to(wide, "name", "Thing")
+            assert not v.property_applies_to(narrow, "name", "Thing")
+            assert v.property_applies_to(narrow, "name", "Event")
+
 
 @st.composite
 def class_pairs(draw, names):
