@@ -78,10 +78,11 @@ def main(argv: list[str] | None = None) -> int:
             spec = _load_ds(args.ds, vocabulary)
             config = (_load_validation_config(args.validation_config)
                       if args.command == "validate" else None)
-            data, base_url = _load_input(args.input)
+            data, base_url, charset = _load_input(args.input)
             report = pipeline.run(data, base_url, vocabulary,
                                   target=args.input, spec=spec,
-                                  validate=config, strict=args.strict)
+                                  validate=config, strict=args.strict,
+                                  charset=charset)
             output = report_mod.serialize_report(report, args.format)
             code = _exit_code(report, args.fail_level)
     except (CliFailure, pipeline.NotAPageError) as exc:
@@ -135,9 +136,10 @@ def _discard_stdout() -> None:
 # input handling
 
 
-def _load_input(raw: str) -> tuple[bytes, str]:
-    """The input's bytes and its base URL: the final URL of a fetch, or the
-    ``file:`` URL of the file's absolute path."""
+def _load_input(raw: str) -> tuple[bytes, str, str | None]:
+    """The input's bytes, its base URL and its charset.  A fetch gives its
+    final URL and the ``Content-Type`` charset; a file gives the ``file:``
+    URL of its absolute path and no charset."""
     if raw.startswith(("http://", "https://")):
         from .fetch import FetchError, fetch  # file inputs skip its import
         try:
@@ -147,13 +149,13 @@ def _load_input(raw: str) -> tuple[bytes, str]:
         if not 200 <= result.status < 300:
             print(f"sdocheck: warning: HTTP {result.status} from "
                   f"{result.final_url}", file=sys.stderr)
-        return result.body, result.final_url
+        return result.body, result.final_url, result.charset
     try:
         with open(raw, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise CliFailure(f"cannot read input: {exc}") from exc
-    return data, "file://" + quote(os.fsencode(os.path.abspath(raw)))
+    return data, "file://" + quote(os.fsencode(os.path.abspath(raw))), None
 
 
 def _load_vocab(path: str | None):

@@ -41,9 +41,11 @@ _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "jun": 6, "jul": 7, "aug": 8,
     "sep": 9, "sept": 9, "oct": 10, "nov": 11, "dec": 12,
 }
-_ISO_DATE_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
-_DOTTED_DATE_RE = re.compile(r"(?<!\d)(\d{1,2})\.(\d{1,2})\.(\d{4})(?!\d)")
-_SLASHED_DATE_RE = re.compile(r"(?<!\d)(\d{1,2})/(\d{1,2})/(\d{4})(?!\d)")
+# a date's first digit follows no digit; the lookbehind sits after that
+# digit, so the engine tries it only where a digit starts a match
+_ISO_DATE_RE = re.compile(r"(\d(?<!\d\d)\d{3})-(\d{2})-(\d{2})(?!\d)")
+_DOTTED_DATE_RE = re.compile(r"(\d(?<!\d\d)\d?)\.(\d{1,2})\.(\d{4})(?!\d)")
+_SLASHED_DATE_RE = re.compile(r"(\d(?<!\d\d)\d?)/(\d{1,2})/(\d{4})(?!\d)")
 _MONTH = r"(" + "|".join(sorted(_MONTHS, key=len, reverse=True)) + r")\.?"
 _DAY = r"(\d{1,2})(?:st|nd|rd|th)?"
 # month first ("July 10, 2026") or day first ("10 July 2026", "10th Jul 2026");

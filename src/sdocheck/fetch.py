@@ -7,6 +7,7 @@ persistence, no JavaScript: the served HTML is what gets audited.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 DEFAULT_USER_AGENT = "sdocheck/0.1 (annotation verification tool)"
@@ -35,11 +36,21 @@ class FetchConfig(NamedTuple):
     user_agent: str = DEFAULT_USER_AGENT
 
 
+_CHARSET_PARAM_RE = re.compile(r';\s*charset\s*=\s*"?([^";\s]+)',
+                               re.IGNORECASE)
+
+
 class FetchResult(NamedTuple):
     final_url: str
     body: bytes
     status: int
     content_type: str
+
+    @property
+    def charset(self) -> str | None:
+        """The ``charset`` parameter of the Content-Type header, or None."""
+        match = _CHARSET_PARAM_RE.search(self.content_type)
+        return match.group(1) if match else None
 
 
 def fetch(url: str, config: FetchConfig | None = None) -> FetchResult:

@@ -1,13 +1,15 @@
-"""One pass of the stdlib HTML parser over a page, keeping only what the
-later stages read.
+"""One pass over a page, keeping only what the later stages read.
 
-While it parses, the builder records the page's JSON-LD ``<script>``
-elements and its top-level Microdata items (``itemscope`` without
-``itemprop``) in document order, the first ``<base href>``, the visible
-text and the raw ``href``/``src`` values.  It keeps an element's children
-only where something reads them: the whole subtree of an open item, and the
-text of a ``<script>``.  Every other element is dropped once it closes, so
-no full tree of the page is ever held.
+A single scan loop tokenizes the page by the rules of Python 3.11's
+``html.parser`` (its patterns are copied here, so reports do not depend on
+the interpreter's copy); a plain start tag is read whole by one pattern.
+Each token goes straight to the builder, which records the page's JSON-LD
+``<script>`` elements and its top-level Microdata items (``itemscope``
+without ``itemprop``) in document order, the first ``<base href>``, the
+visible text and the raw ``href``/``src`` values.  It keeps an element's
+children only where something reads them: the whole subtree of an open
+item, and the text of a ``<script>``.  Every other element is dropped once
+it closes, so no full tree of the page is ever held.
 
 Lenient by design: unmatched end tags are dropped, unclosed elements are
 closed when an ancestor closes or the page ends, and decoding falls back to
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import codecs
 import re
-from html.parser import HTMLParser
+from html import unescape
 from urllib.parse import urljoin, urlsplit
 
 VOID_ELEMENTS = frozenset({
@@ -44,9 +46,13 @@ BLOCK_ELEMENTS = frozenset({
 _META_CHARSET_RE = re.compile(
     rb"""<meta\s[^>]*?charset\s*=\s*["']?\s*([\w.:-]+)""", re.IGNORECASE)
 
-# the WHATWG Encoding Standard's labels, by the Python codec that decodes
-# them as a browser does; a meta tag naming UTF-8, UTF-16 or any label not
-# listed here means UTF-8
+# the WHATWG Encoding Standard's labels of UTF-8
+_UTF8_LABELS = frozenset({"unicode-1-1-utf-8", "unicode11utf8",
+                          "unicode20utf8", "utf-8", "utf8", "x-unicode20utf8"})
+
+# the WHATWG Encoding Standard's other labels, by the Python codec that
+# decodes them as a browser does; a meta tag naming UTF-8, UTF-16 or any
+# label not listed here means UTF-8
 _CHARSET_CODECS = {label: codec for codec, labels in (
     ("cp866", "866 cp866 csibm866 ibm866"),
     ("iso8859_2", "csisolatin2 iso-8859-2 iso-ir-101 iso8859-2 iso88592 "
@@ -152,11 +158,120 @@ def _is_jsonld_type(attrs: dict[str, str]) -> bool:
     return media_type.split(";")[0].strip().lower() == "application/ld+json"
 
 
-class _TreeBuilder(HTMLParser):
-    """Records a ``Document`` while the parser reads the page."""
+# The tokenizer follows Python 3.11's html.parser, as an HTMLParser with
+# convert_charrefs=True reads a whole page fed at once and then closed.  Its
+# patterns are copied here, so that a report does not depend on the
+# interpreter's html.parser.
+_TAGFIND_RE = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRFIND_RE = re.compile(
+    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*'
+    r'(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*')
+_LOCATESTARTTAGEND_RE = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+_ENDTAGFIND_RE = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_COMMENTCLOSE_RE = re.compile(r"--\s*>")
+_DECLNAME_RE = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*")
+# the end of a marked section (<![CDATA[...]]>, <![if ...]>), by keyword
+_MARKED_SECTION_CLOSE = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"),
+                    re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+# the end tag that ends a script's or a style's raw text
+_CDATA_END_RE = {tag: re.compile(rf"</\s*{tag}\s*>", re.IGNORECASE)
+                 for tag in ("script", "style")}
+
+# A plain start tag, read whole: a lowercase name, then attributes after
+# ASCII whitespace, each bare or with a value that holds no character
+# reference.  The general path reads such a tag the same way; every other
+# start tag takes it.
+_PLAIN_START_TAG_RE = re.compile(
+    r"<([a-z][-a-z0-9]*)"
+    r"((?:[ \t\n\r\f]+[a-z_:][-a-z0-9_:.]*"
+    r"""(?:="[^"&]*"|='[^'&]*'|=[^\s"'=<>`&]+)?)*)"""
+    r"[ \t\n\r\f]*(/?)>")
+_PLAIN_ATTR_RE = re.compile(
+    r"""([a-z_:][-a-z0-9_:.]*)(?:="([^"]*)"|='([^']*)'|=([^ \t\n\r\f]+))?""")
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# an ASCII letter after "<" starts a tag
+_TAG_START = frozenset(_LETTERS)
+# a start tag whose attributes stop before one of these is unfinished
+_UNFINISHED_TAG = _LETTERS + "=/"
+
+
+def _start_tag(html: str, i: int):
+    """The general path for the start tag at ``i``: ``(end, tag, attrs,
+    closed)``.  ``end`` is -1 when the tag does not end; ``tag`` is None
+    when the markup up to ``end`` is text."""
+    j = _LOCATESTARTTAGEND_RE.match(html, i).end()
+    after = html[j:j + 1]
+    if after == ">":
+        end = j + 1
+    elif html.startswith("/>", j):
+        end = j + 2
+    elif not after or after in _UNFINISHED_TAG:
+        return -1, None, None, False
+    else:
+        end = j
+    match = _TAGFIND_RE.match(html, i + 1)
+    tag = match.group(1).lower()
+    k = match.end()
+    attrs: dict[str, str] = {}
+    while k < end:
+        match = _ATTRFIND_RE.match(html, k)
+        if not match:
+            break
+        name, has_value, value = match.group(1, 2, 3)
+        if not has_value:
+            value = ""
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if "&" in value:
+            value = unescape(value)
+        # the first of a repeated attribute wins; a bare one is empty
+        attrs.setdefault(name.lower(), value)
+        k = match.end()
+    rest = html[k:end].strip()
+    if rest not in (">", "/>"):
+        return end, None, None, False
+    return end, tag, attrs, rest == "/>"
+
+
+def _declaration(html: str, i: int) -> int:
+    """The end of the ``<!`` declaration at ``i`` (not a comment), or -1
+    when it does not end."""
+    if html.startswith("<![", i):
+        name = _DECLNAME_RE.match(html, i + 3)
+        close = name and _MARKED_SECTION_CLOSE.get(name.group().lower())
+        if close:
+            match = close.search(html, i + 3)
+            return match.end() if match else -1
+        # no keyword or an unknown one, as in <![foo bar]>: a bogus comment
+    elif html[i:i + 9].lower() == "<!doctype":
+        end = html.find(">", i + 9)
+        return end + 1 if end >= 0 else -1
+    end = html.find(">", i + 2)
+    return end + 1 if end >= 0 else -1
+
+
+class _TreeBuilder:
+    """Reads a page token by token and records its ``Document``."""
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.document = Document()
         # the open elements, the document's own sentinel at the bottom
         self.stack: list[Element] = [Element("#document")]
@@ -166,34 +281,25 @@ class _TreeBuilder(HTMLParser):
         self.hidden_at: int | None = None
         self.text: list[str] = []
 
-    def updatepos(self, i, j):
-        # the private _markupbase hook that counts lines for getpos(); nothing
-        # here reads positions, so the count is skipped
-        return j
-
-    def _open(self, tag: str, attrs, pushed: bool) -> None:
-        attr_map: dict[str, str] = {}
-        for key, value in attrs:
-            # a bare attribute (itemscope) carries an empty string value
-            attr_map.setdefault(key, value if value is not None else "")
-        element = Element(tag, attr_map)
+    def _open(self, tag: str, attrs: dict[str, str], pushed: bool) -> None:
+        element = Element(tag, attrs)
         stack = self.stack
         document = self.document
         if self.item_at is not None:
             stack[-1].children.append(element)
         if tag == "base":
-            if document.base_href is None and attr_map.get("href"):
-                document.base_href = attr_map["href"]
+            if document.base_href is None and attrs.get("href"):
+                document.base_href = attrs["href"]
         elif self.hidden_at is None and tag not in NON_CONTENT_ELEMENTS:
-            if attr_map.get("href"):
-                document.links.add(attr_map["href"])
-            if attr_map.get("src"):
-                document.links.add(attr_map["src"])
+            if attrs.get("href"):
+                document.links.add(attrs["href"])
+            if attrs.get("src"):
+                document.links.add(attrs["src"])
             if tag in BLOCK_ELEMENTS:
                 self.text.append("\n" if pushed else "\n\n")
-        if tag == "script" and _is_jsonld_type(attr_map):
+        if tag == "script" and _is_jsonld_type(attrs):
             document.scripts.append(element)
-        if "itemscope" in attr_map and "itemprop" not in attr_map:
+        if "itemscope" in attrs and "itemprop" not in attrs:
             document.items.append(element)
             if pushed and self.item_at is None:
                 self.item_at = len(stack)
@@ -214,13 +320,7 @@ class _TreeBuilder(HTMLParser):
             self.hidden_at = None
         del self.stack[index:]
 
-    def handle_starttag(self, tag, attrs):
-        self._open(tag, attrs, tag not in VOID_ELEMENTS)
-
-    def handle_startendtag(self, tag, attrs):
-        self._open(tag, attrs, False)
-
-    def handle_endtag(self, tag):
+    def _end(self, tag: str) -> None:
         stack = self.stack
         for i in range(len(stack) - 1, 0, -1):
             if stack[i].tag == tag:
@@ -228,41 +328,143 @@ class _TreeBuilder(HTMLParser):
                 return
         # no matching open element: ignore
 
-    def handle_data(self, data):
+    def _data(self, data: str) -> None:
         if self.hidden_at is None:
             self.text.append(data)
         top = self.stack[-1]
         if self.item_at is not None or top.tag == "script":
             top.children.append(data)
 
-    def close(self):
-        super().close()
+    def feed(self, html: str) -> None:
+        """Read the whole page.  Text between tags arrives in the chunks
+        html.parser gives, character references resolved outside a script
+        or style; comments, declarations and processing instructions are
+        skipped."""
+        data = self._data
+        find = html.find
+        plain_start_tag = _PLAIN_START_TAG_RE.match
+        plain_attrs = _PLAIN_ATTR_RE.findall
+        end_tag = _ENDTAGFIND_RE.match
+        n = len(html)
+        i = 0
+        # while a script or style is open: the pattern of the end tag that
+        # ends its raw text
+        raw_end = None
+        while i < n:
+            if raw_end is None:
+                # html.parser holds back text with an "&" in its last 34
+                # characters for more input; with the whole page given, that
+                # text comes out at the close unchanged, as it does here
+                j = find("<", i)
+                if j < 0:
+                    j = n
+            else:
+                match = raw_end.search(html, i)
+                if match is None:
+                    break  # an unclosed script or style: the rest is dropped
+                j = match.start()
+            if i < j:
+                text = html[i:j]
+                data(unescape(text) if raw_end is None and "&" in text
+                     else text)
+            i = j
+            if i == n:
+                break
+            # what follows "<" decides the construct, as in html.parser
+            second = html[i + 1:i + 2]
+            if second in _TAG_START:
+                match = plain_start_tag(html, i)
+                if match is not None:
+                    k = match.end()
+                    tag, attr_text, closed = match.groups()
+                    attrs = {}
+                    for name, value1, value2, value3 in plain_attrs(attr_text):
+                        if name not in attrs:
+                            attrs[name] = value1 or value2 or value3
+                else:
+                    k, tag, attrs, closed = _start_tag(html, i)
+                    if tag is None and k >= 0:
+                        data(html[i:k])
+                if tag is not None:
+                    self._open(tag, attrs,
+                               not closed and tag not in VOID_ELEMENTS)
+                    if not closed and tag in _CDATA_END_RE:
+                        raw_end = _CDATA_END_RE[tag]
+            elif second == "/":
+                match = end_tag(html, i)
+                if match is not None:
+                    # in a script or style, only its own end tag gets here:
+                    # an ASCII name that matches it ignoring case is its name
+                    k = match.end()
+                    self._end(match.group(1).lower())
+                    raw_end = None
+                else:
+                    k = find(">", i + 2)
+                    if k >= 0:
+                        k += 1
+                        if raw_end is not None:  # as in </ſcript>
+                            data(html[i:k])
+                        else:
+                            # </a x=">"> ends at its first ">"; </> and
+                            # </ a> end nothing
+                            name = _TAGFIND_RE.match(html, i + 2)
+                            if name is not None:
+                                self._end(name.group(1).lower())
+            elif html.startswith("<!--", i):
+                match = _COMMENTCLOSE_RE.search(html, i + 4)
+                k = match.end() if match else -1
+            elif second == "?":
+                k = find(">", i + 2)
+                if k >= 0:
+                    k += 1
+            elif second == "!":
+                k = _declaration(html, i)
+            elif second:
+                data("<")
+                k = i + 1
+            else:
+                break
+            if k < 0:
+                # a construct that does not end (never in a script or style)
+                # is text up to the next ">", else up to the next "<", else
+                # one character
+                k = find(">", i + 1) + 1
+                if not k:
+                    k = find("<", i + 1)
+                    if k < 0:
+                        k = i + 1
+                data(unescape(html[i:k]))
+            i = k
+        if i < n and raw_end is None:
+            data(unescape(html[i:]))
+
+    def close(self) -> None:
         self._close_from(1)
         self.document.text = "".join(self.text)
 
-    def parse_marked_section(self, i, report=1):
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:  # an unknown keyword, as in <![foo bar]>
-            return self.parse_bogus_comment(i, report)
 
-
-def decode_html(data: bytes) -> str:
-    """A page's text.  A UTF-8 byte order mark means UTF-8.  Otherwise the
-    first ``<meta charset>`` or ``<meta http-equiv="Content-Type"
-    content="...; charset=...">`` within the first 1,024 bytes names the
-    encoding, read through the WHATWG label table.  Otherwise UTF-8.  Bytes
-    that do not decode become U+FFFD."""
+def decode_html(data: bytes, charset: str | None = None) -> str:
+    """A page's text, decoded in the WHATWG order.  A UTF-8 byte order mark
+    means UTF-8.  Otherwise ``charset``, the HTTP ``Content-Type`` charset,
+    names the encoding when it is a label of the WHATWG table or of UTF-8;
+    any other label is ignored.  Otherwise the first ``<meta charset>`` or
+    ``<meta http-equiv="Content-Type" content="...; charset=...">`` within
+    the first 1,024 bytes names it, read through the same table.  Otherwise
+    UTF-8.  Bytes that do not decode become U+FFFD."""
     if data.startswith(codecs.BOM_UTF8):
         return data[3:].decode("utf-8", errors="replace")
-    match = _META_CHARSET_RE.search(data, 0, 1024)
-    label = match.group(1).decode("ascii").lower() if match else ""
+    label = (charset or "").strip().lower()
+    if label not in _CHARSET_CODECS and label not in _UTF8_LABELS:
+        match = _META_CHARSET_RE.search(data, 0, 1024)
+        label = match.group(1).decode("ascii").lower() if match else ""
     return data.decode(_CHARSET_CODECS.get(label, "utf-8"), errors="replace")
 
 
-def parse_html(data: bytes | str) -> Document:
+def parse_html(data: bytes | str, charset: str | None = None) -> Document:
+    """What one pass over the page records; bytes are decoded first, with
+    ``charset`` from the HTTP ``Content-Type`` if there is one."""
     if isinstance(data, (bytes, bytearray)):
-        data = decode_html(bytes(data))
+        data = decode_html(bytes(data), charset)
     builder = _TreeBuilder()
     builder.feed(data)
     builder.close()

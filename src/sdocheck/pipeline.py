@@ -21,7 +21,7 @@ class NotAPageError(ValueError):
     """Content scoring was asked for on an input that is not a web page."""
 
 
-def parse(data: bytes, base_url: str):
+def parse(data: bytes, base_url: str, charset: str | None = None):
     """Parse one input into ``(page, blocks)``.
 
     Input whose first non-space byte, after any UTF-8 byte order mark, is
@@ -32,9 +32,10 @@ def parse(data: bytes, base_url: str):
     findings)`` in block order, parsing each block when it is asked for, so
     a caller that checks one block at a time holds one graph at a time.
     Roots are numbered across blocks, so every path in one input is unique.
+    ``charset``, the HTTP ``Content-Type`` charset, helps decode a page.
     """
     if _PAGE_START_RE.match(data):
-        page = htmltree.parse_html(data)
+        page = htmltree.parse_html(data, charset)
         raw_blocks = annotation.extract_annotation_blocks(page, base_url)
     else:
         page = None
@@ -57,17 +58,19 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
         target: str | None = None,
         spec: ds.DomainSpecification | None = None,
         validate: content.ValidationConfig | None = None,
-        strict: bool = False) -> report.VerificationReport:
+        strict: bool = False,
+        charset: str | None = None) -> report.VerificationReport:
     """Check one input against the vocabulary and, given ``spec``, a Domain
     Specification; given ``validate``, also score every value against the
     page content with that configuration.
 
     ``base_url`` resolves the page's relative links; ``target`` names the
     input in the report (default: ``base_url``).  ``strict`` elevates
-    domain and range findings to errors.  Raises NotAPageError when
+    domain and range findings to errors.  ``charset`` is the HTTP
+    ``Content-Type`` charset of a fetched page.  Raises NotAPageError when
     ``validate`` is given for an input that is not a web page.
     """
-    page, blocks = parse(data, base_url)
+    page, blocks = parse(data, base_url, charset)
     is_page = page is not None
     page_content = None
     if validate is not None:

@@ -1,10 +1,11 @@
-"""Shared test utilities: graph fingerprints, quick parse wrappers and a
-full-tree page reader that serves as an oracle for the one-pass parse."""
+"""Shared test utilities: graph fingerprints, quick parse wrappers, a
+full-tree page reader that serves as an oracle for the one-pass parse, and
+the stdlib tokenizer that serves as an oracle for the built-in one."""
 
 import json
 from html.parser import HTMLParser
 
-from sdocheck import annotation, content
+from sdocheck import annotation, content, htmltree
 from sdocheck.annotation import (AnnotationGraph, AnnotationNode, Entity,
                                  Literal, RawBlock, Reference,
                                  parse_annotation)
@@ -60,6 +61,55 @@ def codes_of(entries):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the stdlib's html.parser tokens, fed to the one-pass builder
+
+
+def _attr_map(attrs):
+    """An attribute list as the builder takes it: the first of a repeated
+    attribute wins and a bare one is empty."""
+    attr_map = {}
+    for key, value in attrs:
+        attr_map.setdefault(key, "" if value is None else value)
+    return attr_map
+
+
+class _StdlibTokens(HTMLParser):
+    """Drives ``htmltree``'s builder from the stdlib tokenizer."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.builder = htmltree._TreeBuilder()
+
+    def handle_starttag(self, tag, attrs):
+        self.builder._open(tag, _attr_map(attrs), tag not in VOID_ELEMENTS)
+
+    def handle_startendtag(self, tag, attrs):
+        self.builder._open(tag, _attr_map(attrs), False)
+
+    def handle_endtag(self, tag):
+        self.builder._end(tag)
+
+    def handle_data(self, data):
+        self.builder._data(data)
+
+    def parse_marked_section(self, i, report=1):
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:  # an unknown keyword, as in <![foo bar]>
+            return self.parse_bogus_comment(i, report)
+
+
+def stdlib_document(html: str) -> htmltree.Document:
+    """The ``Document`` the builder records from the tokens of the
+    interpreter's ``html.parser``."""
+    parser = _StdlibTokens()
+    parser.feed(html)
+    parser.close()
+    parser.builder.close()
+    return parser.builder.document
+
+
+# ---------------------------------------------------------------------------
 # oracle: build the whole tree, then walk it for blocks and for page text
 
 
@@ -74,9 +124,7 @@ class _FullTree(HTMLParser):
         self.base_href = None
 
     def _append(self, tag, attrs):
-        attr_map = {}
-        for key, value in attrs:
-            attr_map.setdefault(key, "" if value is None else value)
+        attr_map = _attr_map(attrs)
         element = Element(tag, attr_map)
         self.stack[-1].children.append(element)
         if tag == "base" and attr_map.get("href") and self.base_href is None:

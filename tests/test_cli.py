@@ -232,7 +232,7 @@ class TestRobustness:
         assert result.returncode == 0, result.stderr
         loaded = set(json.loads(result.stdout))
         unused = {"dataclasses", "inspect", "importlib.resources",
-                  "sdocheck.fetch", "requests"}
+                  "sdocheck.fetch", "requests", "html.parser", "_markupbase"}
         assert loaded & unused == set()
         # the benchmark's tracer finds its targets in sys.modules
         layers = {f"sdocheck.{name}" for name in (
@@ -275,6 +275,18 @@ class TestRobustness:
     def test_page_decodes_as_its_meta_charset_declares(self, head, body,
                                                         text):
         assert htmltree.decode_html(head + body).endswith(text)
+
+    @pytest.mark.parametrize("charset, data, text", [
+        ("windows-1252", b'<meta charset="utf-8">caf\xe9', "caf\xe9"),
+        ("UTF-8", b'<meta charset="iso-8859-1">caf\xc3\xa9', "caf\xe9"),
+        (" latin1 ", b"caf\xe9\x92", "caf\xe9\u2019"),
+        ("no-such", b'<meta charset="iso-8859-1">caf\xe9', "caf\xe9"),
+        ("iso-8859-1", b"\xef\xbb\xbfcaf\xc3\xa9", "caf\xe9"),
+    ], ids=["http-over-meta", "utf-8-label", "latin1-as-windows-1252",
+            "unknown-label-ignored", "bom-over-http"])
+    def test_http_charset_comes_between_bom_and_meta(self, charset, data,
+                                                     text):
+        assert htmltree.decode_html(data, charset).endswith(text)
 
     def test_byte_order_mark_wins_over_meta_charset(self):
         data = b'\xef\xbb\xbf<meta charset="iso-8859-1">' + "é".encode()

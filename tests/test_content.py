@@ -1,3 +1,4 @@
+import re
 from datetime import date
 from decimal import Decimal
 
@@ -116,6 +117,19 @@ class TestDatePatterns:
     def test_digit_runs_inside_longer_numbers_not_dates(self):
         page = page_from("<p>12020-05-013</p>")
         assert date(2020, 5, 1) not in page.dates
+
+    @given(st.text(alphabet="0123456789\u0663-./ aZ", max_size=40))
+    def test_patterns_find_what_a_leading_lookbehind_finds(self, text):
+        """Each date pattern checks for a digit before the match after
+        reading its first digit; it finds what the same pattern with the
+        lookbehind in front finds."""
+        oracles = {
+            c._ISO_DATE_RE: r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)",
+            c._DOTTED_DATE_RE: r"(?<!\d)(\d{1,2})\.(\d{1,2})\.(\d{4})(?!\d)",
+            c._SLASHED_DATE_RE: r"(?<!\d)(\d{1,2})/(\d{1,2})/(\d{4})(?!\d)",
+        }
+        for pattern, oracle in oracles.items():
+            assert pattern.findall(text) == re.findall(oracle, text)
 
 
 class TestNumberPatterns:

@@ -2,10 +2,21 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from sdocheck import cli, fetch as f
+
+# a windows-1252 page that names its encoding in no <meta>: its text says
+# "Caf\xe9 M\xfcller" in single bytes, its JSON-LD in JSON escapes
+LATIN1_PAGE = (Path(__file__).parent / "fixtures" / "probes"
+               / "latin1_meta_charset.html").read_bytes().replace(
+                   b'<meta charset="iso-8859-1">', b"")
+CONTENT_TYPES = {"/latin1": "text/html; charset=ISO-8859-1",
+                 "/latin1-quoted": 'text/html;charset="iso-8859-1"',
+                 "/latin1-undeclared": "text/html",
+                 "/latin1-unknown-label": "text/html; charset=no-such"}
 
 
 class Handler(BaseHTTPRequestHandler):
@@ -13,7 +24,13 @@ class Handler(BaseHTTPRequestHandler):
         pass
 
     def do_GET(self):
-        if self.path == "/ok":
+        if self.path in CONTENT_TYPES:
+            self.send_response(200)
+            self.send_header("Content-Type", CONTENT_TYPES[self.path])
+            self.send_header("Content-Length", str(len(LATIN1_PAGE)))
+            self.end_headers()
+            self.wfile.write(LATIN1_PAGE)
+        elif self.path == "/ok":
             body = b"<html><body>hello</body></html>"
             self.send_response(200)
             self.send_header("Content-Type", "text/html; charset=utf-8")
@@ -83,6 +100,22 @@ def test_cli_warns_of_a_non_2xx_fetch(server, capsys):
     assert captured.err.splitlines() == [
         f"sdocheck: warning: HTTP 404 from {server}/missing"]
     assert json.loads(captured.out)["entries"]
+
+
+@pytest.mark.parametrize("path, charset, codes", [
+    ("/latin1", "ISO-8859-1", []),
+    ("/latin1-quoted", "iso-8859-1", []),
+    # no charset, or one no browser knows: the bytes are read as UTF-8
+    ("/latin1-undeclared", None, ["E401"]),
+    ("/latin1-unknown-label", "no-such", ["E401"]),
+])
+def test_http_charset_decodes_the_page(server, capsysbinary, path, charset,
+                                       codes):
+    assert f.fetch(f"{server}{path}").charset == charset
+    assert cli.main(["validate", f"{server}{path}"]) == 0
+    report = json.loads(capsysbinary.readouterr().out)
+    assert [(e["code"], e["path"]) for e in report["entries"]] == [
+        (code, "$0.name") for code in codes]
 
 
 def test_refused_connection_is_a_network_error():

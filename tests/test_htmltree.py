@@ -1,22 +1,32 @@
-"""The one-pass page parser and its override of a private html.parser hook."""
+"""The one-pass page parser and its built-in tokenizer, checked against the
+interpreter's ``html.parser`` driving the same builder."""
 
-import _markupbase
-import inspect
+import html.parser
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sdocheck import htmltree
+
+from helpers import stdlib_document
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted(p for p in (ROOT / "tests" / "fixtures").rglob("*")
                   if p.is_file())
 
-
-class _CountingLines(htmltree._TreeBuilder):
-    """The builder with the stdlib's line and column count put back."""
-
-    updatepos = _markupbase.ParserBase.updatepos
+# htmltree copies Python 3.11's patterns; an interpreter whose html.parser
+# reads markup by other rules is no oracle for it
+_PINNED = {
+    html.parser.tagfind_tolerant: htmltree._TAGFIND_RE,
+    html.parser.attrfind_tolerant: htmltree._ATTRFIND_RE,
+    html.parser.locatestarttagend_tolerant: htmltree._LOCATESTARTTAGEND_RE,
+    html.parser.endtagfind: htmltree._ENDTAGFIND_RE,
+    html.parser.commentclose: htmltree._COMMENTCLOSE_RE,
+}
+stdlib_is_the_oracle = pytest.mark.skipif(
+    any(ours.pattern != theirs.pattern for theirs, ours in _PINNED.items()),
+    reason="this interpreter's html.parser is not Python 3.11's")
 
 
 def _flat(element):
@@ -34,34 +44,74 @@ def _flat(element):
     return out
 
 
-def _recorded(builder_class, data: bytes):
-    builder = builder_class()
-    builder.feed(htmltree.decode_html(data))
-    builder.close()
-    document = builder.document
+def _recorded(document):
     return ([_flat(e) for e in document.scripts + document.items],
             document.text, document.links, document.base_href)
 
 
-def test_updatepos_hook_still_exists_with_its_arguments():
-    """The builder overrides ``ParserBase.updatepos(self, i, j)``, which the
-    tokenizer calls to count lines; a renamed or reshaped hook would leave
-    the override dead or wrong."""
-    hook = getattr(_markupbase.ParserBase, "updatepos", None)
-    assert hook is not None
-    assert list(inspect.signature(hook).parameters) == ["self", "i", "j"]
-    assert htmltree._TreeBuilder.updatepos is not hook
+def _same_as_stdlib(page: str) -> None:
+    assert (_recorded(htmltree.parse_html(page))
+            == _recorded(stdlib_document(page)))
 
 
-def test_nothing_reads_line_positions():
-    """The override leaves ``getpos()`` at line 1, so no code may read it."""
-    sources = (ROOT / "src" / "sdocheck").glob("*.py")
-    assert [p.name for p in sources if ".getpos" in p.read_text()] == []
-
-
+@stdlib_is_the_oracle
 @pytest.mark.parametrize("fixture", FIXTURES,
                          ids=lambda p: str(p.relative_to(ROOT / "tests")))
-def test_parse_is_the_same_with_and_without_the_override(fixture):
-    data = fixture.read_bytes()
-    assert (_recorded(htmltree._TreeBuilder, data)
-            == _recorded(_CountingLines, data))
+def test_fixture_reads_as_the_stdlib_tokenizer_reads_it(fixture):
+    _same_as_stdlib(htmltree.decode_html(fixture.read_bytes()))
+
+
+# pieces of markup that steer the tokenizer: tag and attribute syntax, the
+# whitespace that html.parser's names and values stop at, character
+# references, comments, declarations, marked sections and raw-text elements
+MARKUP_PIECES = st.sampled_from([
+    "<", ">", "/", "=", '"', "'", " ", "\t", "\n", "\r", "\x0c", "\x0b",
+    "\x00", "&amp;", "&#x41;", "&#65;", "&", "&#", "&amp", "<!", "<?", "--",
+    "-->", "<!--", "</", "[CDATA[", "]]>", "]>", "<![", "if", "endif",
+    "doctype", "DOCTYPE", "script", "SCRIPT", "style", "template", "a", "p",
+    "div", "br", "base", "itemscope", "itemprop", "itemtype", "href", "src",
+    "type", "application/ld+json", "x", "é", "ſ", " ",
+    "<script>", "</script>", "<style>", "</style >", "<p ", "<a href=",
+])
+
+
+@stdlib_is_the_oracle
+@settings(max_examples=400)
+@given(st.lists(MARKUP_PIECES, max_size=40).map("".join))
+@example('<a href=x/>t</a><P Itemscope B=1 b=2>&amp;</p>')
+@example('<script>a</SCRIPT ><style>b</ſtyle></style><script>c')
+@example('<![foo bar]><![if x]>y<![endif]><!x><?p ?><!doctype html></>')
+@example('<a x=">">z</a x=">"><!-- a -- >text&amp')
+@example('<p itemscope>x<a href="y')
+@example('<script type="application/ld+json">a</ſcript>b</script>')
+def test_tag_soup_reads_as_the_stdlib_tokenizer_reads_it(page):
+    _same_as_stdlib(page)
+
+
+# start tags of every quoting and spacing, inside an item, whose subtree
+# keeps each element's attributes
+_SPACE = st.sampled_from([" ", "\n", "\t ", "\x0b", ""])
+_VALUE = st.sampled_from(["", "x", "a/b", "x/", "1&amp;2", "a b", "'", '"',
+                          ">", "https://schema.org/Event"])
+_ATTRIBUTE = st.builds(
+    lambda name, space, quote, value: (
+        name if quote is None
+        else f"{name}{space}={space}{quote}{value}{quote}"),
+    st.sampled_from(["b", "B", "itemprop", "href", "data-x", "x:y", "a\"b"]),
+    _SPACE, st.none() | st.sampled_from(['"', "'", ""]), _VALUE)
+_START_TAG = st.builds(
+    lambda name, attrs, space, close: (
+        f"<{name}" + "".join(space + a for a in attrs) + f"{space}{close}>"),
+    st.sampled_from(["a", "A", "span", "my-el", "br", "script"]),
+    st.lists(_ATTRIBUTE, max_size=4), _SPACE, st.sampled_from(["", "/"]))
+
+
+@stdlib_is_the_oracle
+@settings(max_examples=300)
+@given(st.lists(_START_TAG, max_size=5).map(
+    lambda tags: "<div itemscope>" + "t".join(tags) + "</div>"))
+@example('<div itemscope><a href=x/><a b=c/ ><a b="1" b="2"><a b c=""></div>')
+@example('<div itemscope><a b="1&amp;2"><a b=\'&#x41;\'><a b=&lt;></div>')
+@example('<div itemscope><a\x0bhref="v"><a href="w"\x0b><a b\x0b=1></div>')
+def test_start_tags_read_as_the_stdlib_tokenizer_reads_them(page):
+    _same_as_stdlib(page)

@@ -101,6 +101,14 @@ RAW_MARKUP = st.sampled_from([
     '<template><div itemscope itemtype="https://schema.org/Event">'
     '<span itemprop="name">T 2026-07-10</span></div></template>',
     '<script type="application/ld+json"/>',
+    # start tags the tokenizer does not read with its one plain pattern
+    "<a href=/x/y>u</a>", "<a href='q'>s</a>", '<a href = "sp">e</a>',
+    "<a href=rel/>t</a>", '<IMG SRC="UP.png"><DIV ITEMSCOPE>U</DIV>',
+    '<a href="one" href="two">r</a>', '<span itemprop="name"content="c">',
+    '<a\x0bhref="vt">v</a>', '<a href="/a?b=1&amp;c=&#x32;">ent</a>',
+    # raw text, stray end tags, declarations, comments
+    '<script type="application/ld+json">{}</SCRIPT >', "<script>", "</>",
+    '</a x=">">', "<!doctype html>", "<?xml ?>", "<!-- a -- >",
 ]) | st.text(max_size=8)
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
@@ -113,9 +121,19 @@ JSON_VALUES = st.recursive(
     max_leaves=12)
 
 
-def _element(tag: str, attributes, children: list[str]) -> str:
+# how _element writes an attribute with a value: double or single quotes,
+# spaces around "=", no quotes, or after a vertical tab
+_ATTRIBUTE_FORMS = (' {}="{}"', " {}='{}'", ' {} = "{}"', " {}={}",
+                    ' \x0b{}="{}"')
+
+
+def _element(tag: str, attributes, children: list[str],
+             form: str = _ATTRIBUTE_FORMS[0], upper: bool = False) -> str:
+    if upper:
+        tag = tag.upper()
+        attributes = [(name.upper(), value) for name, value in attributes]
     attrs = "".join(f" {name}" if value is None
-                    else f' {name}="{escape(value)}"'
+                    else form.format(name, escape(value))
                     for name, value in attributes)
     return f"<{tag}{attrs}>" + "".join(children) + f"</{tag}>"
 
@@ -132,7 +150,8 @@ HTML_NODES = st.recursive(
         _element,
         st.sampled_from(["div", "span", "a", "img", "link", "meta", "time",
                          "base", "p", "template", "style", "br", "li"]),
-        ATTRIBUTES, st.lists(children, max_size=4)),
+        ATTRIBUTES, st.lists(children, max_size=4),
+        st.sampled_from(_ATTRIBUTE_FORMS), st.booleans()),
     max_leaves=20)
 PAGES = st.lists(HTML_NODES, max_size=5).map(
     lambda nodes: "<html><body>" + "".join(nodes) + "</body></html>")
