@@ -1,14 +1,15 @@
 """Extract annotation blocks from HTML and parse them into annotation graphs.
 
 Two carriers are supported: JSON-LD ``<script>`` blocks and Microdata
-(``itemscope``/``itemprop``) attribute trees.  Extraction keeps a JSON-LD
-block as its script text and reads a Microdata item into a ``MicrodataItem``
-tree.  One builder turns either into the same graph shape: typed nodes with
-ordered property -> value lists.  One finishing pass then gives every node
-and value the path at which it sits (``$0.offers[1].price``) and records
-the node order that the checking layers read.  Every walk uses an explicit
-stack, so nesting depth is bounded by memory, not by the interpreter's
-recursion limit.
+(``itemscope``/``itemprop``) attribute trees.  A block is a JSON-LD
+script's text or a ``MicrodataItem`` tree that the page's one parse
+recorded; the graph builder resolves the item's ``itemid`` and link and
+media URLs against the document base.  One builder turns either into the
+same graph shape: typed nodes with ordered property -> value lists.  One
+finishing pass then gives every node and value the path at which it sits
+(``$0.offers[1].price``) and records the node order that the checking
+layers read.  Every walk uses an explicit stack, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 JSON-LD handling is deliberately schema.org-flavored: only the keywords
 ``@context``, ``@type``, ``@id``, ``@graph`` and ``@value`` are honored,
@@ -30,17 +31,14 @@ from datetime import date, datetime, time
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .htmltree import Document, Element, effective_base_url, resolve_url
+from .htmltree import (Document, MicrodataItem, PageURL, effective_base_url,
+                       resolve_url)
 from .report import ReportEntry, make_entry
 from .vocab import strip_namespace
 
 UNDETERMINED = "Undetermined"
 
 _HONORED_KEYWORDS = {"@context", "@type", "@id", "@graph", "@value"}
-
-_LINK_HREF_TAGS = frozenset({"a", "area", "link"})
-_MEDIA_SRC_TAGS = frozenset({"audio", "embed", "iframe", "img", "source",
-                             "track", "video"})
 
 _DURATION_RE = re.compile(
     r"^P(?=\d|T\d)(?:\d+Y)?(?:\d+M)?(?:\d+W)?(?:\d+D)?"
@@ -129,25 +127,17 @@ class AnnotationGraph(NamedTuple):
         return iter(self.nodes)
 
 
-class MicrodataItem(NamedTuple):
-    """One Microdata item: its ``itemtype`` tokens, resolved ``itemid`` and
-    ``(itemprop name, value)`` pairs in document order, where a value is the
-    property's text or a nested item."""
-    types: list[str]
-    identifier: str | None
-    itemref: bool
-    properties: list[tuple]
-
-
 class RawBlock(NamedTuple):
     """One annotation block as found on a page.
 
     For JSON-LD the payload is the verbatim script text; for Microdata it is
-    the item read from the attribute tree (the attribute syntax has no
-    textual block to preserve).
+    the item that the page's parse recorded (the attribute syntax has no
+    textual block to preserve), and ``base_url`` is the document base that
+    its ``itemid`` and link and media URLs resolve against.
     """
     payload: str | MicrodataItem
     block_index: int
+    base_url: str = ""
 
     @property
     def source_format(self) -> SourceFormat:
@@ -215,66 +205,10 @@ def extract_annotation_blocks(tree: Document,
     are global and zero-based.
     """
     base = effective_base_url(tree, base_url)
-    blocks = [RawBlock("".join(script.children), index)
-              for index, script in enumerate(tree.scripts)]
-    blocks.extend(RawBlock(_read_microdata_item(element, base), index)
-                  for index, element in enumerate(tree.items, len(blocks)))
+    blocks = [RawBlock(text, index) for index, text in enumerate(tree.scripts)]
+    blocks.extend(RawBlock(item, index, base)
+                  for index, item in enumerate(tree.items, len(blocks)))
     return blocks
-
-
-def _new_microdata_item(element: Element, base: str) -> MicrodataItem:
-    attrs = element.attrs
-    itemid = attrs.get("itemid")
-    return MicrodataItem(
-        types=[t for t in attrs.get("itemtype", "").split()
-               if strip_namespace(t)],
-        identifier=(resolve_url(itemid, base) or itemid) if itemid else None,
-        itemref="itemref" in attrs, properties=[])
-
-
-def _read_microdata_item(element: Element, base: str) -> MicrodataItem:
-    """The item whose scope ``element`` opens, nested items included."""
-    root = _new_microdata_item(element, base)
-    # entries are (element, item it belongs to) still to visit, or
-    # (names, value, item) to emit once the properties nested inside a
-    # literal property are out
-    stack: list = [(c, root) for c in reversed(element.children)
-                   if isinstance(c, Element)]
-    while stack:
-        entry = stack.pop()
-        if len(entry) == 3:
-            names, value, item = entry
-            item.properties.extend((name, value) for name in names)
-            continue
-        child, item = entry
-        if "itemprop" in child.attrs:
-            names = child.attrs["itemprop"].split()
-            if "itemscope" in child.attrs:
-                nested = _new_microdata_item(child, base)
-                item.properties.extend((name, nested) for name in names)
-                item = nested
-            else:
-                stack.append((names, _microdata_value(child, base), item))
-        elif "itemscope" in child.attrs:
-            continue  # a separate top-level item, not a property of this one
-        stack.extend((c, item) for c in reversed(child.children)
-                     if isinstance(c, Element))
-    return root
-
-
-def _microdata_value(element: Element, base: str) -> str:
-    """The WHATWG HTML value of a property element; a link or media URL that
-    does not parse keeps its text as written."""
-    attrs = element.attrs
-    if "content" in attrs:
-        return attrs["content"]
-    if element.tag in _LINK_HREF_TAGS and attrs.get("href"):
-        return resolve_url(attrs["href"], base) or attrs["href"]
-    if element.tag in _MEDIA_SRC_TAGS and attrs.get("src"):
-        return resolve_url(attrs["src"], base) or attrs["src"]
-    if element.tag == "time" and attrs.get("datetime"):
-        return attrs["datetime"]
-    return element.text_content().strip()
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +226,7 @@ def parse_annotation(block: RawBlock, first_root_ordinal: int = 0,
     """
     entries: list[ReportEntry] = []
     if isinstance(block.payload, MicrodataItem):
-        roots = [_GraphBuilder(entries).build(block.payload)]
+        roots = [_GraphBuilder(entries, block.base_url).build(block.payload)]
     else:
         roots = _parse_jsonld(block.payload, entries)
     if roots is None:
@@ -317,8 +251,9 @@ class _GraphBuilder:
     nesting depth is not bounded by the recursion limit.
     """
 
-    def __init__(self, entries: list[ReportEntry]):
+    def __init__(self, entries: list[ReportEntry], base_url: str = ""):
         self.entries = entries
+        self.base_url = base_url  # a Microdata item's URLs resolve against it
         self.by_id: dict[str, AnnotationNode] = {}
 
     def warn(self, construct: str) -> None:
@@ -347,7 +282,12 @@ class _GraphBuilder:
 
     def build_node(self, obj: dict | MicrodataItem, top_level: bool = False):
         if isinstance(obj, MicrodataItem):
-            identifier, types, pairs = obj.identifier, obj.types, obj.properties
+            identifier = obj.identifier
+            if identifier:
+                identifier = (resolve_url(identifier, self.base_url)
+                              or identifier)
+            types = [t for t in obj.types if strip_namespace(t)]
+            pairs = obj.properties
             if obj.itemref:
                 self.warn("itemref is not supported; "
                           "referenced properties skipped")
@@ -373,6 +313,8 @@ class _GraphBuilder:
             parsed = []
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, str):  # the common case: no generator
+                    if item.__class__ is PageURL:
+                        item = resolve_url(item, self.base_url) or str(item)
                     built = Literal(item, classify_literal(item))
                 else:
                     built = yield self.build_value(item)

@@ -3,13 +3,15 @@
 A single scan loop tokenizes the page by the rules of Python 3.11's
 ``html.parser`` (its patterns are copied here, so reports do not depend on
 the interpreter's copy); a plain start tag is read whole by one pattern.
-Each token goes straight to the builder, which records the page's JSON-LD
-``<script>`` elements and its top-level Microdata items (``itemscope``
-without ``itemprop``) in document order, the first ``<base href>``, the
-visible text and the raw ``href``/``src`` values.  It keeps an element's
-children only where something reads them: the whole subtree of an open
-item, and the text of a ``<script>``.  Every other element is dropped once
-it closes, so no full tree of the page is ever held.
+Each token goes straight to the builder, which records, in document order,
+the text of the page's JSON-LD ``<script>`` elements and its top-level
+Microdata items (``itemscope`` without ``itemprop``) as ``MicrodataItem``
+trees, the first ``<base href>``, the visible text and the raw
+``href``/``src`` values.  The WHATWG Microdata rules live here: which
+items are top level, which item a property belongs to, and a property's
+value.  The builder holds the names of the open elements and, for each open
+item or property, what it is still filling in; no element is kept once it
+closes, so no tree of the page is ever held.
 
 Lenient by design: unmatched end tags are dropped, unclosed elements are
 closed when an ancestor closes or the page ends, and decoding falls back to
@@ -22,6 +24,7 @@ from __future__ import annotations
 import codecs
 import re
 from html import unescape
+from typing import NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 VOID_ELEMENTS = frozenset({
@@ -109,46 +112,55 @@ _CHARSET_CODECS = {label: codec for codec, labels in (
 ) for label in labels.split()}
 
 
-class Element:
-    __slots__ = ("tag", "attrs", "children")
+class PageURL(str):
+    """A link or media URL of a Microdata property as the page writes it.
+    The first ``<base href>`` may come after the item, so the graph builder
+    resolves it against the document base."""
 
-    def __init__(self, tag: str, attrs: dict[str, str] | None = None):
-        self.tag = tag
-        self.attrs = attrs or {}
-        self.children: list[Element | str] = []
+    __slots__ = ()
 
-    def __repr__(self) -> str:
-        return f"<Element {self.tag} attrs={self.attrs}>"
 
-    def text_content(self, skip: frozenset[str] = NON_CONTENT_ELEMENTS) -> str:
-        parts: list[str] = []
-        stack: list[Element | str] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif item.tag not in skip:
-                stack.extend(reversed(item.children))
-        return "".join(parts)
+# the attribute that gives a Microdata property its value, by element, and
+# what that value is
+_VALUE_ATTRIBUTES = {
+    **dict.fromkeys(("a", "area", "link"), ("href", PageURL)),
+    **dict.fromkeys(("audio", "embed", "iframe", "img", "source", "track",
+                     "video"), ("src", PageURL)),
+    "object": ("data", PageURL),
+    **dict.fromkeys(("data", "meter"), ("value", str)),
+    "time": ("datetime", str),
+}
+
+
+class MicrodataItem(NamedTuple):
+    """One Microdata item as the page writes it: its ``itemtype`` tokens,
+    its unresolved ``itemid``, whether it names ``itemref``, and
+    ``(itemprop name, value)`` pairs in document order.  A value is a nested
+    item, a ``PageURL`` or the property's attribute or text."""
+    types: list[str]
+    identifier: str | None
+    itemref: bool
+    properties: list[tuple]
 
 
 class Document:
     """What one parse of a page records.
 
-    ``scripts`` are the JSON-LD script elements and ``items`` the top-level
-    Microdata item elements, each with its children, in document order.
-    ``text`` is the visible text, with a newline at each block element's
-    open and close.  ``links`` are the raw ``href`` and ``src`` values of
-    visible elements other than ``<base>``, unresolved, because the first
-    ``<base href>`` also applies to links that come before it.
+    ``scripts`` are the texts of the JSON-LD script elements and ``items``
+    the top-level Microdata items, each with its properties and nested
+    items, in document order.  ``text`` is the visible text, with a newline
+    at each block element's open and close.  ``links`` are the raw ``href``
+    and ``src`` values of visible elements other than ``<base>``,
+    unresolved, because the first ``<base href>`` also applies to links that
+    come before it.
     """
 
     __slots__ = ("base_href", "scripts", "items", "text", "links")
 
     def __init__(self):
         self.base_href: str | None = None
-        self.scripts: list[Element] = []
-        self.items: list[Element] = []
+        self.scripts: list[str] = []
+        self.items: list[MicrodataItem] = []
         self.text = ""
         self.links: set[str] = set()
 
@@ -156,6 +168,21 @@ class Document:
 def _is_jsonld_type(attrs: dict[str, str]) -> bool:
     media_type = attrs.get("type", "")
     return media_type.split(";")[0].strip().lower() == "application/ld+json"
+
+
+def _new_item(attrs: dict[str, str]) -> MicrodataItem:
+    return MicrodataItem(attrs.get("itemtype", "").split(),
+                         attrs.get("itemid") or None, "itemref" in attrs, [])
+
+
+def _property_value(tag: str, attrs: dict[str, str]) -> str | None:
+    """The WHATWG HTML value of a property element when an attribute gives
+    it, else None: the value is then the element's text."""
+    if "content" in attrs:
+        return attrs["content"]
+    attr, kind = _VALUE_ATTRIBUTES.get(tag, (None, None))
+    value = attrs.get(attr)
+    return kind(value) if value else None
 
 
 # The tokenizer follows Python 3.11's html.parser, as an HTMLParser with
@@ -273,20 +300,26 @@ class _TreeBuilder:
 
     def __init__(self):
         self.document = Document()
-        # the open elements, the document's own sentinel at the bottom
-        self.stack: list[Element] = [Element("#document")]
-        # stack index of the outermost open item and of the outermost open
-        # script, style or template, or None
-        self.item_at: int | None = None
+        # the names of the open elements, the document's sentinel at the
+        # bottom
+        self.stack: list[str] = ["#document"]
+        # stack index of the outermost open script, style or template
         self.hidden_at: int | None = None
         self.text: list[str] = []
+        # the text of the open JSON-LD script
+        self.script: list[str] | None = None
+        # Microdata: the innermost open item, which takes the properties
+        # that open in it; the text of the innermost open property element,
+        # None inside a script, style or template; and for each open element
+        # that changed either, (stack index, the item and text it replaced,
+        # the property it adds at its close or None)
+        self.item: MicrodataItem | None = None
+        self.prop_text: list[str] | None = None
+        self.scopes: list[tuple] = []
 
     def _open(self, tag: str, attrs: dict[str, str], pushed: bool) -> None:
-        element = Element(tag, attrs)
         stack = self.stack
         document = self.document
-        if self.item_at is not None:
-            stack[-1].children.append(element)
         if tag == "base":
             if document.base_href is None and attrs.get("href"):
                 document.base_href = attrs["href"]
@@ -298,32 +331,79 @@ class _TreeBuilder:
             if tag in BLOCK_ELEMENTS:
                 self.text.append("\n" if pushed else "\n\n")
         if tag == "script" and _is_jsonld_type(attrs):
-            document.scripts.append(element)
-        if "itemscope" in attrs and "itemprop" not in attrs:
-            document.items.append(element)
-            if pushed and self.item_at is None:
-                self.item_at = len(stack)
+            if pushed:
+                self.script = []
+            else:
+                document.scripts.append("")
+        if ("itemscope" in attrs or "itemprop" in attrs or (
+                tag in NON_CONTENT_ELEMENTS and self.prop_text is not None)):
+            self._microdata(tag, attrs, pushed)
         if pushed:
             if tag in NON_CONTENT_ELEMENTS and self.hidden_at is None:
                 self.hidden_at = len(stack)
-            stack.append(element)
+            stack.append(tag)
+
+    def _microdata(self, tag: str, attrs: dict[str, str],
+                   pushed: bool) -> None:
+        """Record what an element with ``itemscope`` or ``itemprop``, or a
+        script, style or template inside a property, adds to the items.
+
+        An item without ``itemprop`` is a top-level item.  Inside an item,
+        a nested item is added to it at its open, and a property element's
+        value at its close, so that the properties inside come first."""
+        item, text, prop = self.item, self.prop_text, None
+        if "itemprop" not in attrs:
+            if "itemscope" in attrs:
+                item = _new_item(attrs)
+                self.document.items.append(item)
+        elif item is not None:
+            names = attrs["itemprop"].split()
+            if "itemscope" in attrs:
+                item = _new_item(attrs)
+                self.item.properties.extend((name, item) for name in names)
+            else:
+                value = _property_value(tag, attrs)
+                if not pushed:
+                    item.properties.extend(
+                        (name, "" if value is None else value)
+                        for name in names)
+                    return
+                # the text of a property inside another is part of both
+                text = [] if text is None else text
+                prop = (names, value, text, len(text))
+        if pushed:
+            self.scopes.append((len(self.stack), self.item, self.prop_text,
+                                prop))
+            self.item = item
+            self.prop_text = None if tag in NON_CONTENT_ELEMENTS else text
 
     def _close_from(self, index: int) -> None:
         """Close the open elements from stack position ``index`` up; each
-        block element among them below any hidden one ends its block."""
-        for element in self.stack[index:self.hidden_at]:
-            if element.tag in BLOCK_ELEMENTS:
+        block element among them below any hidden one ends its block, and
+        each property element among them adds its value, innermost
+        first."""
+        for tag in self.stack[index:self.hidden_at]:
+            if tag in BLOCK_ELEMENTS:
                 self.text.append("\n")
-        if self.item_at is not None and self.item_at >= index:
-            self.item_at = None
         if self.hidden_at is not None and self.hidden_at >= index:
             self.hidden_at = None
+        if self.script is not None:  # a script holds no element
+            self.document.scripts.append("".join(self.script))
+            self.script = None
+        scopes = self.scopes
+        while scopes and scopes[-1][0] >= index:
+            _, self.item, self.prop_text, prop = scopes.pop()
+            if prop is not None:
+                names, value, text, start = prop
+                if value is None:
+                    value = "".join(text[start:]).strip()
+                self.item.properties.extend((name, value) for name in names)
         del self.stack[index:]
 
     def _end(self, tag: str) -> None:
         stack = self.stack
         for i in range(len(stack) - 1, 0, -1):
-            if stack[i].tag == tag:
+            if stack[i] == tag:
                 self._close_from(i)
                 return
         # no matching open element: ignore
@@ -331,9 +411,10 @@ class _TreeBuilder:
     def _data(self, data: str) -> None:
         if self.hidden_at is None:
             self.text.append(data)
-        top = self.stack[-1]
-        if self.item_at is not None or top.tag == "script":
-            top.children.append(data)
+        if self.prop_text is not None:
+            self.prop_text.append(data)
+        elif self.script is not None:
+            self.script.append(data)
 
     def feed(self, html: str) -> None:
         """Read the whole page.  Text between tags arrives in the chunks

@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
                          PropertyValue, Reference, parse_temporal)
 from .report import ReportEntry, make_entry
-from .vocab import (DATATYPE_WIDENING, TermKind, VocabularyGraph, lookup_term,
-                    is_subclass_of, property_applies_to, strip_namespace)
+from .vocab import (DATATYPE_WIDENING, VocabularyGraph, is_subclass_of,
+                    property_applies_to, strip_namespace)
 
 
 class RuleViolation(NamedTuple):
@@ -116,8 +116,7 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
                 findings: list[ReportEntry]) -> None:
     known_types = []
     for t in node.types:
-        kind = lookup_term(vocab, t)
-        if kind not in (TermKind.CLASS, TermKind.ENUMERATION):
+        if t not in vocab.classes:
             findings.append(make_entry(
                 "E201", node.path, f"type {t!r} is not defined by the vocabulary",
                 strict))
@@ -134,7 +133,8 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
 
     for prop, values in node.properties.items():
         prop_path = f"{node.path}.{prop}"
-        prop_known = lookup_term(vocab, prop) is TermKind.PROPERTY
+        # no name is both a class and a property (vocab._check_integrity)
+        prop_known = prop in vocab.properties
         if not prop_known:
             findings.append(make_entry(
                 "E202", prop_path,

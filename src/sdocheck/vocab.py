@@ -16,7 +16,6 @@ the same answer, so sharing a graph across concurrent runs stays safe.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import os
@@ -51,15 +50,6 @@ class IntegrityError(Exception):
 
 class UnknownTerm(Exception):
     """A query named a term the vocabulary does not define."""
-
-
-class TermKind(enum.Enum):
-    CLASS = "Class"
-    PROPERTY = "Property"
-    ENUMERATION = "Enumeration"
-    ENUMERATION_MEMBER = "EnumerationMember"
-    DATATYPE = "Datatype"
-    UNKNOWN = "Unknown"
 
 
 def strip_namespace(name: str) -> str:
@@ -279,21 +269,6 @@ def _mark_enumerations(graph: VocabularyGraph) -> None:
     for name, cls in list(graph.classes.items()):
         if "Enumeration" in graph._ancestors[name]:
             graph.classes[name] = cls._replace(is_enumeration=True)
-
-
-def lookup_term(vocab: VocabularyGraph, name: str) -> TermKind:
-    """Classify a bare term name; names are case-sensitive."""
-    if name in vocab.classes:
-        if vocab.classes[name].is_enumeration:
-            return TermKind.ENUMERATION
-        return TermKind.CLASS
-    if name in vocab.properties:
-        return TermKind.PROPERTY
-    if name in vocab.datatypes:
-        return TermKind.DATATYPE
-    if name in vocab._member_index:
-        return TermKind.ENUMERATION_MEMBER
-    return TermKind.UNKNOWN
 
 
 def is_subclass_of(vocab: VocabularyGraph, sub: str, super_: str) -> bool:

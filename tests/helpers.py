@@ -2,16 +2,19 @@
 full-tree page reader that serves as an oracle for the one-pass parse, and
 the stdlib tokenizer that serves as an oracle for the built-in one."""
 
+import html.parser
 import json
 from html.parser import HTMLParser
 
-from sdocheck import annotation, content, htmltree
+import pytest
+
+from sdocheck import content, htmltree
 from sdocheck.annotation import (AnnotationGraph, AnnotationNode, Entity,
                                  Literal, RawBlock, Reference,
                                  parse_annotation)
 from sdocheck.htmltree import (BLOCK_ELEMENTS, NON_CONTENT_ELEMENTS,
-                               VOID_ELEMENTS, Element, decode_html,
-                               resolve_url)
+                               VOID_ELEMENTS, MicrodataItem, PageURL,
+                               decode_html, resolve_url)
 
 
 def parse_jsonld(payload, **kwargs):
@@ -60,8 +63,51 @@ def codes_of(entries):
     return sorted(e.code for e in entries)
 
 
+def flat_item(item: MicrodataItem) -> list:
+    """An item as a flat list, walked without recursion, so that items
+    1,200 deep compare too.  A value keeps its class, so a URL that is not
+    marked as one shows."""
+    out, stack = [], [item]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, MicrodataItem):
+            out.append((entry.types, entry.identifier, entry.itemref))
+            stack.append(None)  # the item's end
+            stack.extend(reversed(entry.properties))
+        elif isinstance(entry, tuple):
+            name, value = entry
+            if isinstance(value, MicrodataItem):
+                out.append(name)
+                stack.append(value)
+            else:
+                out.append((name, type(value).__name__, value))
+        else:
+            out.append(entry)
+    return out
+
+
+def flat_blocks(blocks: list[RawBlock]) -> list:
+    """Blocks as ``flat_item`` shows their items."""
+    return [(block.payload if isinstance(block.payload, str)
+             else flat_item(block.payload), block.block_index, block.base_url)
+            for block in blocks]
+
+
 # ---------------------------------------------------------------------------
 # oracle: the stdlib's html.parser tokens, fed to the one-pass builder
+
+# htmltree copies Python 3.11's patterns; an interpreter whose html.parser
+# reads markup by other rules is no oracle for it
+_PINNED = {
+    html.parser.tagfind_tolerant: htmltree._TAGFIND_RE,
+    html.parser.attrfind_tolerant: htmltree._ATTRFIND_RE,
+    html.parser.locatestarttagend_tolerant: htmltree._LOCATESTARTTAGEND_RE,
+    html.parser.endtagfind: htmltree._ENDTAGFIND_RE,
+    html.parser.commentclose: htmltree._COMMENTCLOSE_RE,
+}
+stdlib_is_the_oracle = pytest.mark.skipif(
+    any(ours.pattern != theirs.pattern for theirs, ours in _PINNED.items()),
+    reason="this interpreter's html.parser is not Python 3.11's")
 
 
 def _attr_map(attrs):
@@ -111,6 +157,28 @@ def stdlib_document(html: str) -> htmltree.Document:
 
 # ---------------------------------------------------------------------------
 # oracle: build the whole tree, then walk it for blocks and for page text
+
+
+class Element:
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag: str, attrs: dict[str, str] | None = None):
+        self.tag = tag
+        self.attrs = attrs or {}
+        self.children: list[Element | str] = []
+
+    def text_content(self) -> str:
+        """The text of the element, leaving out script, style and template
+        elements at or below it."""
+        parts: list[str] = []
+        stack: list[Element | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.tag not in NON_CONTENT_ELEMENTS:
+                stack.extend(reversed(item.children))
+        return "".join(parts)
 
 
 class _FullTree(HTMLParser):
@@ -177,9 +245,65 @@ def _base(tree: _FullTree, base_url: str) -> str:
     return base_url
 
 
+def _new_item(element: Element) -> MicrodataItem:
+    attrs = element.attrs
+    return MicrodataItem(attrs.get("itemtype", "").split(),
+                         attrs.get("itemid") or None, "itemref" in attrs, [])
+
+
+def _read_item(element: Element) -> MicrodataItem:
+    """The item whose scope ``element`` opens, nested items included."""
+    root = _new_item(element)
+    # entries are (element, item it belongs to) still to visit, or
+    # (names, value, item) to emit once the properties nested inside a
+    # literal property are out
+    stack: list = [(c, root) for c in reversed(element.children)
+                   if isinstance(c, Element)]
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 3:
+            names, value, item = entry
+            item.properties.extend((name, value) for name in names)
+            continue
+        child, item = entry
+        if "itemprop" in child.attrs:
+            names = child.attrs["itemprop"].split()
+            if "itemscope" in child.attrs:
+                nested = _new_item(child)
+                item.properties.extend((name, nested) for name in names)
+                item = nested
+            else:
+                stack.append((names, _item_value(child), item))
+        elif "itemscope" in child.attrs:
+            continue  # a separate top-level item, not a property of this one
+        stack.extend((c, item) for c in reversed(child.children)
+                     if isinstance(c, Element))
+    return root
+
+
+def _item_value(element: Element) -> str:
+    """The WHATWG HTML value of a property element, a URL as written."""
+    attrs, tag = element.attrs, element.tag
+    if "content" in attrs:
+        return attrs["content"]
+    if tag in ("a", "area", "link") and attrs.get("href"):
+        return PageURL(attrs["href"])
+    if (tag in ("audio", "embed", "iframe", "img", "source", "track",
+                "video") and attrs.get("src")):
+        return PageURL(attrs["src"])
+    if tag == "object" and attrs.get("data"):
+        return PageURL(attrs["data"])
+    if tag == "time" and attrs.get("datetime"):
+        return attrs["datetime"]
+    if tag in ("data", "meter") and attrs.get("value"):
+        return attrs["value"]
+    return element.text_content().strip()
+
+
 def oracle_blocks(html: str, base_url: str) -> list[RawBlock]:
     """The page's annotation blocks, read from a walk of its full tree:
-    JSON-LD scripts in document order, then top-level Microdata items."""
+    JSON-LD scripts in document order, then top-level Microdata items with
+    the document base."""
     tree = _full_tree(html)
     base = _base(tree, base_url)
     scripts, items = [], []
@@ -190,9 +314,10 @@ def oracle_blocks(html: str, base_url: str) -> list[RawBlock]:
             scripts.append("".join(c for c in element.children
                                    if isinstance(c, str)))
         if "itemscope" in element.attrs and "itemprop" not in element.attrs:
-            items.append(annotation._read_microdata_item(element, base))
-    return [RawBlock(payload, index)
-            for index, payload in enumerate(scripts + items)]
+            items.append(_read_item(element))
+    return ([RawBlock(text, index) for index, text in enumerate(scripts)]
+            + [RawBlock(item, index, base)
+               for index, item in enumerate(items, len(scripts))])
 
 
 def oracle_text_and_urls(html: str, base_url: str) -> tuple[str, set[str]]:

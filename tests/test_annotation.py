@@ -1,5 +1,6 @@
 import json
 from html import escape
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,8 @@ from hypothesis import given, strategies as st
 from sdocheck import annotation as a
 from sdocheck.htmltree import parse_html
 from helpers import graph_fingerprint, parse_jsonld
+
+PROBES = Path(__file__).parent / "fixtures" / "probes"
 
 
 def blocks_of(html, base="https://x.example/"):
@@ -278,6 +281,48 @@ class TestMicrodataParsing:
         assert isinstance(nested, a.Entity)
         assert nested.node.types == ["PostalAddress"]
         assert nested.node.properties["addressLocality"][0].raw == "Innsbruck"
+
+    def test_object_data_and_meter_read_their_attributes(self):
+        blocks = blocks_of(
+            (PROBES / "microdata_value_elements.html").read_bytes(),
+            "https://x.example/e/1")
+        graph, entries = a.parse_annotation(blocks[0])
+        assert entries == []
+        props = graph.roots[0].properties
+        assert props["url"][0].raw == "https://x.example/tickets/1"
+        offer = props["offers"][0].node.properties
+        assert offer["price"][0].raw == "12.50"
+        rating = props["aggregateRating"][0].node.properties
+        assert rating["ratingValue"][0].raw == "4"
+
+    # one end tag, or the page end, closes several properties at once
+    @pytest.mark.parametrize("end", [b"</div>", b""])
+    def test_a_property_is_added_at_its_close(self, end):
+        html = (b'<div itemscope itemtype="https://schema.org/Event">'
+                b'<a itemprop="url" href="/u"><span itemprop="name">n</span>'
+                b'</a><p itemprop="description">d<b itemprop="about">a'
+                b'<i itemprop="subEvent" itemscope>' + end)
+        root = a.parse_annotation(blocks_of(html)[0])[0].roots[0]
+        assert list(root.properties) == ["name", "url", "subEvent", "about",
+                                         "description"]
+        assert root.properties["description"][0].raw == "da"
+
+    def test_a_base_after_the_item_resolves_its_urls(self):
+        html = (b'<div itemscope itemtype="https://schema.org/Event" '
+                b'itemid="#e"><a itemprop="url" href="u">x</a></div>'
+                b'<base href="https://b.example/d/">')
+        root = a.parse_annotation(blocks_of(html)[0])[0].roots[0]
+        assert root.identifier == "https://b.example/d/#e"
+        assert root.properties["url"][0].raw == "https://b.example/d/u"
+
+    def test_hidden_text_is_no_part_of_a_property(self):
+        html = (b'<div itemscope itemtype="https://schema.org/Event">'
+                b'<p itemprop="description"> a <script>s</script><style>t'
+                b'</style><template>u<b itemprop="name">v</b></template>'
+                b'</p></div>')
+        props = a.parse_annotation(blocks_of(html)[0])[0].roots[0].properties
+        assert props["description"][0].raw == "a"
+        assert props["name"][0].raw == "v"
 
     def test_content_attribute_beats_text(self):
         html = (b'<div itemscope itemtype="https://schema.org/Event">'

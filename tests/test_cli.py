@@ -247,6 +247,12 @@ class TestRobustness:
         report = json.loads(capsysbinary.readouterr().out)
         assert (code, report["entries"]) == (0, [])
 
+    def test_object_data_is_a_url(self, capsysbinary):
+        probe = FIXTURES / "probes" / "microdata_value_elements.html"
+        code = cli.main(["verify", str(probe)])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert (code, report["entries"]) == (0, [])
+
     @pytest.mark.parametrize("probe", ["relative_link.html",
                                        "utf8_bom_page.html",
                                        "latin1_meta_charset.html"])

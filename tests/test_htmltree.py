@@ -1,7 +1,6 @@
 """The one-pass page parser and its built-in tokenizer, checked against the
 interpreter's ``html.parser`` driving the same builder."""
 
-import html.parser
 from pathlib import Path
 
 import pytest
@@ -9,43 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdocheck import htmltree
 
-from helpers import stdlib_document
+from helpers import flat_item, stdlib_document, stdlib_is_the_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted(p for p in (ROOT / "tests" / "fixtures").rglob("*")
                   if p.is_file())
 
-# htmltree copies Python 3.11's patterns; an interpreter whose html.parser
-# reads markup by other rules is no oracle for it
-_PINNED = {
-    html.parser.tagfind_tolerant: htmltree._TAGFIND_RE,
-    html.parser.attrfind_tolerant: htmltree._ATTRFIND_RE,
-    html.parser.locatestarttagend_tolerant: htmltree._LOCATESTARTTAGEND_RE,
-    html.parser.endtagfind: htmltree._ENDTAGFIND_RE,
-    html.parser.commentclose: htmltree._COMMENTCLOSE_RE,
-}
-stdlib_is_the_oracle = pytest.mark.skipif(
-    any(ours.pattern != theirs.pattern for theirs, ours in _PINNED.items()),
-    reason="this interpreter's html.parser is not Python 3.11's")
-
-
-def _flat(element):
-    """An element's subtree as a flat list, walked without recursion, so
-    that subtrees 1,200 items deep compare too."""
-    out, stack = [], [element]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, htmltree.Element):
-            out.append((item.tag, item.attrs))
-            stack.append(None)  # the element's close
-            stack.extend(reversed(item.children))
-        else:
-            out.append(item)
-    return out
-
-
 def _recorded(document):
-    return ([_flat(e) for e in document.scripts + document.items],
+    return (document.scripts, [flat_item(item) for item in document.items],
             document.text, document.links, document.base_href)
 
 
@@ -88,8 +58,8 @@ def test_tag_soup_reads_as_the_stdlib_tokenizer_reads_it(page):
     _same_as_stdlib(page)
 
 
-# start tags of every quoting and spacing, inside an item, whose subtree
-# keeps each element's attributes
+# start tags of every quoting and spacing, inside an item, where property
+# values and links show what each attribute was read as
 _SPACE = st.sampled_from([" ", "\n", "\t ", "\x0b", ""])
 _VALUE = st.sampled_from(["", "x", "a/b", "x/", "1&amp;2", "a b", "'", '"',
                           ">", "https://schema.org/Event"])
@@ -97,7 +67,8 @@ _ATTRIBUTE = st.builds(
     lambda name, space, quote, value: (
         name if quote is None
         else f"{name}{space}={space}{quote}{value}{quote}"),
-    st.sampled_from(["b", "B", "itemprop", "href", "data-x", "x:y", "a\"b"]),
+    st.sampled_from(["b", "B", "itemprop", "content", "href", "data-x",
+                     "x:y", "a\"b"]),
     _SPACE, st.none() | st.sampled_from(['"', "'", ""]), _VALUE)
 _START_TAG = st.builds(
     lambda name, attrs, space, close: (

@@ -12,8 +12,8 @@ from sdocheck.annotation import extract_annotation_blocks
 from sdocheck.content import ValidationConfig, extract_page_content
 from sdocheck.htmltree import parse_html
 
-from helpers import (oracle_blocks, oracle_page_content,
-                     oracle_text_and_urls)
+from helpers import (flat_blocks, oracle_blocks, oracle_page_content,
+                     oracle_text_and_urls, stdlib_is_the_oracle)
 
 ROOT = Path(__file__).resolve().parent.parent
 BASE = "https://x.example/page"
@@ -82,7 +82,8 @@ URLISH = (st.sampled_from(["http://[", "http://[oops", "http://[::1]/x",
           | st.text(alphabet="[]:/.#?ahtps x", max_size=12))
 ATTRIBUTES = st.lists(st.tuples(
     st.sampled_from(["itemscope", "itemprop", "itemid", "itemtype", "href",
-                     "src", "content", "datetime", "itemref", "type"]),
+                     "src", "content", "datetime", "itemref", "type",
+                     "value", "data"]),
     st.none() | URLISH | st.sampled_from(["name", "url", "subEvent", "@type",
                                           "startDate", "application/ld+json"]),
 ), max_size=4)
@@ -109,6 +110,13 @@ RAW_MARKUP = st.sampled_from([
     # raw text, stray end tags, declarations, comments
     '<script type="application/ld+json">{}</SCRIPT >', "<script>", "</>",
     '</a x=">">', "<!doctype html>", "<?xml ?>", "<!-- a -- >",
+    # properties: one valued by an attribute with a property inside, a void
+    # one, text with a script and a style in it, an item before the <base>
+    '<a itemprop="url" href="/u"><span itemprop="name">n</span></a>',
+    '<img itemprop="image" src="i.png">',
+    '<span itemprop="name"> a<script>b</script>c<style>d</style>e\n</span>',
+    '<div itemscope itemid="i"><a itemprop="url" href="u">x</a></div>'
+    '<base href="https://b.example/d/">',
 ]) | st.text(max_size=8)
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
@@ -149,7 +157,8 @@ HTML_NODES = st.recursive(
     lambda children: st.builds(
         _element,
         st.sampled_from(["div", "span", "a", "img", "link", "meta", "time",
-                         "base", "p", "template", "style", "br", "li"]),
+                         "base", "p", "template", "style", "br", "li",
+                         "data", "meter", "object"]),
         ATTRIBUTES, st.lists(children, max_size=4),
         st.sampled_from(_ATTRIBUTE_FORMS), st.booleans()),
     max_leaves=20)
@@ -169,6 +178,7 @@ def test_random_pages_get_a_report(vocab, page):
     check_every_way(vocab, page.encode())
 
 
+@stdlib_is_the_oracle
 @settings(max_examples=150)
 @given(PAGES)
 @example('<p><a href="a">x</a><base href="https://b.example/d/">'
@@ -178,8 +188,8 @@ def test_one_read_of_a_page_matches_a_full_tree_walk(page):
     """The blocks and pools that one parse records are those that walks of
     the page's full tree find."""
     document = parse_html(page.encode())
-    assert extract_annotation_blocks(document, BASE) == oracle_blocks(page,
-                                                                      BASE)
+    assert (flat_blocks(extract_annotation_blocks(document, BASE))
+            == flat_blocks(oracle_blocks(page, BASE)))
     assert document.text == oracle_text_and_urls(page, BASE)[0]
     assert extract_page_content(document, BASE) == oracle_page_content(page,
                                                                        BASE)

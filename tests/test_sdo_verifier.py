@@ -39,6 +39,22 @@ class TestCheckFamilies:
         findings = verify(block, vocab)
         assert [(f.code, f.path) for f in findings] == [("E201", "$0")]
 
+    # only a class or an enumeration names a type; names are case-sensitive
+    @pytest.mark.parametrize("name", ["Date", "InStock", "startDate",
+                                      "event"])
+    def test_a_term_that_is_no_class_is_an_unknown_type(self, vocab, name):
+        findings = verify({**COMPLIANT_EVENT, "@type": name}, vocab)
+        assert ("E201", "$0") in [(f.code, f.path) for f in findings]
+
+    def test_an_enumeration_names_a_type(self, vocab):
+        block = {"@type": "ItemAvailability", "name": "In stock"}
+        assert "E201" not in [f.code for f in verify(block, vocab)]
+
+    @pytest.mark.parametrize("name", ["Place", "Date", "InStock"])
+    def test_a_term_that_is_no_property_is_unknown(self, vocab, name):
+        findings = verify({**COMPLIANT_EVENT, name: "x"}, vocab)
+        assert [(f.code, f.path) for f in findings] == [("E202", f"$0.{name}")]
+
     def test_unknown_property(self, vocab):
         block = {**COMPLIANT_EVENT, "nmae": "typo"}
         findings = verify(block, vocab)

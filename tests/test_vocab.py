@@ -90,22 +90,6 @@ class TestLoading:
 
 
 class TestLookup:
-    @pytest.mark.parametrize("name,kind", [
-        ("Event", v.TermKind.CLASS),
-        ("startDate", v.TermKind.PROPERTY),
-        ("ItemAvailability", v.TermKind.ENUMERATION),
-        ("InStock", v.TermKind.ENUMERATION_MEMBER),
-        ("Date", v.TermKind.DATATYPE),
-        ("Hotell", v.TermKind.UNKNOWN),
-        ("", v.TermKind.UNKNOWN),
-        ("event", v.TermKind.UNKNOWN),  # lookup is case-sensitive
-    ])
-    def test_lookup_kinds(self, vocab, name, kind):
-        assert v.lookup_term(vocab, name) is kind
-
-    def test_lookup_is_pure(self, vocab):
-        assert v.lookup_term(vocab, "Event") is v.lookup_term(vocab, "Event")
-
     def test_namespace_prefixes_strip(self):
         assert v.strip_namespace("https://schema.org/Event") == "Event"
         assert v.strip_namespace("http://schema.org/Event") == "Event"
