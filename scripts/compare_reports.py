@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Check that the checkout's reports are byte-identical to another revision's.
+
+    python scripts/compare_reports.py <rev>
+
+The checkout's ``src/`` and ``<rev>``'s ``src/`` (read with ``git archive``)
+each run every command in ``COMMANDS`` on every file under
+``tests/fixtures/`` but the goldens, and on seeds 1-2 of the three benchmark
+corpora, which ``perfbench/corpus.py`` writes to a temporary directory.
+Every run is a fresh interpreter started from the repository root, so the
+report targets and ``file:`` URLs are the same on both sides.  The script
+prints the number of runs and each run whose stdout, stderr or exit code
+differs, and exits 1 if any does (2 if ``<rev>`` cannot be read).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+JOBS = 2  # runs at a time; each side of a run is one interpreter
+
+sys.dont_write_bytecode = True  # import the corpus without touching perfbench/
+sys.path.insert(0, str(REPO / "perfbench"))
+import corpus  # noqa: E402
+
+# the shipped constraint documents, as absolute paths
+DS_FILES = {name: str(REPO / path) for name, path in corpus.DS_FILES.items()}
+COMMANDS = (("verify",), ("verify", "--ds", DS_FILES["event"]), ("validate",),
+            *(("validate", "--ds", path) for path in DS_FILES.values()),
+            ("extract",))
+
+
+def inputs(corpus_dir: Path) -> list[str]:
+    """The fixtures, relative to the repository root, then the corpus
+    files that this writes under ``corpus_dir``."""
+    fixtures = REPO / "tests" / "fixtures"
+    paths = sorted(p.relative_to(REPO).as_posix() for p in fixtures.rglob("*")
+                   if p.is_file() and "golden" not in p.parts)
+    for workload, build in sorted(corpus.WORKLOADS.items()):
+        for seed in SEEDS:
+            directory = corpus_dir / f"{workload}-{seed}"
+            built = build(seed)
+            built.write(directory)
+            paths.extend(str(directory / inp.name) for inp in built.inputs)
+    return paths
+
+
+def run(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    done = subprocess.run([sys.executable, "-m", "sdocheck", *argv],
+                          cwd=REPO, capture_output=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return done.stdout, done.stderr, done.returncode
+
+
+def differences(argv: list[str], ours: Path, theirs: Path) -> list[str]:
+    """What differs between the two sides' runs of ``argv``."""
+    before, after = run(theirs, argv), run(ours, argv)
+    out = [name for name, old, new in zip(("stdout", "stderr"), before, after)
+           if old != new]
+    if before[2] != after[2]:
+        out.append(f"exit {before[2]} -> {after[2]}")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rev", help="the git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
+        theirs = Path(tmp) / "rev"
+        theirs.mkdir()
+        archive = subprocess.run(["git", "archive", args.rev, "src"],
+                                 cwd=REPO, capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(errors="replace").strip(),
+                  file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(theirs)], input=archive.stdout,
+                       check=True)
+        runs = [[command[0], path, *command[1:]]
+                for path in inputs(Path(tmp) / "corpus")
+                for command in COMMANDS]
+        with ThreadPoolExecutor(JOBS) as pool:
+            found = list(pool.map(
+                lambda run_argv: differences(run_argv, REPO / "src",
+                                             theirs / "src"), runs))
+    differing = 0
+    for run_argv, what in zip(runs, found):
+        if what:
+            differing += 1
+            print(f"differs ({', '.join(what)}): sdocheck {' '.join(run_argv)}")
+    print(f"{len(runs)} runs against {args.rev}: "
+          f"{len(runs) - differing} byte-identical, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

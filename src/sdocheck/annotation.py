@@ -53,9 +53,6 @@ _TIME_RE = re.compile(r"^\d{2}:\d{2}(?::\d{2}(?:\.\d+)?)?(?:Z|[+-]\d{2}:?\d{2})?
 _TEMPORAL_FORMS = ((_DATE_RE, "Date"), (_DATETIME_RE, "DateTime"),
                    (_TIME_RE, "Time"))
 
-_PATH_STEP_RE = re.compile(r"\.([^.\[\]]+)(?:\[(\d+)\])?")
-PATH_GRAMMAR_RE = re.compile(r"^\$\d+(?:\.[^.\[\]]+(?:\[\d+\])?)*$")
-
 
 class SourceFormat(enum.Enum):
     JSON_LD = "json-ld"
@@ -478,29 +475,3 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
             return True
     builder.warn("unsupported @context form; block skipped")
     return False
-
-
-def resolve_path(graph: AnnotationGraph, rendered: str):
-    """Follow a rendered path; returns the AnnotationNode or PropertyValue
-    it designates.  Raises KeyError when the path does not resolve."""
-    match = re.match(r"^\$(\d+)", rendered)
-    if not match:
-        raise KeyError(f"bad path: {rendered!r}")
-    node = next((r for r in graph.roots if r.path == match.group()), None)
-    if node is None:
-        raise KeyError(f"no root {match.group(1)} in graph")
-    rest = rendered[match.end():]
-    steps = _PATH_STEP_RE.findall(rest)
-    if "".join(f".{p}" + (f"[{i}]" if i else "") for p, i in steps) != rest:
-        raise KeyError(f"bad path: {rendered!r}")
-    current: PropertyValue | AnnotationNode = node
-    for prop, index in steps:
-        if isinstance(current, Entity):
-            current = current.node
-        if not isinstance(current, AnnotationNode):
-            raise KeyError(f"path {rendered!r} descends into a non-entity")
-        values = current.properties.get(prop)
-        if not values:
-            raise KeyError(f"path {rendered!r}: no property {prop!r}")
-        current = values[int(index) if index else 0]
-    return current

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from typing import BinaryIO, NamedTuple
 
-from .annotation import AnnotationGraph, AnnotationNode, Entity, PropertyValue
+from .annotation import AnnotationGraph, AnnotationNode, Entity
 from .report import ReportEntry, make_entry
 from .sdo_verifier import value_fits_range
 from .vocab import VocabularyGraph, is_subclass_of, strip_namespace
@@ -191,18 +191,17 @@ def _load_range_node(raw, vocab: VocabularyGraph, where: str) -> RangeNode:
 def match_target(ds: DomainSpecification, graph: AnnotationGraph,
                  vocab: VocabularyGraph) -> list[int]:
     """Indices of roots whose type matches (or specializes) a target type."""
-    out = []
-    for i, root in enumerate(graph.roots):
-        if _node_matches_targets(root, ds.root.target_types, vocab):
-            out.append(i)
-    return out
+    targets = ds.root.target_types
+    return [i for i, root in enumerate(graph.roots)
+            if any(is_subclass_of(vocab, t, target)
+                   for t in root.types if t in vocab.classes
+                   for target in targets)]
 
 
-def _node_matches_targets(node: AnnotationNode, targets: tuple[str, ...],
-                          vocab: VocabularyGraph) -> bool:
-    class_types = [t for t in node.types if t in vocab.classes]
-    return any(is_subclass_of(vocab, t, target)
-               for t in class_types for target in targets)
+# a (node, type node) pair, by identity: the key of the findings memo
+_Pair = tuple[int, int]
+# a finding, with the pair whose findings explain it when it is an E305
+_Failure = tuple[ReportEntry, _Pair | None]
 
 
 def verify_against_ds(graph: AnnotationGraph, ds: DomainSpecification,
@@ -211,8 +210,9 @@ def verify_against_ds(graph: AnnotationGraph, ds: DomainSpecification,
 
     Codes: E301 no root matches at all, E302 missing mandatory property,
     E303 cardinality, E304 value fits no declared range, E305 a value
-    class-matches a nested type node but breaks its constraints (the nested
-    findings follow at their own paths).
+    class-matches a nested type node but breaks its constraints.  Each
+    (node, type node) pair is checked once, and a pair's nested findings
+    follow the first E305 that the report keeps, at their own paths.
     """
     matching = match_target(ds, graph, vocab)
     if not matching:
@@ -220,88 +220,74 @@ def verify_against_ds(graph: AnnotationGraph, ds: DomainSpecification,
         return [make_entry("E301", "$",
                            f"no annotation root is of target type {targets}")]
     findings: list[ReportEntry] = []
-    memo: dict[tuple[int, int], str] = {}
+    memo: dict[_Pair, list[_Failure]] = {}
+    reported: set[_Pair] = set()
     for index in matching:
-        findings.extend(_check_type_node(graph.roots[index], ds.root,
-                                         vocab, memo))
+        root = graph.roots[index]
+        _failures(root, ds.root, vocab, memo)
+        _report((id(root), id(ds.root)), memo, reported, findings)
     findings.sort(key=lambda e: (e.path, e.code))
     return findings
 
 
-def _check_type_node(node: AnnotationNode, tnode: TypeNode,
-                     vocab: VocabularyGraph,
-                     memo: dict[tuple[int, int], str]) -> list[ReportEntry]:
-    # memo states: "in-progress" breaks identifier cycles (assume compliant);
-    # "pass"/"fail" stop a shared node from being re-checked and re-reported
+def _failures(node: AnnotationNode, tnode: TypeNode, vocab: VocabularyGraph,
+              memo: dict[_Pair, list[_Failure]]) -> list[_Failure]:
+    """The pair's own findings in property order, computed once per pair."""
     key = (id(node), id(tnode))
     if key in memo:
-        return []
-    memo[key] = "in-progress"
-    findings: list[ReportEntry] = []
+        return memo[key]
+    memo[key] = []  # in progress: an identifier cycle counts as compliant
+    failures: list[_Failure] = []
     for pnode in tnode.properties:
         values = node.properties.get(pnode.name, [])
         prop_path = f"{node.path}.{pnode.name}"
         if not values:
             if not pnode.is_optional:
-                findings.append(make_entry(
+                failures.append((make_entry(
                     "E302", prop_path,
-                    f"mandatory property {pnode.name!r} is missing"))
+                    f"mandatory property {pnode.name!r} is missing"), None))
             continue
         if len(values) > 1 and not pnode.multiple_values_allowed:
-            findings.append(make_entry(
+            failures.append((make_entry(
                 "E303", prop_path,
                 f"{len(values)} values of {pnode.name!r} where only one "
-                "is allowed"))
+                "is allowed"), None))
         for value in values:
-            clean, nested_failure = _match_ranges(value, pnode.ranges,
-                                                  vocab, memo)
-            if clean:
-                continue
-            if nested_failure is None:
-                findings.append(make_entry(
-                    "E304", value.path,
-                    f"value conforms to no declared range of {pnode.name!r} "
-                    f"({_range_names(pnode.ranges)})"))
+            broken = None  # the first range whose nested node it breaks
+            for range_node in pnode.ranges:
+                if not value_fits_range(vocab, value, range_node.name):
+                    continue
+                if range_node.node is None or not isinstance(value, Entity):
+                    break
+                if not _failures(value.node, range_node.node, vocab, memo):
+                    break
+                if broken is None:
+                    broken = range_node
             else:
-                class_name, nested_findings = nested_failure
-                findings.append(make_entry(
-                    "E305", value.path,
-                    f"value matches type {class_name!r} but fails its nested "
-                    f"constraints"))
-                findings.extend(nested_findings)
-    memo[key] = "fail" if findings else "pass"
-    return findings
+                if broken is None:
+                    names = ", ".join(r.name for r in pnode.ranges)
+                    failures.append((make_entry(
+                        "E304", value.path,
+                        f"value conforms to no declared range of "
+                        f"{pnode.name!r} ({names})"), None))
+                else:
+                    failures.append((make_entry(
+                        "E305", value.path,
+                        f"value matches type {broken.name!r} but fails its "
+                        "nested constraints"),
+                        (id(value.node), id(broken.node))))
+    memo[key] = failures
+    return failures
 
 
-def _range_names(ranges: tuple[RangeNode, ...]) -> str:
-    return ", ".join(r.name for r in ranges)
-
-
-def _match_ranges(value: PropertyValue, ranges: tuple[RangeNode, ...],
-                  vocab: VocabularyGraph, memo: dict[tuple[int, int], str],
-                  ) -> tuple[bool, tuple[str, list[ReportEntry]] | None]:
-    """(cleanly matched, first nested failure) over the declared ranges."""
-    nested_failure: tuple[str, list[ReportEntry]] | None = None
-    for range_node in ranges:
-        outcome = _match_one_range(value, range_node, vocab, memo)
-        if outcome == "clean":
-            return True, None
-        if isinstance(outcome, list) and nested_failure is None:
-            nested_failure = (range_node.name, outcome)
-    return False, nested_failure
-
-
-def _match_one_range(value: PropertyValue, range_node: RangeNode,
-                     vocab: VocabularyGraph, memo: dict[tuple[int, int], str]):
-    """Returns "clean", "no", or the nested findings list on a class match
-    that breaks its nested type node."""
-    if not value_fits_range(vocab, value, range_node.name):
-        return "no"
-    if range_node.node is None or not isinstance(value, Entity):
-        return "clean"
-    nested = _check_type_node(value.node, range_node.node, vocab, memo)
-    if nested:
-        return nested
-    if memo.get((id(value.node), id(range_node.node))) == "fail":
-        return []  # shared node: findings already reported once, still a failure
-    return "clean"
+def _report(key: _Pair, memo: dict[_Pair, list[_Failure]],
+            reported: set[_Pair], out: list[ReportEntry]) -> None:
+    """Append the pair's findings, each E305 followed by its nested pair's;
+    a pair already reported adds nothing."""
+    if key in reported:
+        return
+    reported.add(key)
+    for entry, nested in memo[key]:
+        out.append(entry)
+        if nested is not None:
+            _report(nested, memo, reported, out)

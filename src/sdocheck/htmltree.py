@@ -45,6 +45,11 @@ BLOCK_ELEMENTS = frozenset({
     "th", "thead", "title", "tr", "ul",
 })
 
+# the byte order marks that WHATWG HTML sniffs before any declared
+# encoding, with the codec each one selects
+_BOMS = ((codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_LE, "utf-16-le"),
+         (codecs.BOM_UTF16_BE, "utf-16-be"))
+
 # the charset a <meta charset> or <meta http-equiv="Content-Type"> names
 _META_CHARSET_RE = re.compile(
     rb"""<meta\s[^>]*?charset\s*=\s*["']?\s*([\w.:-]+)""", re.IGNORECASE)
@@ -525,15 +530,17 @@ class _TreeBuilder:
 
 
 def decode_html(data: bytes, charset: str | None = None) -> str:
-    """A page's text, decoded in the WHATWG order.  A UTF-8 byte order mark
-    means UTF-8.  Otherwise ``charset``, the HTTP ``Content-Type`` charset,
-    names the encoding when it is a label of the WHATWG table or of UTF-8;
-    any other label is ignored.  Otherwise the first ``<meta charset>`` or
-    ``<meta http-equiv="Content-Type" content="...; charset=...">`` within
-    the first 1,024 bytes names it, read through the same table.  Otherwise
-    UTF-8.  Bytes that do not decode become U+FFFD."""
-    if data.startswith(codecs.BOM_UTF8):
-        return data[3:].decode("utf-8", errors="replace")
+    """A page's text, decoded in the WHATWG order.  A byte order mark of
+    UTF-8, UTF-16LE or UTF-16BE names the encoding.  Otherwise ``charset``,
+    the HTTP ``Content-Type`` charset, names the encoding when it is a label
+    of the WHATWG table or of UTF-8; any other label is ignored.  Otherwise
+    the first ``<meta charset>`` or ``<meta http-equiv="Content-Type"
+    content="...; charset=...">`` within the first 1,024 bytes names it,
+    read through the same table.  Otherwise UTF-8.  Bytes that do not
+    decode become U+FFFD."""
+    for bom, codec in _BOMS:
+        if data.startswith(bom):
+            return data[len(bom):].decode(codec, errors="replace")
     label = (charset or "").strip().lower()
     if label not in _CHARSET_CODECS and label not in _UTF8_LABELS:
         match = _META_CHARSET_RE.search(data, 0, 1024)

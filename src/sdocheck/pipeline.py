@@ -8,13 +8,8 @@ ValidationConfig, the page-content scoring, and merge their findings.
 
 from __future__ import annotations
 
-import re
-
 from . import annotation, content, ds, htmltree, report, sdo_verifier
 from .vocab import VocabularyGraph
-
-
-_PAGE_START_RE = re.compile(rb"(?:\xef\xbb\xbf)?\s*<")
 
 
 class NotAPageError(ValueError):
@@ -24,18 +19,20 @@ class NotAPageError(ValueError):
 def parse(data: bytes, base_url: str, charset: str | None = None):
     """Parse one input into ``(page, blocks)``.
 
-    Input whose first non-space byte, after any UTF-8 byte order mark, is
-    ``<`` is an HTML page: ``page`` is what its one parse recorded
+    Input whose text, decoded as a page, starts with ``<`` after ASCII
+    whitespace is an HTML page: ``page`` is what its one parse recorded
     (``htmltree.Document``) and the blocks are the page's annotation
-    blocks.  Anything else is one standalone JSON-LD
-    block and ``page`` is None.  ``blocks`` yields ``(block, graph,
-    findings)`` in block order, parsing each block when it is asked for, so
-    a caller that checks one block at a time holds one graph at a time.
-    Roots are numbered across blocks, so every path in one input is unique.
+    blocks.  Anything else is one standalone JSON-LD block and ``page`` is
+    None.  ``blocks`` yields ``(block, graph, findings)`` in block order,
+    parsing each block when it is asked for, so a caller that checks one
+    block at a time holds one graph at a time.  Roots are numbered across
+    blocks, so every path in one input is unique.
     ``charset``, the HTTP ``Content-Type`` charset, helps decode a page.
     """
-    if _PAGE_START_RE.match(data):
-        page = htmltree.parse_html(data, charset)
+    text = htmltree.decode_html(data, charset)
+    # ASCII whitespace, vertical tab included
+    if text.lstrip(" \t\n\x0b\x0c\r").startswith("<"):
+        page = htmltree.parse_html(text)
         raw_blocks = annotation.extract_annotation_blocks(page, base_url)
     else:
         page = None

@@ -1,9 +1,11 @@
-"""Shared test utilities: graph fingerprints, quick parse wrappers, a
-full-tree page reader that serves as an oracle for the one-pass parse, and
-the stdlib tokenizer that serves as an oracle for the built-in one."""
+"""Shared test utilities: graph fingerprints, quick parse wrappers, the
+grammar and resolution of rendered paths, a full-tree page reader that
+serves as an oracle for the one-pass parse, and the stdlib tokenizer that
+serves as an oracle for the built-in one."""
 
 import html.parser
 import json
+import re
 from html.parser import HTMLParser
 
 import pytest
@@ -61,6 +63,39 @@ def graph_fingerprint(graph: AnnotationGraph):
 
 def codes_of(entries):
     return sorted(e.code for e in entries)
+
+
+# ---------------------------------------------------------------------------
+# rendered paths: ``$0.offers[1].price``
+
+_PATH_STEP_RE = re.compile(r"\.([^.\[\]]+)(?:\[(\d+)\])?")
+PATH_GRAMMAR_RE = re.compile(r"^\$\d+(?:\.[^.\[\]]+(?:\[\d+\])?)*$")
+
+
+def resolve_path(graph: AnnotationGraph, rendered: str):
+    """Follow a rendered path; returns the AnnotationNode or PropertyValue
+    it designates.  Raises KeyError when the path does not resolve."""
+    match = re.match(r"^\$(\d+)", rendered)
+    if not match:
+        raise KeyError(f"bad path: {rendered!r}")
+    node = next((r for r in graph.roots if r.path == match.group()), None)
+    if node is None:
+        raise KeyError(f"no root {match.group(1)} in graph")
+    rest = rendered[match.end():]
+    steps = _PATH_STEP_RE.findall(rest)
+    if "".join(f".{p}" + (f"[{i}]" if i else "") for p, i in steps) != rest:
+        raise KeyError(f"bad path: {rendered!r}")
+    current = node
+    for prop, index in steps:
+        if isinstance(current, Entity):
+            current = current.node
+        if not isinstance(current, AnnotationNode):
+            raise KeyError(f"path {rendered!r} descends into a non-entity")
+        values = current.properties.get(prop)
+        if not values:
+            raise KeyError(f"path {rendered!r}: no property {prop!r}")
+        current = values[int(index) if index else 0]
+    return current
 
 
 def flat_item(item: MicrodataItem) -> list:

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from sdocheck import annotation as a
 from sdocheck.htmltree import parse_html
-from helpers import graph_fingerprint, parse_jsonld
+from helpers import (PATH_GRAMMAR_RE, graph_fingerprint, parse_jsonld,
+                     resolve_path)
 
 PROBES = Path(__file__).parent / "fixtures" / "probes"
 
@@ -458,17 +459,17 @@ def test_every_rendered_path_matches_grammar_and_resolves(obj):
     assert graph is not None
 
     def walk(node):
-        assert a.PATH_GRAMMAR_RE.match(node.path)
+        assert PATH_GRAMMAR_RE.match(node.path)
         for values in node.properties.values():
             for value in values:
                 rendered = value.path
-                assert a.PATH_GRAMMAR_RE.match(rendered)
-                assert a.resolve_path(graph, rendered) is value
+                assert PATH_GRAMMAR_RE.match(rendered)
+                assert resolve_path(graph, rendered) is value
                 if isinstance(value, a.Entity):
                     walk(value.node)
 
     for root in graph.roots:
-        assert a.resolve_path(graph, root.path) is root
+        assert resolve_path(graph, root.path) is root
         walk(root)
 
 

@@ -255,6 +255,7 @@ class TestRobustness:
 
     @pytest.mark.parametrize("probe", ["relative_link.html",
                                        "utf8_bom_page.html",
+                                       "utf16_bom_page.html",
                                        "latin1_meta_charset.html"])
     def test_page_probe_validates_clean(self, probe, capsysbinary):
         code = cli.main(["validate", str(FIXTURES / "probes" / probe)])
@@ -288,8 +289,14 @@ class TestRobustness:
         (" latin1 ", b"caf\xe9\x92", "caf\xe9\u2019"),
         ("no-such", b'<meta charset="iso-8859-1">caf\xe9', "caf\xe9"),
         ("iso-8859-1", b"\xef\xbb\xbfcaf\xc3\xa9", "caf\xe9"),
+        ("utf-8", '\ufeff<meta charset="iso-8859-1">caf\xe9'.encode(
+            "utf-16-le"), "caf\xe9"),
+        ("utf-8", '\ufeff<meta charset="iso-8859-1">caf\xe9'.encode(
+            "utf-16-be"), "caf\xe9"),
     ], ids=["http-over-meta", "utf-8-label", "latin1-as-windows-1252",
-            "unknown-label-ignored", "bom-over-http"])
+            "unknown-label-ignored", "bom-over-http",
+            "utf-16le-bom-over-http-and-meta",
+            "utf-16be-bom-over-http-and-meta"])
     def test_http_charset_comes_between_bom_and_meta(self, charset, data,
                                                      text):
         assert htmltree.decode_html(data, charset).endswith(text)
@@ -297,6 +304,19 @@ class TestRobustness:
     def test_byte_order_mark_wins_over_meta_charset(self):
         data = b'\xef\xbb\xbf<meta charset="iso-8859-1">' + "é".encode()
         assert htmltree.decode_html(data) == '<meta charset="iso-8859-1">é'
+
+    @pytest.mark.parametrize("codec", ["utf-16-le", "utf-16-be"])
+    def test_utf16_page_is_a_page(self, codec, tmp_path, capsysbinary):
+        page = (FIXTURES / "probes" / "utf16_bom_page.html").read_bytes()
+        path = tmp_path / "page.html"
+        path.write_bytes(("\ufeff" + page.decode("utf-16")).encode(codec))
+        assert cli.main(["verify", str(path)]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["entries"] == []
+        assert cli.main(["extract", str(path)]) == 0
+        block, = json.loads(capsysbinary.readouterr().out)
+        assert block["format"] == "microdata"
+        assert block["nodes"][0]["properties"]["name"][0]["raw"] == (
+            "Café Müller")
 
     def test_jsonld_file_may_start_with_a_byte_order_mark(
             self, tmp_path, capsysbinary):

@@ -294,3 +294,57 @@ class TestGeneratorRoundTrip:
         assert len(e302) == 1
         assert e302[0].path == f"{node_path}.{prop}"
         assert all(f.code in ("E302", "E305") for f in findings)
+
+
+ADDRESS_DS = {"name": "address", "root": {"targetTypes": ["Event"],
+    "properties": [{"name": "location", "multipleValuesAllowed": True,
+                    "ranges": [{"type": "Place", "node": {
+                        "targetTypes": ["Place"],
+                        "properties": [{"name": "address", "ranges": [
+                            {"type": "PostalAddress", "node": {
+                                "targetTypes": ["PostalAddress"],
+                                "properties": [{"name": "addressLocality",
+                                                "ranges": ["Text"]}]}}]}]}},
+                        "LocalBusiness"]}]}}
+SHARED_ADDRESS = {"@id": "#addr", "@type": "PostalAddress",
+                  "streetAddress": "Elm Street 1"}
+
+
+class TestNestedReporting:
+    """A pair's nested findings follow the first E305 the report keeps."""
+
+    def test_rescued_attempt_does_not_swallow_nested_findings(self, vocab):
+        # location[0] breaks the Place node through #addr, then fits the
+        # LocalBusiness range cleanly; location[1] breaks it for good
+        block = {"@context": "https://schema.org", "@type": "Event",
+                 "location": [
+                     {"@type": "LocalBusiness", "address": SHARED_ADDRESS},
+                     {"@type": "Place", "address": {"@id": "#addr"}}]}
+        findings = check(block, ADDRESS_DS, vocab)
+        assert [(f.code, f.path) for f in findings] == [
+            ("E302", "$0.location[0].address.addressLocality"),
+            ("E305", "$0.location[1]"),
+            ("E305", "$0.location[1].address")]
+
+    def test_shared_node_is_reported_once_across_roots(self, vocab):
+        place = {"@id": "#p", "@type": "Place", "telephone": "+43 1 234"}
+        block = json.dumps({"@context": "https://schema.org", "@graph": [
+            {**GOOD_EVENT, "location": place},
+            {**GOOD_EVENT, "location": {"@id": "#p"}}]})
+        findings = check(block, EVENT_DS, vocab)
+        assert [(f.code, f.path) for f in findings] == [
+            ("E305", "$0.location"), ("E302", "$0.location.name"),
+            ("E305", "$1.location")]
+
+    def test_shared_node_is_reported_once_within_a_root(self, vocab):
+        block = {"@context": "https://schema.org", "@type": "Event",
+                 "location": [
+                     {"@type": "Place", "address": SHARED_ADDRESS},
+                     {"@type": "Place", "address": {"@id": "#addr"}}]}
+        findings = check(block, ADDRESS_DS, vocab)
+        assert [(f.code, f.path) for f in findings] == [
+            ("E305", "$0.location[0]"),
+            ("E305", "$0.location[0].address"),
+            ("E302", "$0.location[0].address.addressLocality"),
+            ("E305", "$0.location[1]"),
+            ("E305", "$0.location[1].address")]

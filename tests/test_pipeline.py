@@ -1,5 +1,6 @@
 """The check pipeline shared by the CLI and library callers."""
 
+import codecs
 import json
 from html import escape
 from pathlib import Path
@@ -166,16 +167,42 @@ PAGES = st.lists(HTML_NODES, max_size=5).map(
     lambda nodes: "<html><body>" + "".join(nodes) + "</body></html>")
 
 
+# what random bytes may start with: nothing, markup, or a byte order mark
+# with or without markup after it
+BYTE_PREFIXES = st.sampled_from([
+    b"", b"<", codecs.BOM_UTF8, codecs.BOM_UTF8 + b"<", codecs.BOM_UTF16_LE,
+    codecs.BOM_UTF16_LE + b"<\x00", codecs.BOM_UTF16_BE,
+    codecs.BOM_UTF16_BE + b"\x00<"])
+# how a page is encoded: UTF-8 without a byte order mark, or one of the
+# encodings a byte order mark names
+PAGE_CODECS = st.sampled_from([None, "utf-8", "utf-16-le", "utf-16-be"])
+
+
+def encode_page(page: str, codec: str | None) -> bytes:
+    return page.encode() if codec is None else ("\ufeff" + page).encode(codec)
+
+
 @settings(max_examples=60)
-@given(st.binary(max_size=200) | st.binary(max_size=200).map(b"<".__add__))
+@given(st.builds(bytes.__add__, BYTE_PREFIXES, st.binary(max_size=200)))
 def test_random_bytes_get_a_report(vocab, data):
     check_every_way(vocab, data)
 
 
 @settings(max_examples=100)
-@given(PAGES)
-def test_random_pages_get_a_report(vocab, page):
-    check_every_way(vocab, page.encode())
+@given(PAGES, PAGE_CODECS)
+def test_random_pages_get_a_report(vocab, page, codec):
+    check_every_way(vocab, encode_page(page, codec))
+
+
+@settings(max_examples=40)
+@given(PAGES, PAGE_CODECS)
+def test_a_page_reports_the_same_in_every_encoding(vocab, page, codec):
+    config = ValidationConfig()
+    plain = pipeline.run(page.encode(), BASE, vocab, validate=config)
+    encoded = pipeline.run(encode_page(page, codec), BASE, vocab,
+                           validate=config)
+    assert (report.serialize_report(encoded)
+            == report.serialize_report(plain))
 
 
 @stdlib_is_the_oracle
