@@ -3,14 +3,17 @@
 
     python scripts/compare_reports.py <rev>
 
-The checkout's ``src/`` and ``<rev>``'s ``src/`` (read with ``git archive``)
-each run every command in ``COMMANDS`` on every file under
-``tests/fixtures/`` but the goldens, and on seeds 1-2 of the three benchmark
-corpora, which ``perfbench/corpus.py`` writes to a temporary directory.
-Every run is a fresh interpreter started from the repository root, so the
-report targets and ``file:`` URLs are the same on both sides.  The script
-prints the number of runs and each run whose stdout, stderr or exit code
-differs, and exits 1 if any does (2 if ``<rev>`` cannot be read).
+``<rev>``'s ``src/`` (read with ``git archive``) runs every command in
+``COMMANDS`` on every file under ``tests/fixtures/`` but the goldens, and on
+seeds 1-2 of the three benchmark corpora, which ``perfbench/corpus.py``
+writes to a temporary directory.  The checkout's ``src/`` runs each of them
+twice: on every CPU this script may use, where a page of many blocks is
+checked in parts, and pinned to one CPU, where every page is checked in one
+process.  Every run is a fresh interpreter started from the repository
+root, so the report targets and ``file:`` URLs are the same on every side.
+The script prints the number of runs and each run whose stdout, stderr or
+exit code differs from ``<rev>``'s on either side, and exits 1 if any does
+(2 if ``<rev>`` cannot be read).
 """
 
 from __future__ import annotations
@@ -53,20 +56,30 @@ def inputs(corpus_dir: Path) -> list[str]:
     return paths
 
 
-def run(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(src: Path, argv: list[str],
+        one_cpu: bool = False) -> tuple[bytes, bytes, int]:
     done = subprocess.run([sys.executable, "-m", "sdocheck", *argv],
                           cwd=REPO, capture_output=True, timeout=600,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=_pin_to_one_cpu if one_cpu else None)
     return done.stdout, done.stderr, done.returncode
 
 
 def differences(argv: list[str], ours: Path, theirs: Path) -> list[str]:
-    """What differs between the two sides' runs of ``argv``."""
-    before, after = run(theirs, argv), run(ours, argv)
-    out = [name for name, old, new in zip(("stdout", "stderr"), before, after)
-           if old != new]
-    if before[2] != after[2]:
-        out.append(f"exit {before[2]} -> {after[2]}")
+    """What differs between ``theirs``'s run of ``argv`` and ``ours``'s,
+    on every CPU and on one."""
+    before = run(theirs, argv)
+    out = []
+    for side, one_cpu in (("", False), ("one CPU: ", True)):
+        after = run(ours, argv, one_cpu)
+        out.extend(side + name for name, old, new
+                   in zip(("stdout", "stderr"), before, after) if old != new)
+        if before[2] != after[2]:
+            out.append(f"{side}exit {before[2]} -> {after[2]}")
     return out
 
 

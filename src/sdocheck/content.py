@@ -46,14 +46,25 @@ _MONTHS = {
 _ISO_DATE_RE = re.compile(r"(\d(?<!\d\d)\d{3})-(\d{2})-(\d{2})(?!\d)")
 _DOTTED_DATE_RE = re.compile(r"(\d(?<!\d\d)\d?)\.(\d{1,2})\.(\d{4})(?!\d)")
 _SLASHED_DATE_RE = re.compile(r"(\d(?<!\d\d)\d?)/(\d{1,2})/(\d{4})(?!\d)")
-_MONTH = r"(" + "|".join(sorted(_MONTHS, key=len, reverse=True)) + r")\.?"
-_DAY = r"(\d{1,2})(?:st|nd|rd|th)?"
-# month first ("July 10, 2026") or day first ("10 July 2026", "10th Jul 2026");
-# the lookahead tries the alternation only where a digit or month can start
-_MONTH_NAME_RE = re.compile(
-    rf"\b(?=[\dadfjmnos])"
-    rf"(?:{_MONTH}\s+{_DAY},?|{_DAY}\.?\s+{_MONTH},?)\s+(\d{{4}})\b",
-    re.IGNORECASE)
+_MONTH_NAMES = sorted(_MONTHS, key=len, reverse=True)
+_MONTH_INITIALS = sorted({name[0] for name in _MONTHS})
+# a month's name in ASCII letters of either case: Unicode case folding would
+# also take "ı" for "i" and "ſ" for "s", spellings that _MONTHS lacks
+_MONTH = r"((?ai:" + "|".join(_MONTH_NAMES) + r"))\.?"
+# month first ("July 10, 2026"): the pattern starts with a plain class of
+# the initials, so the engine tries it only where one stands; the
+# lookbehind after the initial stands for \b, and the one before each
+# group of names picks the names with that initial
+_MONTH_FIRST_RE = re.compile(
+    "([" + "".join(i + i.upper() for i in _MONTH_INITIALS)
+    + r"](?<!\w\w)(?ai:"
+    + "|".join(f"(?<={i})(?:"
+               + "|".join(n[1:] for n in _MONTH_NAMES if n[0] == i) + ")"
+               for i in _MONTH_INITIALS)
+    + r"))\.?\s+(\d{1,2})(?i:st|nd|rd|th)?,?\s+(\d{4})\b")
+# day first ("10 July 2026", "10th Jul 2026"), started by a digit as above
+_DAY_FIRST_RE = re.compile(
+    rf"(\d(?<!\w\d)\d?)(?i:st|nd|rd|th)?\.?\s+{_MONTH},?\s+(\d{{4}})\b")
 
 _RATING_PROPERTIES = frozenset({"ratingValue", "bestRating", "worstRating"})
 
@@ -202,10 +213,12 @@ def _extract_dates(text: str, date_order: str) -> set[date]:
             first, second, year = match.groups()
             day, month = (first, second) if date_order == "DMY" else (second, first)
             _add_date(found, year, month, day)
-    for match in _MONTH_NAME_RE.finditer(text):
-        name1, day1, day2, name2, year = match.groups()
-        month = _MONTHS[(name1 or name2).lower()]
-        _add_date(found, year, str(month), day1 or day2)
+    for match in _MONTH_FIRST_RE.finditer(text):
+        name, day, year = match.groups()
+        _add_date(found, year, str(_MONTHS[name.lower()]), day)
+    for match in _DAY_FIRST_RE.finditer(text):
+        day, name, year = match.groups()
+        _add_date(found, year, str(_MONTHS[name.lower()]), day)
     return found
 
 
@@ -384,14 +397,17 @@ def _calendar_date(value: Literal) -> date | None:
     return when.date() if isinstance(when, datetime) else when
 
 
-def aggregate_scores(items: list[ValueConsistency]) -> ScoreSummary:
-    checkable = [c for c in items if c.status is not MatchStatus.UNVERIFIABLE]
-    matched = sum(1 for c in checkable if c.status is MatchStatus.MATCHED)
-    unverifiable = len(items) - len(checkable)
+def aggregate_scores(scores: list[tuple[float, MatchStatus]]) -> ScoreSummary:
+    """The page score over the ``(score, status)`` of every value, in the
+    order the values were scored."""
+    checkable = [score for score, status in scores
+                 if status is not MatchStatus.UNVERIFIABLE]
+    matched = sum(1 for _, status in scores if status is MatchStatus.MATCHED)
+    unverifiable = len(scores) - len(checkable)
     if not checkable:
         return ScoreSummary(score=None, checked=0, matched=matched,
                             unverifiable=unverifiable)
-    mean = sum(c.score for c in checkable) / len(checkable)
+    mean = sum(checkable) / len(checkable)
     return ScoreSummary(score=mean, checked=len(checkable), matched=matched,
                         unverifiable=unverifiable)
 

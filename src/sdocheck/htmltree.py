@@ -116,6 +116,14 @@ _CHARSET_CODECS = {label: codec for codec, labels in (
               "ks_c_5601-1989 ksc5601 ksc_5601 windows-949"),
 ) for label in labels.split()}
 
+# the WHATWG Encoding Standard's labels of UTF-16LE and UTF-16BE, which only
+# the HTTP charset can name: a meta tag naming one of them means UTF-8
+_UTF16_CODECS = {label: codec for codec, labels in (
+    ("utf-16-le", "csunicode iso-10646-ucs-2 ucs-2 unicode unicodefeff "
+                  "utf-16 utf-16le"),
+    ("utf-16-be", "unicodefffe utf-16be"),
+) for label in labels.split()}
+
 
 class PageURL(str):
     """A link or media URL of a Microdata property as the page writes it.
@@ -533,15 +541,18 @@ def decode_html(data: bytes, charset: str | None = None) -> str:
     """A page's text, decoded in the WHATWG order.  A byte order mark of
     UTF-8, UTF-16LE or UTF-16BE names the encoding.  Otherwise ``charset``,
     the HTTP ``Content-Type`` charset, names the encoding when it is a label
-    of the WHATWG table or of UTF-8; any other label is ignored.  Otherwise
-    the first ``<meta charset>`` or ``<meta http-equiv="Content-Type"
-    content="...; charset=...">`` within the first 1,024 bytes names it,
-    read through the same table.  Otherwise UTF-8.  Bytes that do not
-    decode become U+FFFD."""
+    of the WHATWG table, of UTF-8, or of UTF-16LE or UTF-16BE; any other
+    label is ignored.  Otherwise the first ``<meta charset>`` or ``<meta
+    http-equiv="Content-Type" content="...; charset=...">`` within the
+    first 1,024 bytes names it, read through the same table, where UTF-16
+    means UTF-8.  Otherwise UTF-8.  Bytes that do not decode become
+    U+FFFD."""
     for bom, codec in _BOMS:
         if data.startswith(bom):
             return data[len(bom):].decode(codec, errors="replace")
     label = (charset or "").strip().lower()
+    if label in _UTF16_CODECS:
+        return data.decode(_UTF16_CODECS[label], errors="replace")
     if label not in _CHARSET_CODECS and label not in _UTF8_LABELS:
         match = _META_CHARSET_RE.search(data, 0, 1024)
         label = match.group(1).decode("ascii").lower() if match else ""

@@ -252,7 +252,7 @@ def test_criterion_6_hand_computed_oracles(vocab):
         c.consistency_of_value(Literal("true", "Boolean"), "petsAllowed",
                                page2, config),
     ]
-    summary = c.aggregate_scores(items)
+    summary = c.aggregate_scores([(i.score, i.status) for i in items])
     assert summary.score == pytest.approx(0.5)
     assert summary.checked == 2
     assert summary.matched == 1

@@ -293,10 +293,16 @@ class TestRobustness:
             "utf-16-le"), "caf\xe9"),
         ("utf-8", '\ufeff<meta charset="iso-8859-1">caf\xe9'.encode(
             "utf-16-be"), "caf\xe9"),
+        ("utf-16le", '<meta charset="utf-8">caf\xe9'.encode("utf-16-le"),
+         "caf\xe9"),
+        ("UTF-16", "<p>caf\xe9".encode("utf-16-le"), "caf\xe9"),
+        ("utf-16be", "<p>caf\xe9".encode("utf-16-be"), "caf\xe9"),
+        ("utf-16be", "\ufeff<p>caf\xe9".encode("utf-16-le"), "caf\xe9"),
     ], ids=["http-over-meta", "utf-8-label", "latin1-as-windows-1252",
             "unknown-label-ignored", "bom-over-http",
             "utf-16le-bom-over-http-and-meta",
-            "utf-16be-bom-over-http-and-meta"])
+            "utf-16be-bom-over-http-and-meta", "http-utf-16le-over-meta",
+            "http-utf-16-is-le", "http-utf-16be", "bom-over-http-utf-16"])
     def test_http_charset_comes_between_bom_and_meta(self, charset, data,
                                                      text):
         assert htmltree.decode_html(data, charset).endswith(text)

@@ -3,7 +3,7 @@ from datetime import date
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sdocheck import content as c
 from sdocheck.annotation import Literal, Reference
@@ -19,7 +19,8 @@ def page_from(html: str, base="https://x.example/",
 def score_graph(graph, page, vocab):
     """The content layer's entries and score for one graph."""
     items = c.collect_consistencies(graph, page, c.ValidationConfig(), vocab)
-    return c.consistency_entries(items), c.aggregate_scores(items)
+    return (c.consistency_entries(items),
+            c.aggregate_scores([(i.score, i.status) for i in items]))
 
 
 def literal(raw: str, datatype=None) -> Literal:
@@ -130,6 +131,40 @@ class TestDatePatterns:
         }
         for pattern, oracle in oracles.items():
             assert pattern.findall(text) == re.findall(oracle, text)
+
+    # the one month-name pattern that tried every position of the text
+    MONTH = r"(" + "|".join(sorted(c._MONTHS, key=len, reverse=True)) + r")\.?"
+    DAY = r"(\d{1,2})(?:st|nd|rd|th)?"
+    MONTH_NAME_ORACLE = re.compile(
+        rf"\b(?=[\dadfjmnos])"
+        rf"(?:{MONTH}\s+{DAY},?|{DAY}\.?\s+{MONTH},?)\s+(\d{{4}})\b",
+        re.IGNORECASE)
+
+    @given(st.lists(st.sampled_from(
+        ["July", "jul.", "SEPT", "Sep", "may", "Mayday", "Auguſt", "Aprıl",
+         "10", "1st", "2ND", "31th", "7.", "2026", "12026", "x", ",", ".",
+         " ", "\n", "\u0663"]), max_size=12).map("".join))
+    @example("Jul 10, 2026 and 3rd May 2026 or 10 July 2026")
+    def test_month_name_patterns_find_what_one_pattern_finds(self, text):
+        """The month-first and day-first patterns try only where an
+        initial or a digit stands; together they find the dates that one
+        pattern trying every position finds."""
+        found = {(name.lower(), day, year) for name, day, year
+                 in c._MONTH_FIRST_RE.findall(text)}
+        found |= {(name.lower(), day, year) for day, name, year
+                  in c._DAY_FIRST_RE.findall(text)}
+        # a name that is no month's once raised KeyError; now it is no date
+        expected = {((name1 or name2).lower(), day1 or day2, year)
+                    for name1, day1, day2, name2, year
+                    in self.MONTH_NAME_ORACLE.findall(text)
+                    if (name1 or name2).lower() in c._MONTHS}
+        assert found == expected
+
+    def test_unicode_folds_of_month_letters_are_no_month(self):
+        """"ı" and "ſ" fold to "i" and "s" but spell no month name; such a
+        page once stopped validation with a KeyError."""
+        page = page_from("<p>Aprıl 1, 2020 and 2 Auguſt 2021</p>")
+        assert page.dates == frozenset()
 
 
 class TestNumberPatterns:
@@ -252,7 +287,7 @@ class TestAggregation:
             c.consistency_of_value(literal("true"), "petsAllowed",
                                    page, config),
         ]
-        summary = c.aggregate_scores(items)
+        summary = c.aggregate_scores([(i.score, i.status) for i in items])
         assert summary.score == pytest.approx(0.5)
         assert summary.checked == 2
         assert summary.matched == 1

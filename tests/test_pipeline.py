@@ -2,13 +2,17 @@
 
 import codecs
 import json
+import os
+import signal
+import threading
+import traceback
 from html import escape
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdocheck import pipeline, report
+from sdocheck import ds, pipeline, report
 from sdocheck.annotation import extract_annotation_blocks
 from sdocheck.content import ValidationConfig, extract_page_content
 from sdocheck.htmltree import parse_html
@@ -40,6 +44,16 @@ def test_validate_needs_a_web_page(vocab):
                      validate=ValidationConfig())
 
 
+@pytest.mark.parametrize("codec, charset", [
+    ("utf-16-le", "utf-16le"), ("utf-16-le", "utf-16"),
+    ("utf-16-be", "utf-16be")])
+def test_utf16_named_only_by_the_http_charset_is_read(vocab, codec, charset):
+    page = ('<html><body><div itemscope itemtype="https://schema.org/Event">'
+            '<span itemprop="name">Gala</span></div></body></html>')
+    served = pipeline.run(page.encode(codec), BASE, vocab, charset=charset)
+    assert served.entries == pipeline.run(page.encode(), BASE, vocab).entries
+
+
 def test_roots_are_numbered_across_blocks():
     page = b"""<html><body>
     <div itemscope itemtype="https://schema.org/Place">
@@ -60,14 +74,15 @@ def test_roots_are_numbered_across_blocks():
 # end-to-end fuzzing: every input gets a report, under verify and validate
 
 
-def check_every_way(vocab, data: bytes) -> list[report.ReportEntry]:
-    """Run ``data`` through verify and validate; returns the verify
-    entries.  Raises on anything but a report or, for validate on an input
-    that is not a page, NotAPageError."""
-    verified = pipeline.run(data, BASE, vocab)
+def check_every_way(vocab, data: bytes,
+                    charset: str | None = None) -> list[report.ReportEntry]:
+    """Run ``data``, served with the HTTP ``charset``, through verify and
+    validate; returns the verify entries.  Raises on anything but a report
+    or, for validate on an input that is not a page, NotAPageError."""
+    verified = pipeline.run(data, BASE, vocab, charset=charset)
     report.serialize_report(verified)
     try:
-        validated = pipeline.run(data, BASE, vocab,
+        validated = pipeline.run(data, BASE, vocab, charset=charset,
                                  validate=ValidationConfig())
     except pipeline.NotAPageError:
         assert data.lstrip()[:1] != b"<"
@@ -173,13 +188,21 @@ BYTE_PREFIXES = st.sampled_from([
     b"", b"<", codecs.BOM_UTF8, codecs.BOM_UTF8 + b"<", codecs.BOM_UTF16_LE,
     codecs.BOM_UTF16_LE + b"<\x00", codecs.BOM_UTF16_BE,
     codecs.BOM_UTF16_BE + b"\x00<"])
-# how a page is encoded: UTF-8 without a byte order mark, or one of the
-# encodings a byte order mark names
-PAGE_CODECS = st.sampled_from([None, "utf-8", "utf-16-le", "utf-16-be"])
+# how a page is served, as (codec, byte order mark, HTTP charset): UTF-8
+# without a mark, the encodings a mark names, UTF-16 named only by the HTTP
+# charset, and a mark that overrides the HTTP charset
+PAGE_ENCODINGS = st.sampled_from([
+    ("utf-8", False, None), ("utf-8", True, None), ("utf-16-le", True, None),
+    ("utf-16-be", True, None), ("utf-16-le", False, "utf-16le"),
+    ("utf-16-le", False, "UTF-16"), ("utf-16-be", False, "utf-16be"),
+    ("utf-16-be", True, "utf-16le")])
 
 
-def encode_page(page: str, codec: str | None) -> bytes:
-    return page.encode() if codec is None else ("\ufeff" + page).encode(codec)
+def encode_page(page: str, encoding) -> tuple[bytes, str | None]:
+    """The bytes of ``page`` served as ``encoding`` says, and its HTTP
+    charset."""
+    codec, mark, charset = encoding
+    return ("\ufeff" * mark + page).encode(codec), charset
 
 
 @settings(max_examples=60)
@@ -189,18 +212,19 @@ def test_random_bytes_get_a_report(vocab, data):
 
 
 @settings(max_examples=100)
-@given(PAGES, PAGE_CODECS)
-def test_random_pages_get_a_report(vocab, page, codec):
-    check_every_way(vocab, encode_page(page, codec))
+@given(PAGES, PAGE_ENCODINGS)
+def test_random_pages_get_a_report(vocab, page, encoding):
+    check_every_way(vocab, *encode_page(page, encoding))
 
 
 @settings(max_examples=40)
-@given(PAGES, PAGE_CODECS)
-def test_a_page_reports_the_same_in_every_encoding(vocab, page, codec):
+@given(PAGES, PAGE_ENCODINGS)
+def test_a_page_reports_the_same_in_every_encoding(vocab, page, encoding):
     config = ValidationConfig()
+    data, charset = encode_page(page, encoding)
     plain = pipeline.run(page.encode(), BASE, vocab, validate=config)
-    encoded = pipeline.run(encode_page(page, codec), BASE, vocab,
-                           validate=config)
+    encoded = pipeline.run(data, BASE, vocab, validate=config,
+                           charset=charset)
     assert (report.serialize_report(encoded)
             == report.serialize_report(plain))
 
@@ -253,3 +277,153 @@ def test_deep_microdata_is_checked_to_its_deepest_path(vocab, depth):
     entries = check_every_way(vocab, page.encode())
     deepest = "$0" + ".subEvent" * (depth - 1) + ".nmae"
     assert ("E202", deepest) in [(e.code, e.path) for e in entries]
+
+
+# ---------------------------------------------------------------------------
+# a page checked in parts, one per CPU, reports what one process reports
+
+SPLIT_NAMES = st.sampled_from(["Gala", "Harbour Fair", "Quiet Night", ""])
+SPLIT_DATES = st.sampled_from(["2026-07-10", "2026-13-40", "10 July 2026"])
+
+
+def _jsonld(obj) -> str:
+    return f'<script type="application/ld+json">{json.dumps(obj)}</script>'
+
+
+SPLIT_BLOCKS = st.one_of(
+    # one root, with a misspelt property now and then
+    st.builds(lambda name, day, prop: _jsonld(
+        {"@context": "https://schema.org", "@type": "Event", "name": name,
+         "startDate": day, prop: "x"}),
+        SPLIT_NAMES, SPLIT_DATES, st.sampled_from(["url", "nmae"])),
+    # several roots in one @graph, sharing a node by @id
+    st.builds(lambda name, day, roots: _jsonld(
+        {"@context": "https://schema.org", "@graph": [
+            {"@type": "Place", "@id": "#p", "name": name},
+            *({"@type": "Event", "name": name, "startDate": day,
+               "location": {"@id": "#p"}} for _ in range(roots))]}),
+        SPLIT_NAMES, SPLIT_DATES, st.integers(1, 3)),
+    # no roots: E101, E102, and a context that skips the block (E103)
+    st.sampled_from([
+        '<script type="application/ld+json">{"@type": </script>',
+        _jsonld({"@context": "https://schema.org", "name": "untyped"}),
+        _jsonld({"@context": "https://x.example/", "@type": "Event"})]),
+    # E103 at "$" beside a root
+    st.builds(lambda name: _jsonld(
+        {"@context": "https://schema.org", "@type": "Event", "name": name,
+         "@reverse": {}}), SPLIT_NAMES),
+    # Microdata, with a nested item
+    st.builds(lambda name, day: (
+        '<div itemscope itemtype="https://schema.org/Event">'
+        f'<span itemprop="name">{escape(name)}</span>'
+        f'<time itemprop="startDate" datetime="{day}">{day}</time>'
+        '<div itemprop="location" itemscope '
+        'itemtype="https://schema.org/Place">'
+        f'<span itemprop="name">{escape(name)}</span></div></div>'),
+        SPLIT_NAMES, SPLIT_DATES),
+)
+SPLIT_PAGES = st.builds(
+    lambda blocks, shown: ("<html><body><p>" + " ".join(shown) + "</p>"
+                           + "".join(blocks) + "</body></html>").encode(),
+    st.lists(SPLIT_BLOCKS, min_size=2, max_size=30),
+    st.lists(st.sampled_from(["Gala", "Harbour", "July 10, 2026",
+                              "2026-07-10"]), max_size=4))
+
+
+@pytest.fixture(scope="module")
+def event_spec(vocab):
+    document = ROOT / "src" / "sdocheck" / "data" / "ds" / "event.json"
+    return ds.load_domain_specification(document.read_bytes(), vocab)
+
+
+def split_run(monkeypatch, k: int, *args, **kwargs):
+    """``pipeline.run`` with the page cut into ``k`` parts at most; k = 1
+    is the serial loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "MIN_BLOCKS", 1 if k > 1 else 10**9)
+        patch.setattr(pipeline, "_usable_cpus", lambda: k)
+        return pipeline.run(*args, **kwargs)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=30)
+@given(SPLIT_PAGES, st.sampled_from([2, 3]), st.booleans())
+def test_a_page_reports_the_same_in_parts(vocab, event_spec, page, k, strict):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        runs = [report.serialize_report(split_run(
+            monkeypatch, parts, page, BASE, vocab, spec=event_spec,
+            validate=ValidationConfig(), strict=strict))
+            for parts in (1, k)]
+    assert runs[1] == runs[0]
+    assert_no_child_left()
+
+
+def test_only_a_process_with_one_thread_forks():
+    assert pipeline._part_count(10**6) > 1 or pipeline._usable_cpus() == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert pipeline._part_count(10**6) == 1
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _boom_page(at: int) -> bytes:
+    blocks = [_jsonld({"@context": "https://schema.org", "@type": "Event",
+                       "name": f"E{i}"}) for i in range(6)]
+    blocks[at] = _jsonld({"@context": "https://schema.org", "@type": "Boom"})
+    return ("<html><body>" + "".join(blocks) + "</body></html>").encode()
+
+
+def _raise_on_boom(graph, vocab, strict=False):
+    if "Boom" in graph.roots[0].types:
+        raise RuntimeError(f"cannot check {graph.roots[0].path}")
+    return []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("at", [0, 1, 5])
+def test_a_crash_in_any_part_raises_as_the_serial_loop(vocab, monkeypatch, k,
+                                                       at):
+    """Block ``at`` crashes the vocabulary checks, in this process (block
+    0) or in a child: the split run raises the serial loop's exception,
+    with the same frames and no exception chained to it."""
+    monkeypatch.setattr(pipeline.sdo_verifier, "verify_schema_org",
+                        _raise_on_boom)
+    raised = []
+    for parts in (1, k):
+        with pytest.raises(RuntimeError) as caught:
+            split_run(monkeypatch, parts, _boom_page(at), BASE, vocab)
+        raised.append(caught.value)
+        assert_no_child_left()
+    assert str(raised[1]) == str(raised[0]) == f"cannot check ${at}"
+    serial, split = (traceback.extract_tb(exc.__traceback__)[1:]
+                     for exc in raised)
+    assert [(f.filename, f.lineno, f.name) for f in split] == [
+        (f.filename, f.lineno, f.name) for f in serial]
+    assert raised[1].__context__ is None
+
+
+def test_a_child_killed_by_a_signal_is_checked_again(vocab, monkeypatch):
+    parent = os.getpid()
+    verify = pipeline.sdo_verifier.verify_schema_org
+
+    def die_in_a_child(graph, vocab, strict=False):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return verify(graph, vocab, strict)
+
+    page = _boom_page(0).replace(b"Boom", b"Event")
+    serial = split_run(monkeypatch, 1, page, BASE, vocab)
+    monkeypatch.setattr(pipeline.sdo_verifier, "verify_schema_org",
+                        die_in_a_child)
+    split = split_run(monkeypatch, 3, page, BASE, vocab)
+    assert report.serialize_report(split) == report.serialize_report(serial)
+    assert_no_child_left()
