@@ -6,8 +6,9 @@ ValidationConfig, the page-content scoring, and merge their findings.
 ``parse`` is the first two steps, which ``sdocheck extract`` shares.
 
 One block's checks never read another block, so ``run`` checks a page of
-many blocks in parts, one per usable CPU, each part but the first in a
-forked child, and merges the parts into the report the serial loop gives.
+many blocks in parts, one per usable CPU up to ``MAX_PARTS``, each part
+but the first in a forked child, and merges the parts into the report the
+serial loop gives.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .vocab import VocabularyGraph
 # transfer of results cost 10-20 ms, 14% of a 100-block page and 8% of a
 # 200- or 400-block one.  A page splits from 2 * MIN_BLOCKS blocks.
 MIN_BLOCKS = 100
+# the most parts a page is cut into.  A part gains only with a CPU of its own
+# free, and nothing here can tell a free CPU from a busy one; two parts is
+# what was measured, and the cost above bounds what a busy machine loses.
+MAX_PARTS = 2
 
 
 class NotAPageError(ValueError):
@@ -84,8 +89,9 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     ``validate`` is given for an input that is not a web page.
 
     A page of at least ``2 * MIN_BLOCKS`` blocks is checked in up to one
-    process per usable CPU: this one and children made with ``os.fork``,
-    each checking every k-th block and holding one graph at a time.  Only
+    process per usable CPU, ``MAX_PARTS`` at most: this one and children
+    made with ``os.fork``, each checking every k-th block and holding one
+    graph at a time.  Only
     a process with one thread forks.  The report is the serial loop's, byte
     for byte; when a part fails in any way, the page is checked again in
     this process alone, so a crash raises what the serial loop raises.
@@ -192,7 +198,7 @@ def _part_count(blocks: int) -> int:
     if (blocks < 2 * MIN_BLOCKS or not hasattr(os, "fork")
             or threading.active_count() != 1):
         return 1
-    return min(_usable_cpus(), blocks // MIN_BLOCKS)
+    return min(_usable_cpus(), blocks // MIN_BLOCKS, MAX_PARTS)
 
 
 def _check_in_children(raw_blocks, k: int, check):
@@ -211,7 +217,7 @@ def _check_in_children(raw_blocks, k: int, check):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(check, raw_blocks[first::k], write_end)
+                    _child(check, raw_blocks[first::k], write_end, pipes)
             finally:
                 os.close(write_end)  # the child never returns here
             running.append(pid)
@@ -234,25 +240,36 @@ def _check_in_children(raw_blocks, k: int, check):
             os.waitpid(pid, 0)
 
 
-def _child(check, raw_blocks, write_end: int) -> None:
+def _child(check, raw_blocks, write_end: int, read_ends) -> None:
     """Check ``raw_blocks`` and write the results to ``write_end`` as plain
     tuples, then leave the process: the caller's frames, an exception
     handler among them, must never run in a child.  A child prints nothing;
-    its exit status alone tells the parent whether the results came."""
+    its exit status alone tells the parent whether the results came.
+
+    The child first closes ``read_ends``, its own pipe's and those of the
+    children before it, so once the caller is gone no reader is left and
+    the write fails instead of waiting for ever on a full pipe."""
     status = 1
     try:
+        for read_end in read_ends:
+            os.close(read_end)
         import pickle
-        payload = pickle.dumps(
-            [(roots, [(e.code, e.severity.value, e.path, e.description)
-                      for e in entries],
-              [(score, match.value) for score, match in scores])
-             for roots, entries, scores in check(raw_blocks)],
-            pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(_encode(check(raw_blocks)),
+                               pickle.HIGHEST_PROTOCOL)
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         status = 0
     finally:
         os._exit(status)
+
+
+def _encode(checked):
+    """``_check_blocks``'s results as the plain tuples a child sends."""
+    return [(roots,
+             [(e.code, e.severity.value, e.path, e.description)
+              for e in entries],
+             [(score, match.value) for score, match in scores])
+            for roots, entries, scores in checked]
 
 
 def _decode(sent):

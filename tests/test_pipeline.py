@@ -1,9 +1,14 @@
 """The check pipeline shared by the CLI and library callers."""
 
 import codecs
+import ctypes
 import json
 import os
+import pickle
+import select
 import signal
+import subprocess
+import sys
 import threading
 import traceback
 from html import escape
@@ -342,6 +347,7 @@ def split_run(monkeypatch, k: int, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "MIN_BLOCKS", 1 if k > 1 else 10**9)
         patch.setattr(pipeline, "_usable_cpus", lambda: k)
+        patch.setattr(pipeline, "MAX_PARTS", k)
         return pipeline.run(*args, **kwargs)
 
 
@@ -427,3 +433,95 @@ def test_a_child_killed_by_a_signal_is_checked_again(vocab, monkeypatch):
     split = split_run(monkeypatch, 3, page, BASE, vocab)
     assert report.serialize_report(split) == report.serialize_report(serial)
     assert_no_child_left()
+
+
+def test_a_split_never_takes_more_than_max_parts(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 64)
+    assert pipeline._part_count(64 * pipeline.MIN_BLOCKS) == pipeline.MAX_PARTS
+
+
+# Runs a page in 3 parts; the caller prints its children's pids and waits
+# before checking its own part, so the children's results are never read.
+KILLED_CALLER = """
+import os, sys, time
+from sdocheck import pipeline
+from sdocheck.vocab import load_default_vocabulary
+
+vocab = load_default_vocabulary()
+caller, children = os.getpid(), []
+fork, check_blocks = os.fork, pipeline._check_blocks
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        children.append(pid)
+    return pid
+
+def caller_waits(*args):
+    if os.getpid() == caller:
+        print(*children, flush=True)
+        time.sleep(600)
+    return check_blocks(*args)
+
+os.fork = recording_fork
+pipeline._check_blocks = caller_waits
+pipeline._usable_cpus = lambda: 3
+pipeline.MAX_PARTS = 3
+with open(sys.argv[1], "rb") as page:
+    pipeline.run(page.read(), "https://x.example/page", vocab)
+"""
+
+
+PR_SET_CHILD_SUBREAPER = 36
+
+
+def _reap_orphans(on: bool) -> None:
+    """Make this process the parent of its orphaned descendants, or stop."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(PR_SET_CHILD_SUBREAPER, int(on), 0, 0, 0) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_CHILD_SUBREAPER)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reaps the orphaned children with a Linux prctl")
+def test_children_of_a_killed_caller_exit(vocab, tmp_path):
+    """The caller of a split run is killed by SIGKILL while each child has
+    more to send than a pipe holds: every child still exits."""
+    blocks = [_jsonld({"@context": "https://schema.org", "@type": "Event",
+                       "name": f"E{i}", **{f"nmae{p}": "x" for p in range(10)}})
+              for i in range(600)]
+    page = ("<html><body>" + "".join(blocks) + "</body></html>").encode()
+    _, raw_blocks = pipeline._read(page, BASE, None)
+    checked = pipeline._check_blocks(raw_blocks[2::3], vocab, None, None,
+                                     None, False)
+    assert len(pickle.dumps(pipeline._encode(checked),
+                            pickle.HIGHEST_PROTOCOL)) > 64 * 1024
+    (tmp_path / "page.html").write_bytes(page)
+    # every child inherits `held`; reading it gives EOF once all are gone
+    gone, held = os.pipe()
+    _reap_orphans(True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    caller = subprocess.Popen(
+        [sys.executable, "-c", KILLED_CALLER, str(tmp_path / "page.html")],
+        pass_fds=(held,), stdout=subprocess.PIPE, env=env)
+    os.close(held)
+    children, exited = [], False
+    try:
+        children = [int(pid) for pid in caller.stdout.readline().split()]
+        assert len(children) == 2
+        caller.kill()
+        caller.wait()
+        readable, _, _ = select.select([gone], [], [], 30)
+        exited = bool(readable) and os.read(gone, 1) == b""
+        assert exited
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        for pid in children:
+            if not exited:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        _reap_orphans(False)
+        os.close(gone)
