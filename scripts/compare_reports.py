@@ -9,8 +9,11 @@ seeds 1-2 of the three benchmark corpora, which ``perfbench/corpus.py``
 writes to a temporary directory.  The checkout's ``src/`` runs each of them
 twice: on every CPU this script may use, where a page of many blocks is
 checked in parts, and pinned to one CPU, where every page is checked in one
-process.  Every run is a fresh interpreter started from the repository
-root, so the report targets and ``file:`` URLs are the same on every side.
+process.  ``JOBS`` runs at a time keep the CPUs busy, and on a busy machine
+every page is checked in one process, so the checkout's runs go through
+``AS_IF_IDLE``, which reads the machine as idle.  Every run is a
+fresh interpreter started from the repository root, so the report targets
+and ``file:`` URLs are the same on every side.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -39,6 +42,9 @@ DS_FILES = {name: str(REPO / path) for name, path in corpus.DS_FILES.items()}
 COMMANDS = (("verify",), ("verify", "--ds", DS_FILES["event"]), ("validate",),
             *(("validate", "--ds", path) for path in DS_FILES.values()),
             ("extract",))
+# `python -m sdocheck`, with no other runnable task seen on the machine
+AS_IF_IDLE = ("from sdocheck import cli, pipeline; "
+              "pipeline._runnable_tasks = lambda: 1; cli.entry_point()")
 
 
 def inputs(corpus_dir: Path) -> list[str]:
@@ -61,8 +67,10 @@ def _pin_to_one_cpu() -> None:
 
 
 def run(src: Path, argv: list[str],
-        one_cpu: bool = False) -> tuple[bytes, bytes, int]:
-    done = subprocess.run([sys.executable, "-m", "sdocheck", *argv],
+        one_cpu: bool = False,
+        as_if_idle: bool = False) -> tuple[bytes, bytes, int]:
+    program = ["-c", AS_IF_IDLE] if as_if_idle else ["-m", "sdocheck"]
+    done = subprocess.run([sys.executable, *program, *argv],
                           cwd=REPO, capture_output=True, timeout=600,
                           env={**os.environ, "PYTHONPATH": str(src)},
                           preexec_fn=_pin_to_one_cpu if one_cpu else None)
@@ -75,7 +83,7 @@ def differences(argv: list[str], ours: Path, theirs: Path) -> list[str]:
     before = run(theirs, argv)
     out = []
     for side, one_cpu in (("", False), ("one CPU: ", True)):
-        after = run(ours, argv, one_cpu)
+        after = run(ours, argv, one_cpu, as_if_idle=True)
         out.extend(side + name for name, old, new
                    in zip(("stdout", "stderr"), before, after) if old != new)
         if before[2] != after[2]:

@@ -6,9 +6,9 @@ ValidationConfig, the page-content scoring, and merge their findings.
 ``parse`` is the first two steps, which ``sdocheck extract`` shares.
 
 One block's checks never read another block, so ``run`` checks a page of
-many blocks in parts, one per usable CPU up to ``MAX_PARTS``, each part
-but the first in a forked child, and merges the parts into the report the
-serial loop gives.
+many blocks in parts, one per usable CPU that is free at that moment up to
+``MAX_PARTS``, each part but the first in a forked child, and merges the
+parts into the report the serial loop gives.
 """
 
 from __future__ import annotations
@@ -19,16 +19,21 @@ import threading
 from . import annotation, content, ds, htmltree, report, sdo_verifier
 from .vocab import VocabularyGraph
 
-# the fewest blocks a part checks.  Measured on a 2-vCPU Linux VM: split in
-# two, a page of 100 to 400 blocks ran about 20% faster with the second CPU
-# free, and with no free CPU the fork, its copy-on-write faults and the
-# transfer of results cost 10-20 ms, 14% of a 100-block page and 8% of a
-# 200- or 400-block one.  A page splits from 2 * MIN_BLOCKS blocks.
-MIN_BLOCKS = 100
-# the most parts a page is cut into.  A part gains only with a CPU of its own
-# free, and nothing here can tell a free CPU from a busy one; two parts is
-# what was measured, and the cost above bounds what a busy machine loses.
+# the fewest blocks a part checks; a page splits from 2 * MIN_BLOCKS blocks,
+# the smallest measured size at which two parts won 9 of 10 alternated pairs
+# against one process.  Measured on an idle 2-vCPU Linux VM, in-process
+# `run` with content scoring on six benchmark-corpus pages per size (median
+# time per page, 10 pairs):
+#   blocks          10    20    30    40    50    60    80   100   150
+#   two parts     +41%  +11%   +1%   -5%   -8%   -9%  -12%  -16%  -18%
+#   pairs won        0     0     2     9     9    10    10    10    10
+MIN_BLOCKS = 20
+# the most parts a page is cut into: two is what was measured, and it bounds
+# what a split loses where a CPU that looks free is not, as under a cgroup
+# CPU quota, which nothing here reads.
 MAX_PARTS = 2
+# where Linux shows how many tasks are runnable now (see _runnable_tasks)
+_LOADAVG = "/proc/loadavg"
 
 
 class NotAPageError(ValueError):
@@ -89,12 +94,14 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     ``validate`` is given for an input that is not a web page.
 
     A page of at least ``2 * MIN_BLOCKS`` blocks is checked in up to one
-    process per usable CPU, ``MAX_PARTS`` at most: this one and children
-    made with ``os.fork``, each checking every k-th block and holding one
-    graph at a time.  Only
-    a process with one thread forks.  The report is the serial loop's, byte
-    for byte; when a part fails in any way, the page is checked again in
-    this process alone, so a crash raises what the serial loop raises.
+    process per usable CPU that is free now, ``MAX_PARTS`` at most: this
+    one and children made with ``os.fork``, each checking every k-th block
+    and holding one graph at a time.  On Linux, each task that
+    ``/proc/loadavg`` shows runnable besides this one takes a usable CPU;
+    elsewhere every usable CPU counts as free.  Only a process with one
+    thread forks.  The report is the serial loop's, byte for byte; when a
+    part fails in any way, the page is checked again in this process
+    alone, so a crash raises what the serial loop raises.
     """
     page, raw_blocks = _read(data, base_url, charset)
     is_page = page is not None
@@ -194,11 +201,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _runnable_tasks() -> int | None:
+    """How many tasks the machine has runnable at this instant, the caller
+    included: the fourth field of Linux's ``/proc/loadavg``, ``running/
+    total``.  None where the file is missing or does not parse."""
+    try:
+        with open(_LOADAVG, "rb") as loadavg:
+            running, _ = loadavg.read().split()[3].split(b"/")
+        return int(running)
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def _part_count(blocks: int) -> int:
     if (blocks < 2 * MIN_BLOCKS or not hasattr(os, "fork")
             or threading.active_count() != 1):
         return 1
-    return min(_usable_cpus(), blocks // MIN_BLOCKS, MAX_PARTS)
+    free = _usable_cpus()
+    running = _runnable_tasks()
+    if running is not None:  # every other runnable task may hold a CPU
+        free -= running - 1
+    return max(1, min(free, blocks // MIN_BLOCKS, MAX_PARTS))
 
 
 def _check_in_children(raw_blocks, k: int, check):

@@ -341,14 +341,33 @@ def event_spec(vocab):
     return ds.load_domain_specification(document.read_bytes(), vocab)
 
 
+def counting_forks(patch) -> list[int]:
+    """The pids of the children that ``os.fork`` makes from now on."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 def split_run(monkeypatch, k: int, *args, **kwargs):
-    """``pipeline.run`` with the page cut into ``k`` parts at most; k = 1
-    is the serial loop."""
+    """``pipeline.run`` on an idle machine with the page cut into ``k``
+    parts at most; k = 1 is the serial loop.  A run in parts must fork."""
     with monkeypatch.context() as patch:
         patch.setattr(pipeline, "MIN_BLOCKS", 1 if k > 1 else 10**9)
         patch.setattr(pipeline, "_usable_cpus", lambda: k)
+        patch.setattr(pipeline, "_runnable_tasks", lambda: 1)
         patch.setattr(pipeline, "MAX_PARTS", k)
-        return pipeline.run(*args, **kwargs)
+        forks = counting_forks(patch)
+        try:
+            return pipeline.run(*args, **kwargs)
+        finally:
+            assert bool(forks) == (k > 1)
 
 
 def assert_no_child_left():
@@ -368,8 +387,14 @@ def test_a_page_reports_the_same_in_parts(vocab, event_spec, page, k, strict):
     assert_no_child_left()
 
 
-def test_only_a_process_with_one_thread_forks():
-    assert pipeline._part_count(10**6) > 1 or pipeline._usable_cpus() == 1
+def idle_machine(monkeypatch, cpus: int = 2) -> None:
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: 1)
+
+
+def test_only_a_process_with_one_thread_forks(monkeypatch):
+    idle_machine(monkeypatch)
+    assert pipeline._part_count(10**6) == 2
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -436,8 +461,80 @@ def test_a_child_killed_by_a_signal_is_checked_again(vocab, monkeypatch):
 
 
 def test_a_split_never_takes_more_than_max_parts(monkeypatch):
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 64)
+    idle_machine(monkeypatch, cpus=64)
     assert pipeline._part_count(64 * pipeline.MIN_BLOCKS) == pipeline.MAX_PARTS
+
+
+@pytest.mark.parametrize("cpus, running, parts", [
+    (2, 1, 2), (2, 2, 1), (2, 5, 1), (4, 3, 2), (4, 4, 1), (1, 1, 1)])
+def test_a_page_is_split_only_while_a_cpu_is_free(monkeypatch, cpus, running,
+                                                  parts):
+    """``running`` counts the caller: each other runnable task takes a CPU."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: running)
+    assert pipeline._part_count(10**6) == parts
+
+
+def _event_page(blocks: int) -> bytes:
+    return ("<html><body>" + "".join(
+        _jsonld({"@context": "https://schema.org", "@type": "Event",
+                 "name": f"E{i}"}) for i in range(blocks))
+        + "</body></html>").encode()
+
+
+def test_a_busy_machine_checks_a_page_in_one_process(vocab, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: 2)
+    forks = []
+
+    def no_fork():
+        forks.append(None)
+        raise OSError("a busy machine must not fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    page = _event_page(4 * pipeline.MIN_BLOCKS)
+    pipeline.run(page, BASE, vocab)
+    assert forks == []
+
+
+@pytest.mark.parametrize("blocks, forks", [(-1, 0), (0, 1)])
+def test_a_page_splits_from_twice_min_blocks(vocab, monkeypatch, blocks,
+                                             forks):
+    idle_machine(monkeypatch)
+    made = counting_forks(monkeypatch)
+    page = _event_page(2 * pipeline.MIN_BLOCKS + blocks)
+    serial = report.serialize_report(split_run(monkeypatch, 1, page, BASE,
+                                               vocab))
+    assert report.serialize_report(pipeline.run(page, BASE, vocab)) == serial
+    assert len(made) == forks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("loadavg, running", [
+    ("0.17 0.38 0.43 1/86 16829\n", 1),
+    ("1.02 0.61 0.44 2/88 17001\n", 2),
+    (None, None),  # no such file
+    ("", None),
+    ("0.17 0.38 0.43\n", None),
+    ("0.17 0.38 0.43 1 16829\n", None),
+    ("0.17 0.38 0.43 one/86 16829\n", None),
+    ("0.17 0.38 0.43 1/86/2 16829\n", None),
+    ("\xff\xfe", None)])
+def test_a_missing_or_garbled_loadavg_keeps_the_affinity_rule(
+        monkeypatch, tmp_path, loadavg, running):
+    path = tmp_path / "loadavg"
+    if loadavg is not None:
+        path.write_bytes(loadavg.encode("latin-1"))
+    monkeypatch.setattr(pipeline, "_LOADAVG", str(path))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    assert pipeline._runnable_tasks() == running
+    assert pipeline._part_count(10**6) == (2 if running in (None, 1) else 1)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/loadavg"),
+                    reason="Linux shows runnable tasks in /proc/loadavg")
+def test_the_runnable_tasks_count_the_caller():
+    assert pipeline._runnable_tasks() >= 1
 
 
 # Runs a page in 3 parts; the caller prints its children's pids and waits
@@ -466,6 +563,7 @@ def caller_waits(*args):
 os.fork = recording_fork
 pipeline._check_blocks = caller_waits
 pipeline._usable_cpus = lambda: 3
+pipeline._runnable_tasks = lambda: 1
 pipeline.MAX_PARTS = 3
 with open(sys.argv[1], "rb") as page:
     pipeline.run(page.read(), "https://x.example/page", vocab)
