@@ -8,12 +8,13 @@
 seeds 1-2 of the three benchmark corpora, which ``perfbench/corpus.py``
 writes to a temporary directory.  The checkout's ``src/`` runs each of them
 twice: on every CPU this script may use, where a page of many blocks is
-checked in parts, and pinned to one CPU, where every page is checked in one
-process.  ``JOBS`` runs at a time keep the CPUs busy, and on a busy machine
-every page is checked in one process, so the checkout's runs go through
-``AS_IF_IDLE``, which reads the machine as idle.  Every run is a
-fresh interpreter started from the repository root, so the report targets
-and ``file:`` URLs are the same on every side.
+checked in two parts, and pinned to one CPU, where every page is checked in
+one process.  With fewer than two usable CPUs both runs are of one process,
+and the script says so on stderr.  ``JOBS`` runs at a time keep the CPUs
+busy, and on a busy machine every page is checked in one process, so the
+checkout's runs go through ``AS_IF_IDLE``, which reads the machine as idle.
+Every run is a fresh interpreter started from the repository root, so the
+report targets and ``file:`` URLs are the same on every side.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -95,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev", help="the git revision to compare against")
     args = parser.parse_args(argv)
+    if len(os.sched_getaffinity(0)) < 2:
+        print("compare_reports: fewer than two usable CPUs, so no page is "
+              "checked in two parts and the split goes uncompared",
+              file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         theirs = Path(tmp) / "rev"
         theirs.mkdir()

@@ -107,7 +107,7 @@ def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8")
+        source = bytes(source).decode("utf-8-sig")
     try:
         raw = json.loads(source)
     except RecursionError as exc:
@@ -116,10 +116,14 @@ def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
         raise ValueError("document must be a JSON object")
     config = ValidationConfig()
     if "threshold" in raw:
-        try:
-            config.threshold = float(raw["threshold"])
-        except TypeError as exc:
-            raise ValueError(f"threshold must be a number: {exc}") from exc
+        threshold = raw["threshold"]
+        # NaN and the infinities fail the range test too
+        if (isinstance(threshold, bool)
+                or not isinstance(threshold, (int, float))
+                or not 0 <= threshold <= 1):
+            raise ValueError("threshold must be a number from 0 to 1, "
+                             f"not {threshold!r}")
+        config.threshold = float(threshold)
     if "dateOrder" in raw:
         if raw["dateOrder"] not in ("DMY", "MDY"):
             raise ValueError("dateOrder must be 'DMY' or 'MDY'")

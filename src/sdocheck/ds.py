@@ -96,7 +96,7 @@ def _read_document(source) -> dict:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8", errors="replace")
+        source = bytes(source).decode("utf-8-sig", errors="replace")
     try:
         doc = json.loads(source)
     except (json.JSONDecodeError, RecursionError) as exc:

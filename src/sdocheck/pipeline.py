@@ -5,9 +5,9 @@ run the vocabulary checks, the Domain Specification checks and, given a
 ValidationConfig, the page-content scoring, and merge their findings.
 ``parse`` is the first two steps, which ``sdocheck extract`` shares.
 
-One block's checks never read another block, so ``run`` checks a page of
-many blocks in parts, one per usable CPU that is free at that moment up to
-``MAX_PARTS``, each part but the first in a forked child, and merges the
+One block's checks never read another block, so while a second CPU is
+free, ``run`` checks a page of many blocks in two parts, the even blocks in
+the calling process and the odd ones in one forked child, and merges the
 parts into the report the serial loop gives.
 """
 
@@ -28,10 +28,6 @@ from .vocab import VocabularyGraph
 #   two parts     +41%  +11%   +1%   -5%   -8%   -9%  -12%  -16%  -18%
 #   pairs won        0     0     2     9     9    10    10    10    10
 MIN_BLOCKS = 20
-# the most parts a page is cut into: two is what was measured, and it bounds
-# what a split loses where a CPU that looks free is not, as under a cgroup
-# CPU quota, which nothing here reads.
-MAX_PARTS = 2
 # where Linux shows how many tasks are runnable now (see _runnable_tasks)
 _LOADAVG = "/proc/loadavg"
 
@@ -93,15 +89,17 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     ``Content-Type`` charset of a fetched page.  Raises NotAPageError when
     ``validate`` is given for an input that is not a web page.
 
-    A page of at least ``2 * MIN_BLOCKS`` blocks is checked in up to one
-    process per usable CPU that is free now, ``MAX_PARTS`` at most: this
-    one and children made with ``os.fork``, each checking every k-th block
-    and holding one graph at a time.  On Linux, each task that
+    A page of at least ``2 * MIN_BLOCKS`` blocks is checked in two parts
+    when at least two usable CPUs are free now: this process checks the
+    even blocks and one child made with ``os.fork`` the odd ones, each
+    holding one graph at a time.  On Linux, each task that
     ``/proc/loadavg`` shows runnable besides this one takes a usable CPU;
-    elsewhere every usable CPU counts as free.  Only a process with one
-    thread forks.  The report is the serial loop's, byte for byte; when a
-    part fails in any way, the page is checked again in this process
-    alone, so a crash raises what the serial loop raises.
+    elsewhere every usable CPU counts as free.  A cgroup CPU quota is not
+    read: one child bounds what a split loses where a CPU that looks free
+    is not.  Only a process with one thread forks.  The report is the
+    serial loop's, byte for byte; when the child fails in any way, the
+    page is checked again in this process alone, so a crash raises what
+    the serial loop raises.
     """
     page, raw_blocks = _read(data, base_url, charset)
     is_page = page is not None
@@ -117,11 +115,10 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
         return _check_blocks(blocks, vocab, spec, page_content, validate,
                              strict)
 
-    k = _part_count(len(raw_blocks))
     parts = None
-    if k > 1:
+    if _splits(len(raw_blocks)):
         try:
-            parts = _check_in_children(raw_blocks, k, check)
+            parts = _check_in_two(raw_blocks, check)
         except Exception:  # checked again below, so a crash raises as serially
             pass
     if parts is None:
@@ -162,7 +159,8 @@ def _check_blocks(raw_blocks, vocab, spec, page_content, validate, strict):
 
 def _merge(parts):
     """The findings and value scores of every block in block order, from
-    ``parts[j]`` checking blocks ``j, j + k, ...``, with each path's leading
+    ``parts[j]`` checking blocks ``j, j + k, ...`` of ``k`` parts (every
+    block, or the even blocks then the odd ones), with each path's leading
     ``$<n>`` renumbered from the part's roots to the page's."""
     entries = []
     scores = []
@@ -174,11 +172,8 @@ def _merge(parts):
         roots, block_entries, block_scores = parts[part][index // k]
         shift = page_roots - part_roots[part]
         if shift:
-            block_entries = [
-                report.ReportEntry(code, title, severity,
-                                   _renumber(path, shift), description, source)
-                for code, title, severity, path, description, source
-                in block_entries]
+            block_entries = [entry._replace(path=_renumber(entry.path, shift))
+                             for entry in block_entries]
         entries.extend(block_entries)
         scores.extend(block_scores)
         part_roots[part] += roots
@@ -213,97 +208,63 @@ def _runnable_tasks() -> int | None:
         return None
 
 
-def _part_count(blocks: int) -> int:
+def _splits(blocks: int) -> bool:
     if (blocks < 2 * MIN_BLOCKS or not hasattr(os, "fork")
             or threading.active_count() != 1):
-        return 1
+        return False
     free = _usable_cpus()
     running = _runnable_tasks()
     if running is not None:  # every other runnable task may hold a CPU
         free -= running - 1
-    return max(1, min(free, blocks // MIN_BLOCKS, MAX_PARTS))
+    return free >= 2
 
 
-def _check_in_children(raw_blocks, k: int, check):
-    """``check`` of every k-th block, from block 0 here and from blocks 1 to
-    k - 1 each in a forked child that sends its results through a pipe;
-    None when a child fails.  Every child is reaped before this returns,
-    and killed first when this does not run to its end."""
+def _check_in_two(raw_blocks, check):
+    """``check`` of the even blocks here and of the odd ones in a forked
+    child that sends its results through a pipe; None when the child
+    fails.  The child is reaped before this returns, and killed first when
+    this does not run to its end."""
     import pickle  # a split run alone sends results between processes
     import signal
-    pipes = []  # the read end of each child's pipe
-    running = []  # children not yet reaped
+    read_end, write_end = os.pipe()
+    pid = None  # the child, until it is reaped
     try:
-        for first in range(1, k):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(check, raw_blocks[first::k], write_end, pipes)
-            finally:
-                os.close(write_end)  # the child never returns here
-            running.append(pid)
-        parts = [check(raw_blocks[0::k])]
-        for pid, read_end in zip(list(running), pipes):
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            running.remove(pid)
-            if status != 0:
-                return None
-            parts.append(_decode(pickle.loads(payload)))
-        return parts
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _child(check, raw_blocks[1::2], read_end, write_end)
+        finally:
+            os.close(write_end)  # the child never returns here
+        even = check(raw_blocks[0::2])
+        with open(read_end, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+        return [even, pickle.loads(payload)] if status == 0 else None
     finally:
-        for pid in running:
+        os.close(read_end)
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
-        for read_end in pipes:
-            os.close(read_end)
-        for pid in running:
             os.waitpid(pid, 0)
 
 
-def _child(check, raw_blocks, write_end: int, read_ends) -> None:
-    """Check ``raw_blocks`` and write the results to ``write_end`` as plain
-    tuples, then leave the process: the caller's frames, an exception
-    handler among them, must never run in a child.  A child prints nothing;
-    its exit status alone tells the parent whether the results came.
+def _child(check, raw_blocks, read_end: int, write_end: int) -> None:
+    """Check ``raw_blocks`` and write ``check``'s results, pickled, to
+    ``write_end``, then leave the process: the caller's frames, an
+    exception handler among them, must never run in a child.  A child
+    prints nothing; its exit status alone tells the parent whether the
+    results came.
 
-    The child first closes ``read_ends``, its own pipe's and those of the
-    children before it, so once the caller is gone no reader is left and
-    the write fails instead of waiting for ever on a full pipe."""
+    The child first closes the pipe's ``read_end``, so once the caller is
+    gone no reader is left and the write fails instead of waiting for ever
+    on a full pipe."""
     status = 1
     try:
-        for read_end in read_ends:
-            os.close(read_end)
+        os.close(read_end)
         import pickle
-        payload = pickle.dumps(_encode(check(raw_blocks)),
-                               pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(check(raw_blocks), pickle.HIGHEST_PROTOCOL)
         with open(write_end, "wb") as pipe:
             pipe.write(payload)
         status = 0
     finally:
         os._exit(status)
-
-
-def _encode(checked):
-    """``_check_blocks``'s results as the plain tuples a child sends."""
-    return [(roots,
-             [(e.code, e.severity.value, e.path, e.description)
-              for e in entries],
-             [(score, match.value) for score, match in scores])
-            for roots, entries, scores in checked]
-
-
-def _decode(sent):
-    """The results a child sent, as ``_check_blocks`` returns them."""
-    severities = {severity.value: severity for severity in report.Severity}
-    matches = {match.value: match for match in content.MatchStatus}
-    catalog = report.CATALOG
-    return [(roots,
-             [report.ReportEntry(code, catalog[code].title,
-                                 severities[severity], path, description,
-                                 catalog[code].source)
-              for code, severity, path, description in entries],
-             [(score, matches[match]) for score, match in scores])
-            for roots, entries, scores in sent]

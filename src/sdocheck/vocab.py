@@ -141,7 +141,7 @@ def load_vocabulary(source: bytes | BinaryIO) -> VocabularyGraph:
 
     snapshot_id = "sha256:" + hashlib.sha256(data).hexdigest()[:16]
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"vocabulary dump does not parse: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("@graph"), list):

@@ -385,9 +385,10 @@ class TestRobustness:
          '{"booleanSurfaceForms": {"petsAllowed": {"true": [3]}}}',
          "validation config"),
         ("--validation-config", '{"threshold": [1]}', "validation config"),
+        ("--validation-config", '{"threshold": NaN}', "validation config"),
     ], ids=["ds-200-deep", "vocab-3000-deep", "config-list",
             "config-3000-deep", "config-forms-int", "config-phrase-int",
-            "config-threshold-list"])
+            "config-threshold-list", "config-threshold-nan"])
     def test_unloadable_document_exits_2(self, option, document, loader,
                                          tmp_path, capsys):
         path = tmp_path / "document.json"

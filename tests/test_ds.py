@@ -1,3 +1,4 @@
+import codecs
 import copy
 import json
 import random
@@ -115,6 +116,12 @@ class TestLoading:
             data = base.joinpath(name).read_bytes()
             spec = d.load_domain_specification(data, vocab)
             assert spec.root.target_types
+
+    def test_a_document_may_start_with_a_byte_order_mark(self, vocab):
+        data = resources.files("sdocheck.data").joinpath(
+            "ds").joinpath("event.json").read_bytes()
+        assert (d.load_domain_specification(codecs.BOM_UTF8 + data, vocab)
+                == d.load_domain_specification(data, vocab))
 
 
 class TestMatching:

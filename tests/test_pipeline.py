@@ -285,7 +285,7 @@ def test_deep_microdata_is_checked_to_its_deepest_path(vocab, depth):
 
 
 # ---------------------------------------------------------------------------
-# a page checked in parts, one per CPU, reports what one process reports
+# a page checked in two parts reports what one process reports
 
 SPLIT_NAMES = st.sampled_from(["Gala", "Harbour Fair", "Quiet Night", ""])
 SPLIT_DATES = st.sampled_from(["2026-07-10", "2026-13-40", "10 July 2026"])
@@ -355,19 +355,23 @@ def counting_forks(patch) -> list[int]:
     return forks
 
 
-def split_run(monkeypatch, k: int, *args, **kwargs):
-    """``pipeline.run`` on an idle machine with the page cut into ``k``
-    parts at most; k = 1 is the serial loop.  A run in parts must fork."""
+def idle_machine(monkeypatch, cpus: int = 2) -> None:
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: 1)
+
+
+def split_run(monkeypatch, split: bool, *args, **kwargs):
+    """``pipeline.run`` on an idle machine, with any page of two or more
+    blocks checked in two parts if ``split`` and in one process if not.  A
+    run in two parts forks one child."""
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "MIN_BLOCKS", 1 if k > 1 else 10**9)
-        patch.setattr(pipeline, "_usable_cpus", lambda: k)
-        patch.setattr(pipeline, "_runnable_tasks", lambda: 1)
-        patch.setattr(pipeline, "MAX_PARTS", k)
+        patch.setattr(pipeline, "MIN_BLOCKS", 1 if split else 10**9)
+        idle_machine(patch)
         forks = counting_forks(patch)
         try:
             return pipeline.run(*args, **kwargs)
         finally:
-            assert bool(forks) == (k > 1)
+            assert len(forks) == split
 
 
 def assert_no_child_left():
@@ -376,30 +380,25 @@ def assert_no_child_left():
 
 
 @settings(max_examples=30)
-@given(SPLIT_PAGES, st.sampled_from([2, 3]), st.booleans())
-def test_a_page_reports_the_same_in_parts(vocab, event_spec, page, k, strict):
+@given(SPLIT_PAGES, st.booleans())
+def test_a_page_reports_the_same_in_parts(vocab, event_spec, page, strict):
     with pytest.MonkeyPatch.context() as monkeypatch:
         runs = [report.serialize_report(split_run(
-            monkeypatch, parts, page, BASE, vocab, spec=event_spec,
+            monkeypatch, split, page, BASE, vocab, spec=event_spec,
             validate=ValidationConfig(), strict=strict))
-            for parts in (1, k)]
+            for split in (False, True)]
     assert runs[1] == runs[0]
     assert_no_child_left()
 
 
-def idle_machine(monkeypatch, cpus: int = 2) -> None:
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: 1)
-
-
 def test_only_a_process_with_one_thread_forks(monkeypatch):
     idle_machine(monkeypatch)
-    assert pipeline._part_count(10**6) == 2
+    assert pipeline._splits(10**6)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert pipeline._part_count(10**6) == 1
+        assert not pipeline._splits(10**6)
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -419,19 +418,19 @@ def _raise_on_boom(graph, vocab, strict=False):
     return []
 
 
-@pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("at", [0, 1, 5])
-def test_a_crash_in_any_part_raises_as_the_serial_loop(vocab, monkeypatch, k,
+def test_a_crash_in_any_part_raises_as_the_serial_loop(vocab, monkeypatch,
                                                        at):
-    """Block ``at`` crashes the vocabulary checks, in this process (block
-    0) or in a child: the split run raises the serial loop's exception,
-    with the same frames and no exception chained to it."""
+    """Block ``at`` crashes the vocabulary checks, in this process (an
+    even block) or in the child (an odd one): the split run raises the
+    serial loop's exception, with the same frames and no exception chained
+    to it."""
     monkeypatch.setattr(pipeline.sdo_verifier, "verify_schema_org",
                         _raise_on_boom)
     raised = []
-    for parts in (1, k):
+    for split in (False, True):
         with pytest.raises(RuntimeError) as caught:
-            split_run(monkeypatch, parts, _boom_page(at), BASE, vocab)
+            split_run(monkeypatch, split, _boom_page(at), BASE, vocab)
         raised.append(caught.value)
         assert_no_child_left()
     assert str(raised[1]) == str(raised[0]) == f"cannot check ${at}"
@@ -452,27 +451,12 @@ def test_a_child_killed_by_a_signal_is_checked_again(vocab, monkeypatch):
         return verify(graph, vocab, strict)
 
     page = _boom_page(0).replace(b"Boom", b"Event")
-    serial = split_run(monkeypatch, 1, page, BASE, vocab)
+    serial = split_run(monkeypatch, False, page, BASE, vocab)
     monkeypatch.setattr(pipeline.sdo_verifier, "verify_schema_org",
                         die_in_a_child)
-    split = split_run(monkeypatch, 3, page, BASE, vocab)
+    split = split_run(monkeypatch, True, page, BASE, vocab)
     assert report.serialize_report(split) == report.serialize_report(serial)
     assert_no_child_left()
-
-
-def test_a_split_never_takes_more_than_max_parts(monkeypatch):
-    idle_machine(monkeypatch, cpus=64)
-    assert pipeline._part_count(64 * pipeline.MIN_BLOCKS) == pipeline.MAX_PARTS
-
-
-@pytest.mark.parametrize("cpus, running, parts", [
-    (2, 1, 2), (2, 2, 1), (2, 5, 1), (4, 3, 2), (4, 4, 1), (1, 1, 1)])
-def test_a_page_is_split_only_while_a_cpu_is_free(monkeypatch, cpus, running,
-                                                  parts):
-    """``running`` counts the caller: each other runnable task takes a CPU."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: running)
-    assert pipeline._part_count(10**6) == parts
 
 
 def _event_page(blocks: int) -> bytes:
@@ -480,6 +464,25 @@ def _event_page(blocks: int) -> bytes:
         _jsonld({"@context": "https://schema.org", "@type": "Event",
                  "name": f"E{i}"}) for i in range(blocks))
         + "</body></html>").encode()
+
+
+def test_a_64_cpu_idle_machine_forks_exactly_one_child(vocab, monkeypatch):
+    idle_machine(monkeypatch, cpus=64)
+    forks = counting_forks(monkeypatch)
+    pipeline.run(_event_page(64 * pipeline.MIN_BLOCKS), BASE, vocab)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, running, split", [
+    (2, 1, True), (2, 2, False), (2, 5, False), (4, 3, True), (4, 4, False),
+    (1, 1, False)])
+def test_a_page_is_split_only_while_a_cpu_is_free(monkeypatch, cpus, running,
+                                                  split):
+    """``running`` counts the caller: each other runnable task takes a CPU."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_runnable_tasks", lambda: running)
+    assert pipeline._splits(10**6) == split
 
 
 def test_a_busy_machine_checks_a_page_in_one_process(vocab, monkeypatch):
@@ -503,8 +506,8 @@ def test_a_page_splits_from_twice_min_blocks(vocab, monkeypatch, blocks,
     idle_machine(monkeypatch)
     made = counting_forks(monkeypatch)
     page = _event_page(2 * pipeline.MIN_BLOCKS + blocks)
-    serial = report.serialize_report(split_run(monkeypatch, 1, page, BASE,
-                                               vocab))
+    serial = report.serialize_report(split_run(monkeypatch, False, page,
+                                               BASE, vocab))
     assert report.serialize_report(pipeline.run(page, BASE, vocab)) == serial
     assert len(made) == forks
     assert_no_child_left()
@@ -528,7 +531,7 @@ def test_a_missing_or_garbled_loadavg_keeps_the_affinity_rule(
     monkeypatch.setattr(pipeline, "_LOADAVG", str(path))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     assert pipeline._runnable_tasks() == running
-    assert pipeline._part_count(10**6) == (2 if running in (None, 1) else 1)
+    assert pipeline._splits(10**6) == (running in (None, 1))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/loadavg"),
@@ -537,8 +540,8 @@ def test_the_runnable_tasks_count_the_caller():
     assert pipeline._runnable_tasks() >= 1
 
 
-# Runs a page in 3 parts; the caller prints its children's pids and waits
-# before checking its own part, so the children's results are never read.
+# Runs a page in two parts; the caller prints its child's pid and waits
+# before checking its own part, so the child's results are never read.
 KILLED_CALLER = """
 import os, sys, time
 from sdocheck import pipeline
@@ -562,9 +565,8 @@ def caller_waits(*args):
 
 os.fork = recording_fork
 pipeline._check_blocks = caller_waits
-pipeline._usable_cpus = lambda: 3
+pipeline._usable_cpus = lambda: 2
 pipeline._runnable_tasks = lambda: 1
-pipeline.MAX_PARTS = 3
 with open(sys.argv[1], "rb") as page:
     pipeline.run(page.read(), "https://x.example/page", vocab)
 """
@@ -583,19 +585,19 @@ def _reap_orphans(on: bool) -> None:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reaps the orphaned children with a Linux prctl")
 def test_children_of_a_killed_caller_exit(vocab, tmp_path):
-    """The caller of a split run is killed by SIGKILL while each child has
-    more to send than a pipe holds: every child still exits."""
+    """The caller of a split run is killed by SIGKILL while its child has
+    more to send than a pipe holds: the child still exits."""
     blocks = [_jsonld({"@context": "https://schema.org", "@type": "Event",
                        "name": f"E{i}", **{f"nmae{p}": "x" for p in range(10)}})
               for i in range(600)]
     page = ("<html><body>" + "".join(blocks) + "</body></html>").encode()
     _, raw_blocks = pipeline._read(page, BASE, None)
-    checked = pipeline._check_blocks(raw_blocks[2::3], vocab, None, None,
+    checked = pipeline._check_blocks(raw_blocks[1::2], vocab, None, None,
                                      None, False)
-    assert len(pickle.dumps(pipeline._encode(checked),
-                            pickle.HIGHEST_PROTOCOL)) > 64 * 1024
+    assert len(pickle.dumps(checked, pickle.HIGHEST_PROTOCOL)) > 64 * 1024
     (tmp_path / "page.html").write_bytes(page)
-    # every child inherits `held`; reading it gives EOF once all are gone
+    # the caller and its child inherit `held`; reading it gives EOF once
+    # both are gone
     gone, held = os.pipe()
     _reap_orphans(True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -607,7 +609,7 @@ def test_children_of_a_killed_caller_exit(vocab, tmp_path):
     children, exited = [], False
     try:
         children = [int(pid) for pid in caller.stdout.readline().split()]
-        assert len(children) == 2
+        assert len(children) == 1
         caller.kill()
         caller.wait()
         readable, _, _ = select.select([gone], [], [], 30)

@@ -1,3 +1,5 @@
+import codecs
+import hashlib
 import json
 
 import pytest
@@ -42,6 +44,16 @@ class TestLoading:
         second = v.load_vocabulary(dump(MINI))
         assert first.snapshot_id == second.snapshot_id
         assert first.snapshot_id.startswith("sha256:")
+
+    def test_a_dump_may_start_with_a_byte_order_mark(self):
+        marked = codecs.BOM_UTF8 + dump(MINI)
+        graph = v.load_vocabulary(marked)
+        plain = v.load_vocabulary(dump(MINI))
+        assert (graph.classes, graph.properties) == (plain.classes,
+                                                     plain.properties)
+        # the snapshot is named by the bytes as read, the mark included
+        assert graph.snapshot_id == (
+            "sha256:" + hashlib.sha256(marked).hexdigest()[:16])
 
     def test_dangling_superclass_reference(self):
         terms = MINI + [{"@id": "schema:Festival", "@type": "rdfs:Class",
