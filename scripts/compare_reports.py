@@ -14,7 +14,10 @@ and the script says so on stderr.  ``JOBS`` runs at a time keep the CPUs
 busy, and on a busy machine every page is checked in one process, so the
 checkout's runs go through ``AS_IF_IDLE``, which reads the machine as idle.
 Every run is a fresh interpreter started from the repository root, so the
-report targets and ``file:`` URLs are the same on every side.
+report targets and ``file:`` URLs are the same on every side.  It also runs
+``validate`` on ``PAGE`` with each document in ``UNLOADABLE``, written to the
+temporary directory, so that a loader's failure message and exit code are
+held as well; both sides of those runs start as ``python -m sdocheck``.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -43,6 +46,33 @@ DS_FILES = {name: str(REPO / path) for name, path in corpus.DS_FILES.items()}
 COMMANDS = (("verify",), ("verify", "--ds", DS_FILES["event"]), ("validate",),
             *(("validate", "--ds", path) for path in DS_FILES.values()),
             ("extract",))
+# a good page, and documents that no loader takes (each by the option that
+# names it): syntax, depth, shape, invalid UTF-8 and NaN
+PAGE = "tests/fixtures/page_good.html"
+DEEP_DS = (b'{"name": "deep", "root": ' + b'{"targetTypes": ["Event"], '
+           b'"properties": [{"name": "subEvent", "ranges": [{"type": '
+           b'"Event", "node": ' * 199 + b'{"targetTypes": ["Event"]}'
+           + b"}]}]}" * 199 + b"}")
+UNLOADABLE = {
+    "ds-200-deep": ("--ds", DEEP_DS),
+    "ds-bad-utf-8": ("--ds", b'{"name": "caf\xe9", '
+                             b'"root": {"targetTypes": ["Event"]}}'),
+    "ds-version-nan": ("--ds", b'{"name": "nan", "dsVersion": NaN, '
+                               b'"root": {"targetTypes": ["Event"]}}'),
+    "vocab-3000-deep": ("--vocab",
+                        b'{"@graph": ' + b"[" * 3000 + b"]" * 3000 + b"}"),
+    "config-syntax": ("--validation-config", b"{not json"),
+    "config-list": ("--validation-config", b"[1, 2]"),
+    "config-3000-deep": ("--validation-config", b"[" * 3000 + b"]" * 3000),
+    "config-bad-utf-8": ("--validation-config", b'{"dateOrder": "caf\xe9"}'),
+    "config-forms-int": ("--validation-config",
+                         b'{"booleanSurfaceForms": {"petsAllowed": 3}}'),
+    "config-phrase-int": (
+        "--validation-config",
+        b'{"booleanSurfaceForms": {"petsAllowed": {"true": [3]}}}'),
+    "config-threshold-list": ("--validation-config", b'{"threshold": [1]}'),
+    "config-threshold-nan": ("--validation-config", b'{"threshold": NaN}'),
+}
 # `python -m sdocheck`, with no other runnable task seen on the machine
 AS_IF_IDLE = ("from sdocheck import cli, pipeline; "
               "pipeline._runnable_tasks = lambda: 1; cli.entry_point()")
@@ -78,13 +108,23 @@ def run(src: Path, argv: list[str],
     return done.stdout, done.stderr, done.returncode
 
 
-def differences(argv: list[str], ours: Path, theirs: Path) -> list[str]:
-    """What differs between ``theirs``'s run of ``argv`` and ``ours``'s,
-    on every CPU and on one."""
+# how the checkout runs a report: (label, on one CPU, as if idle) per side
+SPLIT_SIDES = (("", False, True), ("one CPU: ", True, True))
+# A document nested past the JSON decoder's depth limit fails naming the
+# container it stopped in, which depends on the stack depth of the call.
+# Nothing is split before a document loads, so a run that fails on one
+# starts as `python -m sdocheck` on both sides.
+SAME_START = (("", False, False),)
+
+
+def differences(argv: list[str], ours: Path, theirs: Path,
+                sides=SPLIT_SIDES) -> list[str]:
+    """What differs between ``theirs``'s run of ``argv`` and ``ours``'s on
+    each of ``sides``."""
     before = run(theirs, argv)
     out = []
-    for side, one_cpu in (("", False), ("one CPU: ", True)):
-        after = run(ours, argv, one_cpu, as_if_idle=True)
+    for side, one_cpu, as_if_idle in sides:
+        after = run(ours, argv, one_cpu, as_if_idle)
         out.extend(side + name for name, old, new
                    in zip(("stdout", "stderr"), before, after) if old != new)
         if before[2] != after[2]:
@@ -111,13 +151,18 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(theirs)], input=archive.stdout,
                        check=True)
-        runs = [[command[0], path, *command[1:]]
+        jobs = [([command[0], path, *command[1:]], SPLIT_SIDES)
                 for path in inputs(Path(tmp) / "corpus")
                 for command in COMMANDS]
+        for name, (option, document) in UNLOADABLE.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_bytes(document)
+            jobs.append((["validate", PAGE, option, str(path)], SAME_START))
         with ThreadPoolExecutor(JOBS) as pool:
             found = list(pool.map(
-                lambda run_argv: differences(run_argv, REPO / "src",
-                                             theirs / "src"), runs))
+                lambda job: differences(job[0], REPO / "src", theirs / "src",
+                                        job[1]), jobs))
+    runs = [run_argv for run_argv, _ in jobs]
     differing = 0
     for run_argv, what in zip(runs, found):
         if what:

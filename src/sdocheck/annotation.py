@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import re
 from datetime import date, datetime, time
 from typing import NamedTuple
@@ -34,7 +33,7 @@ from urllib.parse import urlsplit
 from .htmltree import (Document, MicrodataItem, PageURL, effective_base_url,
                        resolve_url)
 from .report import ReportEntry, make_entry
-from .vocab import strip_namespace
+from .vocab import read_json, strip_namespace
 
 UNDETERMINED = "Undetermined"
 
@@ -394,25 +393,11 @@ def _finish(roots: list[AnnotationNode],
     return nodes
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number (RFC 8259 section 6)")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} does not fit a float")
-    return value
-
-
 def _parse_jsonld(payload: str, entries: list[ReportEntry]):
     try:
-        doc = json.loads(payload, parse_constant=_reject_constant,
-                         parse_float=_finite_float)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers syntax errors, non-finite numbers and the
-        # int-string digit limit
-        entries.append(make_entry("E101", "$", f"block does not parse: {exc}"))
+        doc = read_json(payload, ValueError, "block")
+    except ValueError as exc:
+        entries.append(make_entry("E101", "$", str(exc)))
         return None
     if not isinstance(doc, (dict, list)):
         entries.append(make_entry(

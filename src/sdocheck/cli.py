@@ -74,10 +74,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "extract":
             output, code = _extract_json(args) + "\n", 0
         else:
-            vocabulary = _load_vocab(args.vocab)
-            spec = _load_ds(args.ds, vocabulary)
-            config = (_load_validation_config(args.validation_config)
-                      if args.command == "validate" else None)
+            vocabulary = (_load(args.vocab, "vocabulary",
+                                vocab_mod.load_vocabulary) if args.vocab
+                          else vocab_mod.load_default_vocabulary())
+            spec = (_load(args.ds, "domain specification",
+                          ds_mod.load_domain_specification, vocabulary)
+                    if args.ds else None)
+            config = None
+            if args.command == "validate":
+                config = (_load(args.validation_config, "validation config",
+                                content_mod.load_validation_config)
+                          if args.validation_config
+                          else content_mod.ValidationConfig())
             data, base_url, charset = _load_input(args.input)
             report = pipeline.run(data, base_url, vocabulary,
                                   target=args.input, spec=spec,
@@ -158,34 +166,14 @@ def _load_input(raw: str) -> tuple[bytes, str, str | None]:
     return data, "file://" + quote(os.fsencode(os.path.abspath(raw))), None
 
 
-def _load_vocab(path: str | None):
-    try:
-        if path:
-            with open(path, "rb") as handle:
-                return vocab_mod.load_vocabulary(handle.read())
-        return vocab_mod.load_default_vocabulary()
-    except (OSError, vocab_mod.ParseError, vocab_mod.IntegrityError) as exc:
-        raise CliFailure(f"cannot load vocabulary: {exc}") from exc
-
-
-def _load_ds(path: str | None, vocabulary):
-    if not path:
-        return None
+def _load(path: str, what: str, loader, *args):
+    """``loader`` applied to the bytes of the file at ``path`` and to
+    ``args``; a file that cannot be read or loaded is a tool failure."""
     try:
         with open(path, "rb") as handle:
-            return ds_mod.load_domain_specification(handle.read(), vocabulary)
-    except (OSError, ds_mod.DsParseError, ds_mod.DsIntegrityError) as exc:
-        raise CliFailure(f"cannot load domain specification: {exc}") from exc
-
-
-def _load_validation_config(path: str | None):
-    if not path:
-        return content_mod.ValidationConfig()
-    try:
-        with open(path, "rb") as handle:
-            return content_mod.load_validation_config(handle.read())
+            return loader(handle.read(), *args)
     except (OSError, ValueError) as exc:
-        raise CliFailure(f"cannot load validation config: {exc}") from exc
+        raise CliFailure(f"cannot load {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,18 @@ attributes are markup, not text.
 from __future__ import annotations
 
 import enum
-import json
 import re
 import unicodedata
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
 from .annotation import (AnnotationGraph, Literal, Reference, UNDETERMINED,
                          parse_temporal)
 from .htmltree import Document, effective_base_url, resolve_url
 from .report import ReportEntry, ScoreSummary, make_entry
-from .vocab import VocabularyGraph, strip_namespace
+from .vocab import VocabularyGraph, read_json, strip_namespace
 
 _TOKEN_SPLIT_RE = re.compile(r"[\W_]+", re.UNICODE)
 _NUMERAL_RE = re.compile(r"\d(?:[\d.,]*\d)?")
@@ -101,23 +100,15 @@ class ValidationConfig:
                                       else boolean_surface_forms)
 
 
-def load_validation_config(source: bytes | str | BinaryIO) -> ValidationConfig:
+def load_validation_config(data: bytes) -> ValidationConfig:
     """Read a configuration document; raises ValueError when it does not
     parse or a field has the wrong shape."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8-sig")
-    try:
-        raw = json.loads(source)
-    except RecursionError as exc:
-        raise ValueError(f"document nests too deeply: {exc}") from exc
+    raw = read_json(data, ValueError, "document")
     if not isinstance(raw, dict):
         raise ValueError("document must be a JSON object")
     config = ValidationConfig()
     if "threshold" in raw:
         threshold = raw["threshold"]
-        # NaN and the infinities fail the range test too
         if (isinstance(threshold, bool)
                 or not isinstance(threshold, (int, float))
                 or not 0 <= threshold <= 1):

@@ -32,20 +32,20 @@ concurrently against one document.
 
 from __future__ import annotations
 
-import json
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 from .annotation import AnnotationGraph, AnnotationNode, Entity
 from .report import ReportEntry, make_entry
 from .sdo_verifier import value_fits_range
-from .vocab import VocabularyGraph, is_subclass_of, strip_namespace
+from .vocab import (VocabularyGraph, is_subclass_of, read_json,
+                    strip_namespace)
 
 
-class DsParseError(Exception):
+class DsParseError(ValueError):
     """The document is not syntactically a domain specification."""
 
 
-class DsIntegrityError(Exception):
+class DsIntegrityError(ValueError):
     """The document names unknown terms or breaks structural rules."""
 
 
@@ -74,10 +74,12 @@ class DomainSpecification(NamedTuple):
     root: TypeNode
 
 
-def load_domain_specification(source: bytes | str | dict | BinaryIO,
+def load_domain_specification(data: bytes,
                               vocab: VocabularyGraph) -> DomainSpecification:
     """Parse and validate a document; defaults are materialized on load."""
-    raw = _read_document(source)
+    raw = read_json(data, DsParseError, "document")
+    if not isinstance(raw, dict):
+        raise DsParseError("document must be a JSON object")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise DsParseError("document needs a non-empty 'name'")
@@ -88,22 +90,6 @@ def load_domain_specification(source: bytes | str | dict | BinaryIO,
         raise DsParseError("document needs a 'root' type node")
     root = _load_type_node(raw["root"], vocab, where="root")
     return DomainSpecification(name=name, ds_version=version, root=root)
-
-
-def _read_document(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8-sig", errors="replace")
-    try:
-        doc = json.loads(source)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DsParseError(f"document does not parse: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DsParseError("document must be a JSON object")
-    return doc
 
 
 def _load_type_node(raw: dict, vocab: VocabularyGraph, where: str) -> TypeNode:

@@ -6,12 +6,12 @@ the interpreter's copy); a plain start tag is read whole by one pattern.
 Each token goes straight to the builder, which records, in document order,
 the text of the page's JSON-LD ``<script>`` elements and its top-level
 Microdata items (``itemscope`` without ``itemprop``) as ``MicrodataItem``
-trees, the first ``<base href>``, the visible text and the raw
-``href``/``src`` values.  The WHATWG Microdata rules live here: which
-items are top level, which item a property belongs to, and a property's
-value.  The builder holds the names of the open elements and, for each open
-item or property, what it is still filling in; no element is kept once it
-closes, so no tree of the page is ever held.
+trees, the first ``<base href>``, the visible text and the raw link
+values (``href``, ``src`` and ``<object data>``).  The WHATWG Microdata
+rules live here: which items are top level, which item a property belongs
+to, and a property's value.  The builder holds the names of the open
+elements and, for each open item or property, what it is still filling in;
+no element is kept once it closes, so no tree of the page is ever held.
 
 Lenient by design: unmatched end tags are dropped, unclosed elements are
 closed when an ancestor closes or the page ends, and decoding falls back to
@@ -163,7 +163,8 @@ class Document:
     the top-level Microdata items, each with its properties and nested
     items, in document order.  ``text`` is the visible text, with a newline
     at each block element's open and close.  ``links`` are the raw ``href``
-    and ``src`` values of visible elements other than ``<base>``,
+    and ``src`` values of visible elements other than ``<base>`` and the
+    ``data`` values of visible ``<object>`` elements,
     unresolved, because the first ``<base href>`` also applies to links that
     come before it.
     """
@@ -341,6 +342,8 @@ class _TreeBuilder:
                 document.links.add(attrs["href"])
             if attrs.get("src"):
                 document.links.add(attrs["src"])
+            if tag == "object" and attrs.get("data"):
+                document.links.add(attrs["data"])
             if tag in BLOCK_ELEMENTS:
                 self.text.append("\n" if pushed else "\n\n")
         if tag == "script" and _is_jsonld_type(attrs):

@@ -12,14 +12,19 @@ memoizes whether a property applies to a type in a table of its own, keyed
 on the two vocabulary terms, so the memo's size depends on the vocabulary,
 not on the input checked against it.  Graphs share no memo; any run computes
 the same answer, so sharing a graph across concurrent runs stays safe.
+
+``read_json`` is the one JSON reader of every input: annotation blocks,
+vocabulary dumps, Domain Specifications and validation configs.  It lives
+here, in the lowest module that all of their loaders import.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 DEFAULT_SNAPSHOT_RESOURCE = "schemaorg.jsonld"
 
@@ -40,11 +45,11 @@ DATATYPE_WIDENING = {
 _NAMESPACE_PREFIXES = ("http://schema.org/", "https://schema.org/", "schema:")
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """The vocabulary source is not a well-formed term dump."""
 
 
-class IntegrityError(Exception):
+class IntegrityError(ValueError):
     """The term dump is structurally broken (dangling reference, cycle)."""
 
 
@@ -125,25 +130,46 @@ def _type_list(term: dict) -> list[str]:
     return [str(t) for t in (value if isinstance(value, list) else [value])]
 
 
-def load_vocabulary(source: bytes | BinaryIO) -> VocabularyGraph:
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259 section 6)")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} does not fit a float")
+    return value
+
+
+def read_json(data: bytes | str, error: type[ValueError], what: str):
+    """The JSON value of one input: an annotation block's text or the bytes
+    of a vocabulary dump, Domain Specification or validation config.
+
+    Every input follows RFC 8259: bytes are UTF-8, after an optional byte
+    order mark, and ``NaN``, the infinities and a number too large for a
+    float are not numbers.  Any failure, the decoder's depth limit included,
+    raises ``error(f"{what} does not parse: ...")``.
+    """
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8-sig")
+        return json.loads(data, parse_constant=_reject_constant,
+                          parse_float=_finite_float)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, syntax errors, non-finite numbers
+        # and the int-string digit limit
+        raise error(f"{what} does not parse: {exc}") from exc
+
+
+def load_vocabulary(data: bytes) -> VocabularyGraph:
     """Load a vocabulary dump and build the query graph.
 
     Raises ParseError on malformed input and IntegrityError on dangling
     references, cyclic subclass chains, root classes other than Thing, or
     properties lacking domain/range declarations.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if not isinstance(data, (bytes, bytearray)):
-        raise ParseError("vocabulary source must be a byte stream")
-
     snapshot_id = "sha256:" + hashlib.sha256(data).hexdigest()[:16]
-    try:
-        doc = json.loads(data.decode("utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"vocabulary dump does not parse: {exc}") from exc
+    doc = read_json(data, ParseError, "vocabulary dump")
     if not isinstance(doc, dict) or not isinstance(doc.get("@graph"), list):
         raise ParseError("vocabulary dump must be an object with a '@graph' array")
 

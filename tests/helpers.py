@@ -10,7 +10,7 @@ from html.parser import HTMLParser
 
 import pytest
 
-from sdocheck import content, htmltree
+from sdocheck import content, ds, htmltree
 from sdocheck.annotation import (AnnotationGraph, AnnotationNode, Entity,
                                  Literal, RawBlock, Reference,
                                  parse_annotation)
@@ -26,6 +26,11 @@ def parse_jsonld(payload, **kwargs):
     graph, entries = parse_annotation(RawBlock(payload, 0), **kwargs)
     assert graph is not None, [e.description for e in entries]
     return graph, entries
+
+
+def load_ds(document: dict, vocab):
+    """Load a Domain Specification given as a dict."""
+    return ds.load_domain_specification(json.dumps(document).encode(), vocab)
 
 
 def node_fingerprint(node: AnnotationNode, bound=None):
@@ -358,8 +363,9 @@ def oracle_blocks(html: str, base_url: str) -> list[RawBlock]:
 def oracle_text_and_urls(html: str, base_url: str) -> tuple[str, set[str]]:
     """The page's text and URLs, from a walk of its full tree: text outside
     script, style and template, a newline at each block element's open and
-    close, and the href/src of every visible element but ``<base>``,
-    resolved against the first ``<base href>`` and normalized."""
+    close, and the href/src of every visible element but ``<base>`` and the
+    data of every visible ``<object>``, resolved against the first
+    ``<base href>`` and normalized."""
     tree = _full_tree(html)
     base = _base(tree, base_url)
     chunks, urls = [], set()
@@ -371,8 +377,10 @@ def oracle_text_and_urls(html: str, base_url: str) -> tuple[str, set[str]]:
             continue
         if item.tag in NON_CONTENT_ELEMENTS:
             continue
+        link_attrs = (("href", "src", "data") if item.tag == "object"
+                      else ("href", "src"))
         if item.tag != "base":
-            for attr in ("href", "src"):
+            for attr in link_attrs:
                 if item.attrs.get(attr):
                     url = resolve_url(item.attrs[attr], base)
                     if url is not None:

@@ -27,7 +27,7 @@ from sdocheck.annotation import (Literal, RawBlock, extract_annotation_blocks,
 from sdocheck.htmltree import parse_html
 from generators import (delete_property, duplicate_property,
                         random_ds_with_annotation)
-from helpers import graph_fingerprint, parse_jsonld
+from helpers import graph_fingerprint, load_ds, parse_jsonld
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -92,7 +92,7 @@ def test_criterion_2_ds_generator_round_trip(vocab):
     for seed in range(iterations):
         rng = random.Random(1000 + seed)
         case = random_ds_with_annotation(vocab, rng, max_depth=3, max_props=6)
-        spec = d.load_domain_specification(case.ds, vocab)
+        spec = load_ds(case.ds, vocab)
         graph, entries = parse_jsonld(case.annotation)
         assert entries == []
         assert d.verify_against_ds(graph, spec, vocab) == [], case.ds

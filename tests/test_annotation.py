@@ -228,6 +228,33 @@ class TestJsonLdParsing:
         assert [e.code for e in entries] == ["E103"]
         assert "organizer" not in graph.roots[0].properties
 
+    # A JSON decoder's object hook sees inner objects before outer ones and
+    # the @context object as an object of its own: the three tests below
+    # pin the document order that the reports keep.
+    ORDER_BLOCK = {"@context": {"@vocab": "https://schema.org/"},
+                   "@type": "Event", "@reverse": 1,
+                   "location": {"@type": "Place", "@nest": 2, "name": "x"}}
+
+    def test_unsupported_keywords_are_reported_in_document_order(self):
+        _, entries = parse_jsonld(self.ORDER_BLOCK)
+        assert [e.description for e in entries if e.code == "E103"] == [
+            "keyword '@reverse' is not supported; skipped",
+            "keyword '@nest' is not supported; skipped"]
+
+    def test_a_vocab_context_object_is_neither_a_finding_nor_a_node(self):
+        graph, entries = parse_jsonld(self.ORDER_BLOCK)
+        assert not any("@vocab" in e.description for e in entries)
+        assert [n.path for n in graph.nodes] == ["$0", "$0.location"]
+
+    def test_a_node_named_at_two_depths_gains_properties_in_document_order(
+            self):
+        graph, _ = parse_jsonld({
+            "@type": "Event", "@id": "#a", "name": "n",
+            "subEvent": {"@id": "#a", "description": "d"},
+            "url": "https://x.example/"})
+        assert list(graph.roots[0].properties) == [
+            "name", "description", "subEvent", "url"]
+
     @pytest.mark.parametrize("context", [
         "http://schema.org", "https://schema.org", "http://schema.org/",
         "https://schema.org/", "schema.org"])

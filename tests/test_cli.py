@@ -253,6 +253,13 @@ class TestRobustness:
         report = json.loads(capsysbinary.readouterr().out)
         assert (code, report["entries"]) == (0, [])
 
+    def test_object_data_is_in_the_page_url_pool(self, capsysbinary):
+        probe = FIXTURES / "probes" / "microdata_value_elements.html"
+        cli.main(["validate", str(probe)])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert ("E402", "$0.url") not in [(e["code"], e["path"])
+                                          for e in report["entries"]]
+
     @pytest.mark.parametrize("probe", ["relative_link.html",
                                        "utf8_bom_page.html",
                                        "utf16_bom_page.html",

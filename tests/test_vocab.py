@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from sdocheck import vocab as v
+from sdocheck import content, ds, vocab as v
 
 
 def dump(graph_terms) -> bytes:
@@ -21,6 +21,24 @@ MINI = [
      "schema:domainIncludes": {"@id": "schema:Thing"},
      "schema:rangeIncludes": {"@id": "schema:Text"}},
 ]
+
+
+# each loader of an input document: the loader on bytes, a document it
+# reads, a view of what it read and its error
+LOADERS = {
+    "vocab": (lambda data, vocab: v.load_vocabulary(data), dump(MINI),
+              lambda graph: (graph.classes, graph.properties), v.ParseError),
+    "ds": (ds.load_domain_specification,
+           b'{"name": "E", "root": {"targetTypes": ["Event"]}}',
+           lambda spec: spec, ds.DsParseError),
+    "config": (lambda data, vocab: content.load_validation_config(data),
+               b'{"threshold": 0.6}', lambda config: config.threshold,
+               ValueError),
+}
+# values that RFC 8259 does not allow in a JSON text, and a nesting deeper
+# than the decoder goes
+NOT_JSON = {"NaN": b"NaN", "Infinity": b"Infinity", "1e400": b"1e400",
+            "bad-utf-8": b'"caf\xe9"', "3000-deep": b"[" * 3000 + b"]" * 3000}
 
 
 class TestLoading:
@@ -45,15 +63,22 @@ class TestLoading:
         assert first.snapshot_id == second.snapshot_id
         assert first.snapshot_id.startswith("sha256:")
 
-    def test_a_dump_may_start_with_a_byte_order_mark(self):
-        marked = codecs.BOM_UTF8 + dump(MINI)
-        graph = v.load_vocabulary(marked)
-        plain = v.load_vocabulary(dump(MINI))
-        assert (graph.classes, graph.properties) == (plain.classes,
-                                                     plain.properties)
-        # the snapshot is named by the bytes as read, the mark included
-        assert graph.snapshot_id == (
-            "sha256:" + hashlib.sha256(marked).hexdigest()[:16])
+    @pytest.mark.parametrize("case", ["byte-order-mark", *NOT_JSON])
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_every_document_loader_reads_json_as_rfc_8259_says(
+            self, loader, case, vocab):
+        load, document, view, error = LOADERS[loader]
+        if case == "byte-order-mark":
+            marked = codecs.BOM_UTF8 + document
+            assert view(load(marked, vocab)) == view(load(document, vocab))
+            if loader == "vocab":
+                # the snapshot is named by the bytes as read, the mark
+                # included
+                assert load(marked, vocab).snapshot_id == (
+                    "sha256:" + hashlib.sha256(marked).hexdigest()[:16])
+            return
+        with pytest.raises(error, match="does not parse"):
+            load(b'{"x": ' + NOT_JSON[case] + b", " + document[1:], vocab)
 
     def test_dangling_superclass_reference(self):
         terms = MINI + [{"@id": "schema:Festival", "@type": "rdfs:Class",
