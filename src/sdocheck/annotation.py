@@ -337,23 +337,21 @@ class _GraphBuilder:
         if isinstance(value, list):
             self.warn("nested array value is not supported; skipped")
             return None
-        if isinstance(value, dict):
-            if "@list" in value or "@set" in value:
-                self.warn("@list/@set containers are not supported; skipped")
+        # a JSON object, the one type left
+        if "@list" in value or "@set" in value:
+            self.warn("@list/@set containers are not supported; skipped")
+            return None
+        if "@value" in value:
+            inner = yield self.build_value(value["@value"])
+            if inner is None or not isinstance(inner, Literal):
+                self.warn("non-scalar @value; skipped")
                 return None
-            if "@value" in value:
-                inner = yield self.build_value(value["@value"])
-                if inner is None or not isinstance(inner, Literal):
-                    self.warn("non-scalar @value; skipped")
-                    return None
-                return inner
-            meaningful = [k for k in value if k != "@id"]
-            if not meaningful and isinstance(value.get("@id"), str):
-                # bare node reference; resolves to a full node if one exists
-                return Entity(self.node_for_id(value["@id"]))
-            return Entity((yield self.build_node(value)))
-        self.warn(f"unsupported value {value!r}; skipped")
-        return None
+            return inner
+        meaningful = [k for k in value if k != "@id"]
+        if not meaningful and isinstance(value.get("@id"), str):
+            # bare node reference; resolves to a full node if one exists
+            return Entity(self.node_for_id(value["@id"]))
+        return Entity((yield self.build_node(value)))
 
 
 def _finish(roots: list[AnnotationNode],

@@ -420,7 +420,7 @@ _KIND_TO_CODE = {
 
 
 def consistency_entries(items: list[ValueConsistency]) -> list[ReportEntry]:
-    """Report entries for the unmatched values, ordered by (path, code)."""
+    """Report entries for the unmatched values."""
     entries: list[ReportEntry] = []
     for item in items:
         if item.status is not MatchStatus.UNMATCHED:
@@ -430,7 +430,6 @@ def consistency_entries(items: list[ValueConsistency]) -> list[ReportEntry]:
             code, item.path,
             f"{item.value_kind.value} value does not match page content "
             f"({item.evidence})"))
-    entries.sort(key=lambda e: (e.path, e.code))
     return entries
 
 

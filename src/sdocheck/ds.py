@@ -70,7 +70,6 @@ class TypeNode(NamedTuple):
 
 class DomainSpecification(NamedTuple):
     name: str
-    ds_version: str
     root: TypeNode
 
 
@@ -83,13 +82,12 @@ def load_domain_specification(data: bytes,
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise DsParseError("document needs a non-empty 'name'")
-    version = raw.get("dsVersion", "1.0")
-    if not isinstance(version, str):
+    if not isinstance(raw.get("dsVersion", ""), str):
         raise DsParseError("'dsVersion' must be a string")
     if not isinstance(raw.get("root"), dict):
         raise DsParseError("document needs a 'root' type node")
     root = _load_type_node(raw["root"], vocab, where="root")
-    return DomainSpecification(name=name, ds_version=version, root=root)
+    return DomainSpecification(name=name, root=root)
 
 
 def _load_type_node(raw: dict, vocab: VocabularyGraph, where: str) -> TypeNode:
@@ -212,7 +210,6 @@ def verify_against_ds(graph: AnnotationGraph, ds: DomainSpecification,
         root = graph.roots[index]
         _failures(root, ds.root, vocab, memo)
         _report((id(root), id(ds.root)), memo, reported, findings)
-    findings.sort(key=lambda e: (e.path, e.code))
     return findings
 
 

@@ -562,13 +562,10 @@ def decode_html(data: bytes, charset: str | None = None) -> str:
     return data.decode(_CHARSET_CODECS.get(label, "utf-8"), errors="replace")
 
 
-def parse_html(data: bytes | str, charset: str | None = None) -> Document:
-    """What one pass over the page records; bytes are decoded first, with
-    ``charset`` from the HTTP ``Content-Type`` if there is one."""
-    if isinstance(data, (bytes, bytearray)):
-        data = decode_html(bytes(data), charset)
+def parse_html(text: str) -> Document:
+    """What one pass over the page's text (see ``decode_html``) records."""
     builder = _TreeBuilder()
-    builder.feed(data)
+    builder.feed(text)
     builder.close()
     return builder.document
 

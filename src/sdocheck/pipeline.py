@@ -131,7 +131,7 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     if page_content is not None:
         score = content.aggregate_scores(scores)
     return report.merge_reports(
-        [entries], target=base_url if target is None else target,
+        entries, target=base_url if target is None else target,
         snapshot_id=vocab.snapshot_id, ds_name=spec.name if spec else None,
         content_score=score)
 

@@ -141,24 +141,18 @@ class VerificationReport(NamedTuple):
         return max((e.severity for e in self.entries), key=lambda s: s.rank)
 
 
-def _entry_sort_key(entry: ReportEntry) -> tuple[str, str]:
-    return (entry.path, entry.code)
-
-
-def merge_reports(parts: list[list[ReportEntry]], target: str, snapshot_id: str,
+def merge_reports(entries: list[ReportEntry], target: str, snapshot_id: str,
                   ds_name: str | None = None,
                   content_score: ScoreSummary | None = None) -> VerificationReport:
-    """Concatenate entry lists, sort by (path, code), recompute the summary.
+    """The report of ``entries``, sorted by (path, code), stably: the one
+    place that orders findings.
 
-    Duplicate entries are kept: two identical findings from two parts are two
-    findings.
+    Duplicate entries are kept: two identical findings are two findings.
     """
-    entries: list[ReportEntry] = []
-    for part in parts:
-        entries.extend(part)
-    entries.sort(key=_entry_sort_key)
     return VerificationReport(target=target, snapshot_id=snapshot_id,
-                              ds_name=ds_name, entries=entries,
+                              ds_name=ds_name,
+                              entries=sorted(entries,
+                                             key=lambda e: (e.path, e.code)),
                               content_score=content_score)
 
 
@@ -217,30 +211,3 @@ def serialize_report(report: VerificationReport, format: str = "machine") -> byt
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format: {format!r}")
 
-
-def parse_report(data: bytes | str) -> VerificationReport:
-    """Inverse of machine serialization; round-trips byte-identically."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    raw = json.loads(data)
-    entries = [
-        ReportEntry(
-            code=e["code"],
-            title=e["title"],
-            severity=Severity(e["severity"]),
-            path=e["path"],
-            description=e["description"],
-            source=Source(e["source"]),
-        )
-        for e in raw["entries"]
-    ]
-    score = None
-    if raw.get("content_score") is not None:
-        cs = raw["content_score"]
-        score = ScoreSummary(score=cs["score"], checked=cs["checked"],
-                             matched=cs["matched"],
-                             unverifiable=cs["unverifiable"])
-    return VerificationReport(target=raw["target"],
-                              snapshot_id=raw["snapshot_id"],
-                              ds_name=raw.get("ds_name"),
-                              entries=entries, content_score=score)

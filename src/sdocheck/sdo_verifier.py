@@ -8,8 +8,7 @@ Eight check families, each keyed to a report code:
     E204 range violation           E208 semantic inconsistency
 
 plus E209, an informational note for untyped nested entities whose own
-properties cannot be checked.  Findings are data, never exceptions, and the
-returned list is ordered by (path, code) so runs are reproducible.
+properties cannot be checked.  Findings are data, never exceptions.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ def verify_schema_org(graph: AnnotationGraph, vocab: VocabularyGraph,
     findings: list[ReportEntry] = []
     for node in graph.iter_nodes():
         _check_node(node, vocab, strict, findings)
-    findings.sort(key=lambda e: (e.path, e.code))
     return findings
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: graph fingerprints, quick parse wrappers, the
-grammar and resolution of rendered paths, a full-tree page reader that
-serves as an oracle for the one-pass parse, and the stdlib tokenizer that
-serves as an oracle for the built-in one."""
+report order and the inverse of the machine report, the grammar and
+resolution of rendered paths, a full-tree page reader that serves as an
+oracle for the one-pass parse, and the stdlib tokenizer that serves as an
+oracle for the built-in one."""
 
 import html.parser
 import json
@@ -10,7 +11,7 @@ from html.parser import HTMLParser
 
 import pytest
 
-from sdocheck import content, ds, htmltree
+from sdocheck import content, ds, htmltree, report
 from sdocheck.annotation import (AnnotationGraph, AnnotationNode, Entity,
                                  Literal, RawBlock, Reference,
                                  parse_annotation)
@@ -68,6 +69,29 @@ def graph_fingerprint(graph: AnnotationGraph):
 
 def codes_of(entries):
     return sorted(e.code for e in entries)
+
+
+def report_order(entries):
+    """``entries`` in the order a report lists them."""
+    return report.merge_reports(entries, target="t", snapshot_id="s").entries
+
+
+def parse_report(data: bytes) -> report.VerificationReport:
+    """Inverse of machine serialization; round-trips byte-identically."""
+    raw = json.loads(data)
+    entries = [
+        report.ReportEntry(
+            code=e["code"], title=e["title"],
+            severity=report.Severity(e["severity"]), path=e["path"],
+            description=e["description"], source=report.Source(e["source"]))
+        for e in raw["entries"]
+    ]
+    score = raw["content_score"]
+    if score is not None:
+        score = report.ScoreSummary(**score)
+    return report.VerificationReport(
+        target=raw["target"], snapshot_id=raw["snapshot_id"],
+        ds_name=raw["ds_name"], entries=entries, content_score=score)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdocheck import annotation as a
-from sdocheck.htmltree import parse_html
+from sdocheck.htmltree import decode_html, parse_html
 from helpers import (PATH_GRAMMAR_RE, graph_fingerprint, parse_jsonld,
                      resolve_path)
 
@@ -23,7 +23,7 @@ EVENT_BLOCK = ('{"@context":"https://schema.org","@type":"Event",'
 
 class TestBlockExtraction:
     def test_two_jsonld_scripts_in_document_order(self):
-        html = b"""<html><body>
+        html = """<html><body>
         <script type="application/ld+json">{"a":1}</script>
         <p>filler</p>
         <script type="application/ld+json">{"b":2}</script>
@@ -34,11 +34,11 @@ class TestBlockExtraction:
         assert '"a"' in blocks[0].payload and '"b"' in blocks[1].payload
 
     def test_page_without_structured_data(self):
-        html = b"<html><body><p>just text</p></body></html>"
+        html = "<html><body><p>just text</p></body></html>"
         assert blocks_of(html) == []
 
     def test_jsonld_then_microdata_ordering(self):
-        html = b"""<html><body>
+        html = """<html><body>
         <div itemscope itemtype="https://schema.org/Event">
           <span itemprop="name">E</span></div>
         <script type="application/ld+json">{}</script>
@@ -48,12 +48,12 @@ class TestBlockExtraction:
             (0, a.SourceFormat.JSON_LD), (1, a.SourceFormat.MICRODATA)]
 
     def test_media_type_parameters_are_tolerated(self):
-        html = (b'<script type="application/ld+json; charset=utf-8">{}'
-                b'</script>')
+        html = ('<script type="application/ld+json; charset=utf-8">{}'
+                '</script>')
         assert len(blocks_of(html)) == 1
 
     def test_plain_script_is_not_an_annotation_block(self):
-        html = b'<script>var x = {"@type": "Event"};</script>'
+        html = '<script>var x = {"@type": "Event"};</script>'
         assert blocks_of(html) == []
 
 
@@ -273,7 +273,7 @@ class TestJsonLdParsing:
 
 
 class TestMicrodataParsing:
-    HTML = b"""<html><body>
+    HTML = """<html><body>
     <div itemscope itemtype="https://schema.org/Hotel" itemid="#hotel">
       <h1 itemprop="name">Alpenhof</h1>
       <a itemprop="url" href="/home">site</a>
@@ -311,9 +311,8 @@ class TestMicrodataParsing:
         assert nested.node.properties["addressLocality"][0].raw == "Innsbruck"
 
     def test_object_data_and_meter_read_their_attributes(self):
-        blocks = blocks_of(
-            (PROBES / "microdata_value_elements.html").read_bytes(),
-            "https://x.example/e/1")
+        page = (PROBES / "microdata_value_elements.html").read_bytes()
+        blocks = blocks_of(decode_html(page), "https://x.example/e/1")
         graph, entries = a.parse_annotation(blocks[0])
         assert entries == []
         props = graph.roots[0].properties
@@ -324,44 +323,44 @@ class TestMicrodataParsing:
         assert rating["ratingValue"][0].raw == "4"
 
     # one end tag, or the page end, closes several properties at once
-    @pytest.mark.parametrize("end", [b"</div>", b""])
+    @pytest.mark.parametrize("end", ["</div>", ""])
     def test_a_property_is_added_at_its_close(self, end):
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<a itemprop="url" href="/u"><span itemprop="name">n</span>'
-                b'</a><p itemprop="description">d<b itemprop="about">a'
-                b'<i itemprop="subEvent" itemscope>' + end)
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<a itemprop="url" href="/u"><span itemprop="name">n</span>'
+                '</a><p itemprop="description">d<b itemprop="about">a'
+                '<i itemprop="subEvent" itemscope>' + end)
         root = a.parse_annotation(blocks_of(html)[0])[0].roots[0]
         assert list(root.properties) == ["name", "url", "subEvent", "about",
                                          "description"]
         assert root.properties["description"][0].raw == "da"
 
     def test_a_base_after_the_item_resolves_its_urls(self):
-        html = (b'<div itemscope itemtype="https://schema.org/Event" '
-                b'itemid="#e"><a itemprop="url" href="u">x</a></div>'
-                b'<base href="https://b.example/d/">')
+        html = ('<div itemscope itemtype="https://schema.org/Event" '
+                'itemid="#e"><a itemprop="url" href="u">x</a></div>'
+                '<base href="https://b.example/d/">')
         root = a.parse_annotation(blocks_of(html)[0])[0].roots[0]
         assert root.identifier == "https://b.example/d/#e"
         assert root.properties["url"][0].raw == "https://b.example/d/u"
 
     def test_hidden_text_is_no_part_of_a_property(self):
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<p itemprop="description"> a <script>s</script><style>t'
-                b'</style><template>u<b itemprop="name">v</b></template>'
-                b'</p></div>')
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<p itemprop="description"> a <script>s</script><style>t'
+                '</style><template>u<b itemprop="name">v</b></template>'
+                '</p></div>')
         props = a.parse_annotation(blocks_of(html)[0])[0].roots[0].properties
         assert props["description"][0].raw == "a"
         assert props["name"][0].raw == "v"
 
     def test_content_attribute_beats_text(self):
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<span itemprop="name" content="Real">shown text</span></div>')
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<span itemprop="name" content="Real">shown text</span></div>')
         blocks = blocks_of(html)
         graph, _ = a.parse_annotation(blocks[0])
         assert graph.roots[0].properties["name"][0].raw == "Real"
 
     def test_multi_token_itemprop_assigns_both(self):
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<span itemprop="name alternateName">Fest</span></div>')
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<span itemprop="name alternateName">Fest</span></div>')
         blocks = blocks_of(html)
         graph, _ = a.parse_annotation(blocks[0])
         props = graph.roots[0].properties
@@ -369,17 +368,17 @@ class TestMicrodataParsing:
         assert props["alternateName"][0].raw == "Fest"
 
     def test_properties_inside_property_elements_still_count(self):
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<div itemprop="description">with <span itemprop="name">N'
-                b'</span></div></div>')
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<div itemprop="description">with <span itemprop="name">N'
+                '</span></div></div>')
         blocks = blocks_of(html)
         graph, _ = a.parse_annotation(blocks[0])
         assert set(graph.roots[0].properties) == {"description", "name"}
 
     def test_keyword_shaped_itemprop_is_an_ordinary_property(self):
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<span itemprop="@type">Person</span>'
-                b'<span itemprop="@id">x</span></div>')
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<span itemprop="@type">Person</span>'
+                '<span itemprop="@id">x</span></div>')
         blocks = blocks_of(html)
         graph, entries = a.parse_annotation(blocks[0])
         assert entries == []
@@ -389,16 +388,16 @@ class TestMicrodataParsing:
             ("@type", "Person"), ("@id", "x")]
 
     def test_itemref_is_unsupported(self):
-        html = (b'<div itemscope itemref="extra" '
-                b'itemtype="https://schema.org/Event">'
-                b'<span itemprop="name">E</span></div>')
+        html = ('<div itemscope itemref="extra" '
+                'itemtype="https://schema.org/Event">'
+                '<span itemprop="name">E</span></div>')
         blocks = blocks_of(html)
         graph, entries = a.parse_annotation(blocks[0])
         assert graph is not None
         assert [e.code for e in entries] == ["E103"]
 
     def test_untyped_microdata_item_is_empty_annotation(self):
-        html = b'<div itemscope><span itemprop="name">x</span></div>'
+        html = '<div itemscope><span itemprop="name">x</span></div>'
         blocks = blocks_of(html)
         graph, entries = a.parse_annotation(blocks[0])
         assert graph is None
@@ -407,10 +406,10 @@ class TestMicrodataParsing:
     def test_format_equivalence_simple_pair(self):
         jsonld = ('{"@context":"https://schema.org","@type":"Event",'
                   '"name":"Fest","startDate":"2026-07-10"}')
-        html = (b'<div itemscope itemtype="https://schema.org/Event">'
-                b'<span itemprop="name">Fest</span>'
-                b'<time itemprop="startDate" datetime="2026-07-10">x</time>'
-                b'</div>')
+        html = ('<div itemscope itemtype="https://schema.org/Event">'
+                '<span itemprop="name">Fest</span>'
+                '<time itemprop="startDate" datetime="2026-07-10">x</time>'
+                '</div>')
         g1, _ = parse_jsonld(jsonld)
         blocks = blocks_of(html)
         g2, _ = a.parse_annotation(blocks[0])
@@ -527,7 +526,7 @@ def microdata_page(obj: dict, prop: str | None = None) -> str:
 
 @given(annotation_objects(literals=st.text(min_size=1, max_size=8)))
 def test_both_carriers_build_the_same_graph(obj):
-    blocks = blocks_of(microdata_page(obj).encode())
+    blocks = blocks_of(microdata_page(obj))
     from_microdata, _ = a.parse_annotation(blocks[0])
     from_jsonld, _ = a.parse_annotation(a.RawBlock(
         json.dumps({"@context": "https://schema.org", **obj}), 0))

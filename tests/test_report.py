@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdocheck import report as r
+from helpers import parse_report
 
 
 ALL_CODES = [
@@ -40,27 +41,25 @@ def test_merge_of_nothing_is_the_empty_report():
 
 
 def test_merge_counts_by_severity():
-    parts = [
-        [r.make_entry("E201", "$0", "a")],
-        [r.make_entry("E206", "$0.name", "b")],
-    ]
-    report = r.merge_reports(parts, target="t", snapshot_id="s")
+    entries = [r.make_entry("E201", "$0", "a"),
+               r.make_entry("E206", "$0.name", "b")]
+    report = r.merge_reports(entries, target="t", snapshot_id="s")
     assert report.summary == {"error": 1, "warning": 1, "info": 0}
 
 
 def test_merge_keeps_duplicate_entries():
     entry = r.make_entry("E206", "$0.name", "empty")
-    report = r.merge_reports([[entry], [entry]], target="t", snapshot_id="s")
+    report = r.merge_reports([entry, entry], target="t", snapshot_id="s")
     assert len(report.entries) == 2
 
 
 def test_merge_sorts_by_path_then_code():
-    parts = [[
+    entries = [
         r.make_entry("E204", "$0.b", "x"),
         r.make_entry("E202", "$0.b", "x"),
         r.make_entry("E201", "$0", "x"),
-    ]]
-    report = r.merge_reports(parts, target="t", snapshot_id="s")
+    ]
+    report = r.merge_reports(entries, target="t", snapshot_id="s")
     assert [(e.path, e.code) for e in report.entries] == [
         ("$0", "E201"), ("$0.b", "E202"), ("$0.b", "E204")]
 
@@ -73,7 +72,7 @@ def test_machine_serialization_of_empty_report():
 
 def test_human_line_format():
     report = r.merge_reports(
-        [[r.make_entry("E302", "$0.name", "mandatory property missing")]],
+        [r.make_entry("E302", "$0.name", "mandatory property missing")],
         target="t", snapshot_id="s")
     text = r.serialize_report(report, "human").decode()
     assert any(line.startswith("ERROR E302 $0.name:")
@@ -81,16 +80,16 @@ def test_human_line_format():
 
 
 def test_machine_round_trip_is_byte_identical():
-    parts = [[
+    entries = [
         r.make_entry("E302", "$0.name", "missing"),
         r.make_entry("E206", "$0.description", "empty"),
-    ]]
+    ]
     score = r.ScoreSummary(score=0.5, checked=2, matched=1, unverifiable=1)
-    report = r.merge_reports(parts, target="https://x.example/p",
+    report = r.merge_reports(entries, target="https://x.example/p",
                              snapshot_id="s", ds_name="event",
                              content_score=score)
     first = r.serialize_report(report, "machine")
-    reparsed = r.parse_report(first)
+    reparsed = parse_report(first)
     assert r.serialize_report(reparsed, "machine") == first
     assert reparsed.content_score == score
     assert reparsed.entries == report.entries
@@ -104,18 +103,29 @@ entry_strategy = st.builds(
 )
 
 
-@given(st.lists(st.lists(entry_strategy, max_size=5), max_size=4))
-def test_summary_matches_entry_multiset(parts):
-    report = r.merge_reports(parts, target="t", snapshot_id="s")
-    flat = [e for part in parts for e in part]
-    assert len(report.entries) == len(flat)
+@given(st.lists(entry_strategy, max_size=20))
+def test_summary_matches_entry_multiset(entries):
+    report = r.merge_reports(entries, target="t", snapshot_id="s")
+    assert len(report.entries) == len(entries)
     for severity in r.Severity:
-        expected = sum(1 for e in flat if e.severity is severity)
+        expected = sum(1 for e in entries if e.severity is severity)
         assert report.summary[severity.value] == expected
+
+
+@given(st.lists(entry_strategy, max_size=20))
+def test_merge_orders_by_path_then_code_keeping_ties_in_order(entries):
+    """The one sort of a report's findings: equal (path, code) pairs keep
+    the order the checking layers found them in."""
+    report = r.merge_reports(entries, target="t", snapshot_id="s")
+    for key in {(e.path, e.code) for e in entries}:
+        assert ([e for e in report.entries if (e.path, e.code) == key]
+                == [e for e in entries if (e.path, e.code) == key])
+    keys = [(e.path, e.code) for e in report.entries]
+    assert keys == sorted(keys)
 
 
 @given(st.lists(entry_strategy, max_size=6))
 def test_serialization_round_trip_property(entries):
-    report = r.merge_reports([entries], target="t", snapshot_id="s")
+    report = r.merge_reports(entries, target="t", snapshot_id="s")
     data = r.serialize_report(report, "machine")
-    assert r.serialize_report(r.parse_report(data), "machine") == data
+    assert r.serialize_report(parse_report(data), "machine") == data
