@@ -17,7 +17,7 @@ Every run is a fresh interpreter started from the repository root, so the
 report targets and ``file:`` URLs are the same on every side.  It also runs
 ``validate`` on ``PAGE`` with each document in ``UNLOADABLE``, written to the
 temporary directory, so that a loader's failure message and exit code are
-held as well; both sides of those runs start as ``python -m sdocheck``.
+held as well.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -110,20 +110,14 @@ def run(src: Path, argv: list[str],
 
 # how the checkout runs a report: (label, on one CPU, as if idle) per side
 SPLIT_SIDES = (("", False, True), ("one CPU: ", True, True))
-# A document nested past the JSON decoder's depth limit fails naming the
-# container it stopped in, which depends on the stack depth of the call.
-# Nothing is split before a document loads, so a run that fails on one
-# starts as `python -m sdocheck` on both sides.
-SAME_START = (("", False, False),)
 
 
-def differences(argv: list[str], ours: Path, theirs: Path,
-                sides=SPLIT_SIDES) -> list[str]:
+def differences(argv: list[str], ours: Path, theirs: Path) -> list[str]:
     """What differs between ``theirs``'s run of ``argv`` and ``ours``'s on
-    each of ``sides``."""
+    each of ``SPLIT_SIDES``."""
     before = run(theirs, argv)
     out = []
-    for side, one_cpu, as_if_idle in sides:
+    for side, one_cpu, as_if_idle in SPLIT_SIDES:
         after = run(ours, argv, one_cpu, as_if_idle)
         out.extend(side + name for name, old, new
                    in zip(("stdout", "stderr"), before, after) if old != new)
@@ -151,18 +145,17 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(theirs)], input=archive.stdout,
                        check=True)
-        jobs = [([command[0], path, *command[1:]], SPLIT_SIDES)
+        runs = [[command[0], path, *command[1:]]
                 for path in inputs(Path(tmp) / "corpus")
                 for command in COMMANDS]
         for name, (option, document) in UNLOADABLE.items():
             path = Path(tmp) / f"{name}.json"
             path.write_bytes(document)
-            jobs.append((["validate", PAGE, option, str(path)], SAME_START))
+            runs.append(["validate", PAGE, option, str(path)])
         with ThreadPoolExecutor(JOBS) as pool:
             found = list(pool.map(
-                lambda job: differences(job[0], REPO / "src", theirs / "src",
-                                        job[1]), jobs))
-    runs = [run_argv for run_argv, _ in jobs]
+                lambda argv: differences(argv, REPO / "src", theirs / "src"),
+                runs))
     differing = 0
     for run_argv, what in zip(runs, found):
         if what:

@@ -441,20 +441,26 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
         return False
     if isinstance(context, dict):
         vocab_entry = context.get("@vocab")
-        aliases = [k for k in context if not k.startswith("@")]
         if isinstance(vocab_entry, str) and _context_string_ok(vocab_entry):
-            if aliases:
-                builder.warn("term-aliasing context entries ignored: "
-                             + ", ".join(sorted(aliases)))
+            _ignore_aliases([context], builder)
             return True
         builder.warn("context object lacks a schema.org default vocabulary; "
                      "block skipped")
         return False
     if isinstance(context, list):
-        strings = [c for c in context if isinstance(c, str)]
-        if any(_context_string_ok(s) for s in strings):
-            if any(isinstance(c, dict) for c in context):
-                builder.warn("term-aliasing context entries ignored")
+        if any(isinstance(c, str) and _context_string_ok(c) for c in context):
+            _ignore_aliases([c for c in context if isinstance(c, dict)],
+                            builder)
             return True
     builder.warn("unsupported @context form; block skipped")
     return False
+
+
+def _ignore_aliases(contexts: list[dict], builder: _GraphBuilder) -> None:
+    """Warn of the terms that context objects alias: a key not starting
+    with ``@``.  Other keys (``@vocab``, ``@language``) alias no term."""
+    aliases = {key for context in contexts for key in context
+               if not key.startswith("@")}
+    if aliases:
+        builder.warn("term-aliasing context entries ignored: "
+                     + ", ".join(sorted(aliases)))

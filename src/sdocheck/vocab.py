@@ -44,6 +44,12 @@ DATATYPE_WIDENING = {
 
 _NAMESPACE_PREFIXES = ("http://schema.org/", "https://schema.org/", "schema:")
 
+#: The deepest nesting of arrays and objects that a JSON input may have.  It
+#: is fixed, so whether an input parses does not depend on how deep in the
+#: call stack the decoder runs, and it is far enough below the interpreter's
+#: recursion limit that the decoder reaches it from any caller.
+MAX_DEPTH = 500
+
 
 class ParseError(ValueError):
     """The vocabulary source is not a well-formed term dump."""
@@ -141,24 +147,48 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nests_too_deeply(value) -> bool:
+    """Whether ``value`` holds arrays and objects more than ``MAX_DEPTH``
+    deep; a walk level by level, so no recursion."""
+    level = [value] if isinstance(value, (dict, list)) else []
+    for _ in range(MAX_DEPTH):
+        level = [child for item in level
+                 for child in (item.values() if isinstance(item, dict)
+                               else item)
+                 if isinstance(child, (dict, list))]
+        if not level:
+            return False
+    return True
+
+
 def read_json(data: bytes | str, error: type[ValueError], what: str):
     """The JSON value of one input: an annotation block's text or the bytes
     of a vocabulary dump, Domain Specification or validation config.
 
     Every input follows RFC 8259: bytes are UTF-8, after an optional byte
     order mark, and ``NaN``, the infinities and a number too large for a
-    float are not numbers.  Any failure, the decoder's depth limit included,
-    raises ``error(f"{what} does not parse: ...")``.
+    float are not numbers.  No input nests arrays and objects more than
+    ``MAX_DEPTH`` deep.  Any failure raises
+    ``error(f"{what} does not parse: ...")``.
     """
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8-sig")
-        return json.loads(data, parse_constant=_reject_constant,
-                          parse_float=_finite_float)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bad UTF-8, syntax errors, non-finite numbers
-        # and the int-string digit limit
+        value = json.loads(data, parse_constant=_reject_constant,
+                           parse_float=_finite_float)
+    except ValueError as exc:
+        # bad UTF-8, syntax errors, non-finite numbers and the int-string
+        # digit limit
         raise error(f"{what} does not parse: {exc}") from exc
+    except RecursionError:
+        pass  # the stack ends deeper than MAX_DEPTH levels down
+    else:
+        # fewer containers than the limit cannot nest past it
+        if (data.count("[") + data.count("{") <= MAX_DEPTH
+                or not _nests_too_deeply(value)):
+            return value
+    raise error(f"{what} does not parse: it nests deeper than {MAX_DEPTH} "
+                "levels")
 
 
 def load_vocabulary(data: bytes) -> VocabularyGraph:

@@ -137,6 +137,18 @@ class TestJsonLdParsing:
         value = graph.roots[0].properties["startDate"][0]
         assert (value.raw, value.datatype) == ("2026-05-01", "Date")
 
+    @pytest.mark.parametrize("value, warning", [
+        ([["a"]], "nested array value is not supported; skipped"),
+        ({"@value": {"name": "a"}}, "non-scalar @value; skipped"),
+    ])
+    def test_a_value_that_is_no_literal_is_skipped(self, value, warning):
+        graph, entries = parse_jsonld({"@context": "https://schema.org",
+                                       "@type": "Event", "name": "A",
+                                       "description": value})
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", warning)]
+        assert list(graph.roots[0].properties) == ["name"]
+
     def test_bare_id_object_becomes_reference(self):
         block = ('{"@context":"https://schema.org","@type":"Offer",'
                  '"availability":{"@id":"https://schema.org/InStock"}}')
@@ -219,6 +231,21 @@ class TestJsonLdParsing:
         graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is not None
         assert [e.code for e in entries] == ["E103"]
+
+    @pytest.mark.parametrize("context, warnings", [
+        (["https://schema.org", {"@language": "en"}], []),
+        ({"@vocab": "https://schema.org/", "@language": "en"}, []),
+        (["https://schema.org", {"@language": "en", "n": "name"},
+          {"m": "name", "n": "name"}],
+         ["term-aliasing context entries ignored: m, n"]),
+    ])
+    def test_only_a_term_key_of_a_context_object_warns(self, context,
+                                                       warnings):
+        block = json.dumps({"@context": context, "@type": "Event",
+                            "name": "A"})
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
+        assert graph is not None
+        assert [e.description for e in entries] == warnings
 
     def test_reverse_keyword_is_skipped_with_warning(self):
         block = ('{"@context":"https://schema.org","@type":"Event","name":"A",'

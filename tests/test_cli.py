@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sdocheck import annotation, cli, htmltree, sdo_verifier
+from sdocheck import annotation, cli, htmltree, pipeline, report, sdo_verifier
+from sdocheck.vocab import MAX_DEPTH
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -169,6 +170,17 @@ class TestExtract:
         [dump] = json.loads(capsys.readouterr().out)
         assert (dump["roots"], dump["nodes"]) == (None, None)
         assert [f["code"] for f in dump["findings"]] == ["E101"]
+
+    def test_a_reference_is_written_with_its_iri(self, tmp_path, capsys):
+        path = tmp_path / "reference.json"
+        organizer = {"@id": "https://x.example/o"}
+        path.write_text(json.dumps({"@context": "https://schema.org",
+                                    "@type": "Event", "organizer": organizer}))
+        assert cli.main(["extract", str(path)]) == 0
+        [dump] = json.loads(capsys.readouterr().out)
+        assert dump["nodes"][0]["properties"]["organizer"] == [
+            {"kind": "reference", "path": "$0.organizer",
+             "iri": "https://x.example/o"}]
 
     def test_page_without_blocks_is_empty_list(self):
         result = run_cli("extract", str(FIXTURES / "page_none.html"))
@@ -524,3 +536,49 @@ class TestDeepAnnotations:
                     for value in values if value["kind"] == "entity"]
         assert len(entities) == 299
         assert {value["node"] for value in entities} <= set(paths)
+
+
+def deep_event(depth: int) -> str:
+    """A JSON-LD Event whose ``subEvent`` chain nests ``depth`` objects, the
+    deepest carrying the misspelt property ``nmae``."""
+    return ('{"@context": "https://schema.org", "@type": "Event", '
+            '"name": "Level 0", "subEvent": '
+            + "".join(f'{{"@type": "Event", "name": "Level {level}", '
+                      '"subEvent": ' for level in range(1, depth - 1))
+            + f'{{"@type": "Event", "name": "Level {depth - 1}", '
+            '"nmae": "x"}' + "}" * (depth - 1) + "\n")
+
+
+class TestDepthLimit:
+    """A JSON input parses up to ``MAX_DEPTH`` levels of arrays and objects
+    and fails one level deeper, with one report however it is run."""
+
+    STARTS = (["-m", "sdocheck"],
+              ["-c", "from sdocheck import cli; cli.entry_point()"])
+
+    def test_the_probe_nests_exactly_to_the_limit(self):
+        probe = FIXTURES / "probes" / "jsonld_500_deep.json"
+        assert probe.read_text() == deep_event(MAX_DEPTH)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+    def test_both_entry_points_report_as_the_pipeline(self, depth, tmp_path,
+                                                      vocab):
+        path = tmp_path / "deep.json"
+        path.write_text(deep_event(depth))
+        expected = report.serialize_report(pipeline.run(
+            path.read_bytes(), path.as_uri(), vocab, target=str(path)))
+        for start in self.STARTS:
+            result = subprocess.run(
+                [sys.executable, *start, "verify", str(path)],
+                capture_output=True, timeout=60)
+            assert (result.returncode, result.stderr) == (1, b"")
+            assert result.stdout == expected
+        entries = json.loads(expected)["entries"]
+        if depth == MAX_DEPTH:
+            assert [(e["code"], e["path"]) for e in entries] == [
+                ("E202", "$0" + ".subEvent" * (depth - 1) + ".nmae")]
+        else:
+            assert [(e["code"], e["path"], e["description"])
+                    for e in entries] == [
+                ("E101", "$", "block does not parse: it nests deeper than "
+                              f"{MAX_DEPTH} levels")]

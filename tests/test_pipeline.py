@@ -21,6 +21,7 @@ from sdocheck import ds, pipeline, report
 from sdocheck.annotation import extract_annotation_blocks
 from sdocheck.content import ValidationConfig, extract_page_content
 from sdocheck.htmltree import parse_html
+from sdocheck.vocab import MAX_DEPTH
 
 from helpers import (flat_blocks, oracle_blocks, oracle_page_content,
                      oracle_text_and_urls, stdlib_is_the_oracle)
@@ -464,6 +465,31 @@ def _event_page(blocks: int) -> bytes:
         _jsonld({"@context": "https://schema.org", "@type": "Event",
                  "name": f"E{i}"}) for i in range(blocks))
         + "</body></html>").encode()
+
+
+def test_the_depth_limit_reports_the_same_in_parts(vocab, monkeypatch):
+    """Blocks 1 and 2 of 41 nest past ``MAX_DEPTH``, block 1 past the
+    interpreter's recursion limit, and block 3 nests to it exactly: the
+    child, deeper in the stack, reports what one process reports."""
+    def event(x: str) -> str:
+        return '{"@type": "Event", "x": ' + x + "}"
+
+    def arrays(depth: int) -> str:  # an Event nesting ``depth`` levels
+        return event("[" * (depth - 1) + "]" * (depth - 1))
+
+    blocks = [event("1")] * 41
+    blocks[1] = event('{"a": [' * 499 + "]}" * 499)
+    blocks[2] = arrays(MAX_DEPTH + 1)
+    blocks[3] = arrays(MAX_DEPTH)
+    page = ("<html><body>" + "".join(
+        f'<script type="application/ld+json">{block}</script>'
+        for block in blocks) + "</body></html>").encode()
+    serial, split = (split_run(monkeypatch, parts, page, BASE, vocab)
+                     for parts in (False, True))
+    assert report.serialize_report(split) == report.serialize_report(serial)
+    assert [e.description for e in serial.entries if e.code == "E101"] == [
+        f"block does not parse: it nests deeper than {MAX_DEPTH} levels"] * 2
+    assert_no_child_left()
 
 
 def test_a_64_cpu_idle_machine_forks_exactly_one_child(vocab, monkeypatch):

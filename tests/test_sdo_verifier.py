@@ -73,6 +73,13 @@ class TestCheckFamilies:
         findings = verify(block, vocab)
         assert [(f.code, f.path) for f in findings] == [("E204", "$0.location")]
 
+    def test_range_violation_reference(self, vocab):
+        block = {**COMPLIANT_EVENT, "name": {"@id": "https://x.example/n"}}
+        findings = verify(block, vocab)
+        assert [(f.code, f.path, f.description) for f in findings] == [
+            ("E204", "$0.name", "reference 'https://x.example/n' where "
+                                "'name' expects range {Text}")]
+
     def test_malformed_date_literal(self, vocab):
         block = {**COMPLIANT_EVENT, "startDate": "next friday"}
         findings = verify(block, vocab)
