@@ -181,7 +181,7 @@ def read_json(data: bytes | str, error: type[ValueError], what: str):
         # digit limit
         raise error(f"{what} does not parse: {exc}") from exc
     except RecursionError:
-        pass  # the stack ends deeper than MAX_DEPTH levels down
+        pass  # only a value deeper than MAX_DEPTH runs out of stack
     else:
         # fewer containers than the limit cannot nest past it
         if (data.count("[") + data.count("{") <= MAX_DEPTH
