@@ -23,7 +23,6 @@ safe to share afterwards.
 
 from __future__ import annotations
 
-import enum
 import json
 import re
 from datetime import date, datetime, time
@@ -51,11 +50,6 @@ _DATETIME_RE = re.compile(
 _TIME_RE = re.compile(r"^\d{2}:\d{2}(?::\d{2}(?:\.\d+)?)?(?:Z|[+-]\d{2}:?\d{2})?$")
 _TEMPORAL_FORMS = ((_DATE_RE, "Date"), (_DATETIME_RE, "DateTime"),
                    (_TIME_RE, "Time"))
-
-
-class SourceFormat(enum.Enum):
-    JSON_LD = "json-ld"
-    MICRODATA = "microdata"
 
 
 class AnnotationPath(str):
@@ -136,10 +130,11 @@ class RawBlock(NamedTuple):
     base_url: str = ""
 
     @property
-    def source_format(self) -> SourceFormat:
+    def source_format(self) -> str:
+        """``"json-ld"`` or ``"microdata"``."""
         if isinstance(self.payload, MicrodataItem):
-            return SourceFormat.MICRODATA
-        return SourceFormat.JSON_LD
+            return "microdata"
+        return "json-ld"
 
 
 def _string_list(value) -> list[str]:

@@ -194,7 +194,7 @@ def _extract_json(args) -> str:
     _, blocks = pipeline.parse(*_load_input(args.input))
     dumps = [{
         "block_index": block.block_index,
-        "format": block.source_format.value,
+        "format": block.source_format,
         "roots": None if graph is None else [root.path for root in graph.roots],
         "nodes": None if graph is None else graph.nodes,
         "findings": [

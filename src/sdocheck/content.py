@@ -322,11 +322,12 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
         return _scored(path, kind, 1.0 if hit else 0.0, config,
                        f"URL {normalized or raw!r} "
                        + ("found on page" if hit else "not found on page"))
+    # classify_literal labels a literal Date or DateTime only when
+    # parse_temporal reads it, and Integer or Float only when Decimal does
     if kind is ValueKind.DATE:
-        when = _calendar_date(value)
-        if when is None:
-            return ValueConsistency(path, kind, 0.0, MatchStatus.UNVERIFIABLE,
-                                    "value does not parse as a date")
+        when = parse_temporal(raw, value.datatype)
+        if isinstance(when, datetime):
+            when = when.date()
         hit = when in page.dates
         return _scored(path, kind, 1.0 if hit else 0.0, config,
                        f"date {when.isoformat()} "
@@ -335,11 +336,7 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
         return ValueConsistency(path, kind, 0.0, MatchStatus.UNVERIFIABLE,
                                 "times are not extracted from page content")
     if kind in (ValueKind.NUMBER, ValueKind.RATING):
-        try:
-            number = Decimal(raw)
-        except InvalidOperation:
-            return ValueConsistency(path, kind, 0.0, MatchStatus.UNVERIFIABLE,
-                                    "value does not parse as a number")
+        number = Decimal(raw)
         hit = number in page.numbers
         return _scored(path, kind, 1.0 if hit else 0.0, config,
                        f"number {number} "
@@ -382,14 +379,6 @@ def _scored(path: str, kind: ValueKind, score: float,
     status = (MatchStatus.MATCHED if score >= config.threshold
               else MatchStatus.UNMATCHED)
     return ValueConsistency(path, kind, score, status, evidence)
-
-
-def _calendar_date(value: Literal) -> date | None:
-    try:
-        when = parse_temporal(value.raw, value.datatype)
-    except ValueError:
-        return None
-    return when.date() if isinstance(when, datetime) else when
 
 
 def aggregate_scores(scores: list[tuple[float, MatchStatus]]) -> ScoreSummary:

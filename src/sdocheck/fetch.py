@@ -10,7 +10,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-DEFAULT_USER_AGENT = "sdocheck/0.1 (annotation verification tool)"
+TIMEOUT = 10.0  # seconds, to connect and between received bytes
+MAX_REDIRECTS = 5
+MAX_BODY = 8 * 1024 * 1024  # bytes
+USER_AGENT = "sdocheck/0.1 (annotation verification tool)"
 
 
 class FetchError(Exception):
@@ -22,18 +25,11 @@ class NetworkError(FetchError):
 
 
 class TooLarge(FetchError):
-    """The response body exceeded the configured maximum."""
+    """The response body exceeded ``MAX_BODY``."""
 
 
 class TooManyRedirects(FetchError):
-    """The redirect chain exceeded the configured maximum."""
-
-
-class FetchConfig(NamedTuple):
-    timeout: float = 10.0
-    max_redirects: int = 5
-    max_body: int = 8 * 1024 * 1024
-    user_agent: str = DEFAULT_USER_AGENT
+    """The redirect chain exceeded ``MAX_REDIRECTS``."""
 
 
 _CHARSET_PARAM_RE = re.compile(r';\s*charset\s*=\s*"?([^";\s]+)',
@@ -53,7 +49,7 @@ class FetchResult(NamedTuple):
         return match.group(1) if match else None
 
 
-def fetch(url: str, config: FetchConfig | None = None) -> FetchResult:
+def fetch(url: str) -> FetchResult:
     """Retrieve one absolute http(s) URL.
 
     Redirects are followed up to the cap and the final URL is reported (it
@@ -63,22 +59,21 @@ def fetch(url: str, config: FetchConfig | None = None) -> FetchResult:
     """
     import requests  # imported here so that file inputs skip its import cost
 
-    config = config or FetchConfig()
     if not url.startswith(("http://", "https://")):
         raise ValueError(f"not an absolute http(s) URL: {url!r}")
     session = requests.Session()
-    session.max_redirects = config.max_redirects
+    session.max_redirects = MAX_REDIRECTS
     try:
         response = session.get(
-            url, timeout=config.timeout, stream=True,
-            headers={"User-Agent": config.user_agent})
+            url, timeout=TIMEOUT, stream=True,
+            headers={"User-Agent": USER_AGENT})
         try:
             body = bytearray()
             for chunk in response.iter_content(chunk_size=65536):
                 body += chunk
-                if len(body) > config.max_body:
+                if len(body) > MAX_BODY:
                     raise TooLarge(
-                        f"body exceeds {config.max_body} bytes: {url}")
+                        f"body exceeds {MAX_BODY} bytes: {url}")
             return FetchResult(
                 final_url=response.url,
                 body=bytes(body),

@@ -156,24 +156,14 @@ def merge_reports(entries: list[ReportEntry], target: str, snapshot_id: str,
                               content_score=content_score)
 
 
-def _score_to_dict(score: ScoreSummary | None):
-    if score is None:
-        return None
-    return {
-        "score": score.score,
-        "checked": score.checked,
-        "matched": score.matched,
-        "unverifiable": score.unverifiable,
-    }
-
-
 def report_to_dict(report: VerificationReport) -> dict:
     return {
         "target": report.target,
         "snapshot_id": report.snapshot_id,
         "ds_name": report.ds_name,
         "summary": report.summary,
-        "content_score": _score_to_dict(report.content_score),
+        "content_score": (None if report.content_score is None
+                          else report.content_score._asdict()),
         "entries": [
             {
                 "code": e.code,

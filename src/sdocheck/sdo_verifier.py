@@ -14,18 +14,12 @@ properties cannot be checked.  Findings are data, never exceptions.
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import NamedTuple
 
 from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
                          PropertyValue, Reference, parse_temporal)
 from .report import ReportEntry, make_entry
-from .vocab import (DATATYPE_WIDENING, VocabularyGraph, is_subclass_of,
-                    property_applies_to, strip_namespace)
-
-
-class RuleViolation(NamedTuple):
-    description: str
-    property_name: str | None = None
+from .vocab import (DATATYPE_WIDENING, VocabularyGraph, property_applies_to,
+                    strip_namespace)
 
 
 def _first_literal(node: AnnotationNode, prop: str) -> Literal | None:
@@ -35,7 +29,7 @@ def _first_literal(node: AnnotationNode, prop: str) -> Literal | None:
     return None
 
 
-def _check_event_dates(node: AnnotationNode) -> RuleViolation | None:
+def _check_event_dates(node: AnnotationNode) -> tuple[str, str] | None:
     start = _first_literal(node, "startDate")
     end = _first_literal(node, "endDate")
     if start is None or end is None or start.datatype != end.datatype:
@@ -48,12 +42,11 @@ def _check_event_dates(node: AnnotationNode) -> RuleViolation | None:
             and (start_value.tzinfo is None) != (end_value.tzinfo is None)):
         return None  # mixed naive/zoned timestamps are not comparable
     if end_value < start_value:
-        return RuleViolation(
-            f"endDate {end.raw} precedes startDate {start.raw}", "endDate")
+        return "endDate", f"endDate {end.raw} precedes startDate {start.raw}"
     return None
 
 
-def _check_value_order(node: AnnotationNode) -> RuleViolation | None:
+def _check_value_order(node: AnnotationNode) -> tuple[str, str] | None:
     low = _first_literal(node, "minValue")
     high = _first_literal(node, "maxValue")
     if low is None or high is None:
@@ -61,14 +54,14 @@ def _check_value_order(node: AnnotationNode) -> RuleViolation | None:
     if low.datatype not in ("Integer", "Float") or high.datatype not in ("Integer", "Float"):
         return None
     if Decimal(low.raw) > Decimal(high.raw):
-        return RuleViolation(
-            f"minValue {low.raw} exceeds maxValue {high.raw}", "minValue")
+        return "minValue", f"minValue {low.raw} exceeds maxValue {high.raw}"
     return None
 
 
 # the semantic rules every run checks, in id order: (id, applicable type,
 # check), where a check is side-effect free, total over nodes of (a subclass
-# of) its type, and returns None when the node satisfies it
+# of) its type, and returns None when the node satisfies it, else the
+# property at fault and a description
 _RULES = (
     ("event-dates", "Event", _check_event_dates),
     ("value-order", "Thing", _check_value_order),
@@ -149,28 +142,18 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
         _check_duplicates(prop, prop_path, values, findings, strict)
 
     for rule_id, applicable_type, check in _RULES:
-        if not _rule_applies(applicable_type, known_types, vocab):
+        if not any(applicable_type in vocab.ancestors(t) for t in known_types):
             continue
         violation = check(node)
         if violation is not None:
-            path = node.path
-            if violation.property_name:
-                path = f"{node.path}.{violation.property_name}"
+            prop, description = violation
             findings.append(make_entry(
-                "E208", path,
-                f"rule {rule_id!r}: {violation.description}", strict))
+                "E208", f"{node.path}.{prop}",
+                f"rule {rule_id!r}: {description}", strict))
 
 
 def _type_list_text(types: list[str]) -> str:
     return "type " + "/".join(types) if types else "an untyped node"
-
-
-def _rule_applies(applicable_type: str, known_types: list[str],
-                  vocab: VocabularyGraph) -> bool:
-    if applicable_type not in vocab.classes:
-        return False
-    return any(is_subclass_of(vocab, t, applicable_type)
-               for t in known_types)
 
 
 def _check_value(value: PropertyValue, prop: str, prop_known: bool,

@@ -30,7 +30,7 @@ class TestBlockExtraction:
         </body></html>"""
         blocks = blocks_of(html)
         assert [(b.block_index, b.source_format) for b in blocks] == [
-            (0, a.SourceFormat.JSON_LD), (1, a.SourceFormat.JSON_LD)]
+            (0, "json-ld"), (1, "json-ld")]
         assert '"a"' in blocks[0].payload and '"b"' in blocks[1].payload
 
     def test_page_without_structured_data(self):
@@ -45,7 +45,7 @@ class TestBlockExtraction:
         </body></html>"""
         blocks = blocks_of(html)
         assert [(b.block_index, b.source_format) for b in blocks] == [
-            (0, a.SourceFormat.JSON_LD), (1, a.SourceFormat.MICRODATA)]
+            (0, "json-ld"), (1, "microdata")]
 
     def test_media_type_parameters_are_tolerated(self):
         html = ('<script type="application/ld+json; charset=utf-8">{}'

@@ -80,13 +80,15 @@ def test_redirects_within_cap_record_final_url(server):
 
 
 def test_redirect_chain_beyond_cap(server):
+    assert f.MAX_REDIRECTS == 5
     with pytest.raises(f.TooManyRedirects):
-        f.fetch(f"{server}/redirect/6", f.FetchConfig(max_redirects=5))
+        f.fetch(f"{server}/redirect/6")
 
 
-def test_body_cap(server):
+def test_body_cap(server, monkeypatch):
+    monkeypatch.setattr(f, "MAX_BODY", 64 * 1024)
     with pytest.raises(f.TooLarge):
-        f.fetch(f"{server}/big", f.FetchConfig(max_body=64 * 1024))
+        f.fetch(f"{server}/big")
 
 
 def test_non_2xx_is_returned_not_raised(server):
@@ -118,13 +120,14 @@ def test_http_charset_decodes_the_page(server, capsysbinary, path, charset,
         (code, "$0.name") for code in codes]
 
 
-def test_refused_connection_is_a_network_error():
+def test_refused_connection_is_a_network_error(monkeypatch):
+    monkeypatch.setattr(f, "TIMEOUT", 2)
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
     with pytest.raises(f.NetworkError):
-        f.fetch(f"http://127.0.0.1:{port}/", f.FetchConfig(timeout=2))
+        f.fetch(f"http://127.0.0.1:{port}/")
 
 
 def test_relative_url_is_rejected():
