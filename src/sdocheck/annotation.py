@@ -120,12 +120,13 @@ class AnnotationGraph(NamedTuple):
 class RawBlock(NamedTuple):
     """One annotation block as found on a page.
 
-    For JSON-LD the payload is the verbatim script text; for Microdata it is
-    the item that the page's parse recorded (the attribute syntax has no
-    textual block to preserve), and ``base_url`` is the document base that
-    its ``itemid`` and link and media URLs resolve against.
+    For JSON-LD the payload is the verbatim script text, or the bytes of a
+    standalone file; for Microdata it is the item that the page's parse
+    recorded (the attribute syntax has no textual block to preserve), and
+    ``base_url`` is the document base that its ``itemid`` and link and
+    media URLs resolve against.
     """
-    payload: str | MicrodataItem
+    payload: str | bytes | MicrodataItem
     block_index: int
     base_url: str = ""
 
@@ -386,7 +387,7 @@ def _finish(roots: list[AnnotationNode],
     return nodes
 
 
-def _parse_jsonld(payload: str, entries: list[ReportEntry]):
+def _parse_jsonld(payload: str | bytes, entries: list[ReportEntry]):
     try:
         doc = read_json(payload, ValueError, "block")
     except ValueError as exc:
@@ -406,8 +407,11 @@ def _parse_jsonld(payload: str, entries: list[ReportEntry]):
             continue
         if not _context_accepted(top.get("@context"), builder):
             continue
-        if isinstance(top.get("@graph"), list):
-            for item in top["@graph"]:
+        graph = top.get("@graph")
+        if isinstance(graph, dict):  # JSON-LD 1.1: a graph of one node
+            graph = [graph]
+        if isinstance(graph, list):
+            for item in graph:
                 if isinstance(item, dict):
                     roots.append(builder.build(item, top_level=True))
                 else:
@@ -424,6 +428,15 @@ def _context_string_ok(value: str) -> bool:
     return value.rstrip("/") in _ACCEPTED_CONTEXT_BASES
 
 
+def _schema_prefix(context: dict) -> bool:
+    """Whether the context object defines the ``schema`` prefix as
+    schema.org, so ``schema:`` names schema.org terms (``strip_namespace``
+    reads them)."""
+    base = context.get("schema")
+    return isinstance(base, str) and base.rstrip("/") in (
+        "http://schema.org", "https://schema.org")
+
+
 def _context_accepted(context, builder: _GraphBuilder) -> bool:
     """True when the block declares a schema.org context (or none at all)."""
     if context is None:
@@ -436,7 +449,8 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
         return False
     if isinstance(context, dict):
         vocab_entry = context.get("@vocab")
-        if isinstance(vocab_entry, str) and _context_string_ok(vocab_entry):
+        if ((isinstance(vocab_entry, str) and _context_string_ok(vocab_entry))
+                or _schema_prefix(context)):
             _ignore_aliases([context], builder)
             return True
         builder.warn("context object lacks a schema.org default vocabulary; "
@@ -453,9 +467,11 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
 
 def _ignore_aliases(contexts: list[dict], builder: _GraphBuilder) -> None:
     """Warn of the terms that context objects alias: a key not starting
-    with ``@``.  Other keys (``@vocab``, ``@language``) alias no term."""
+    with ``@``.  Other keys (``@vocab``, ``@language``) alias no term, and
+    a ``schema`` prefix for schema.org is read."""
     aliases = {key for context in contexts for key in context
-               if not key.startswith("@")}
+               if not key.startswith("@")
+               and not (key == "schema" and _schema_prefix(context))}
     if aliases:
         builder.warn("term-aliasing context entries ignored: "
                      + ", ".join(sorted(aliases)))

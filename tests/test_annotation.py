@@ -1,4 +1,6 @@
 import json
+from datetime import timezone
+from decimal import Decimal
 from html import escape
 from pathlib import Path
 
@@ -85,6 +87,30 @@ class TestJsonLdParsing:
         assert [r.types for r in graph.roots] == [["Event"], ["Person"]]
         assert [r.path for r in graph.roots] == ["$0", "$1"]
 
+    def test_a_graph_object_is_a_graph_of_one_node(self):
+        graph, entries = parse_jsonld({"@context": "https://schema.org",
+                                       "@graph": {"@type": "Event",
+                                                  "nmae": "A"}})
+        assert entries == []
+        assert [(r.path, r.types, list(r.properties))
+                for r in graph.roots] == [("$0", ["Event"], ["nmae"])]
+
+    def test_a_graph_entry_that_is_no_object_is_skipped(self):
+        graph, entries = parse_jsonld({"@context": "https://schema.org",
+                                       "@graph": [1, {"@type": "Event"}]})
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", "@graph entry is not an object; skipped")]
+        assert [r.path for r in graph.roots] == ["$0"]
+
+    def test_an_embedded_context_is_ignored(self):
+        graph, entries = parse_jsonld({
+            "@context": "https://schema.org", "@type": "Event",
+            "location": {"@context": "https://x.example/", "@type": "Place",
+                         "name": "B"}})
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", "embedded @context ignored")]
+        assert graph.nodes[1].types == ["Place"]
+
     def test_top_level_array(self):
         block = ('[{"@context":"https://schema.org","@type":"Event","name":"A"},'
                  '{"@context":"https://schema.org","@type":"Person","name":"B"}]')
@@ -140,6 +166,7 @@ class TestJsonLdParsing:
     @pytest.mark.parametrize("value, warning", [
         ([["a"]], "nested array value is not supported; skipped"),
         ({"@value": {"name": "a"}}, "non-scalar @value; skipped"),
+        ({"@list": ["a"]}, "@list/@set containers are not supported; skipped"),
     ])
     def test_a_value_that_is_no_literal_is_skipped(self, value, warning):
         graph, entries = parse_jsonld({"@context": "https://schema.org",
@@ -238,6 +265,15 @@ class TestJsonLdParsing:
         (["https://schema.org", {"@language": "en", "n": "name"},
           {"m": "name", "n": "name"}],
          ["term-aliasing context entries ignored: m, n"]),
+        # a schema prefix for schema.org is read, not ignored
+        ({"schema": "https://schema.org/"}, []),
+        ({"schema": "http://schema.org", "n": "name"},
+         ["term-aliasing context entries ignored: n"]),
+        ({"@vocab": "https://schema.org/", "schema": "https://schema.org/"},
+         []),
+        (["https://schema.org", {"schema": "https://schema.org/"}], []),
+        ({"@vocab": "https://schema.org/", "schema": "https://x.example/"},
+         ["term-aliasing context entries ignored: schema"]),
     ])
     def test_only_a_term_key_of_a_context_object_warns(self, context,
                                                        warnings):
@@ -246,6 +282,26 @@ class TestJsonLdParsing:
         graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is not None
         assert [e.description for e in entries] == warnings
+
+    def test_a_schema_prefix_names_schema_org_terms(self):
+        graph, entries = parse_jsonld({
+            "@context": {"schema": "https://schema.org/"},
+            "@type": "schema:Event", "schema:name": "A"})
+        assert entries == []
+        assert (graph.roots[0].types, list(graph.roots[0].properties)) == (
+            ["Event"], ["name"])
+
+    @pytest.mark.parametrize("context", [
+        {"sdo": "https://schema.org/"}, {"schema": "https://x.example/"},
+        {"schema": "schema.org"}])
+    def test_a_prefix_of_another_name_or_base_skips_the_block(self, context):
+        block = json.dumps({"@context": context, "@type": "schema:Event",
+                            "schema:name": "A"})
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
+        assert graph is None
+        assert [e.description for e in entries] == [
+            "context object lacks a schema.org default vocabulary; "
+            "block skipped", "annotation block contains no typed node"]
 
     def test_reverse_keyword_is_skipped_with_warning(self):
         block = ('{"@context":"https://schema.org","@type":"Event","name":"A",'
@@ -479,6 +535,22 @@ class TestClassifyLiteral:
     @given(st.integers())
     def test_every_integer_numeral_classifies_as_integer(self, n):
         assert a.classify_literal(str(n)) == "Integer"
+
+    @given(st.one_of(
+        st.text(max_size=30),
+        st.datetimes(timezones=st.sampled_from([None, timezone.utc])).map(
+            lambda when: when.isoformat()),
+        *(st.from_regex(pattern) for pattern in (
+            a._DATE_RE, a._DATETIME_RE, a._INTEGER_RE, a._FLOAT_RE))))
+    def test_a_date_or_number_label_is_one_its_reader_reads(self, raw):
+        """Content scoring reads a Date or DateTime literal with
+        parse_temporal and an Integer or Float one with Decimal, and
+        expects neither to fail."""
+        datatype = a.classify_literal(raw)
+        if datatype in ("Date", "DateTime"):
+            a.parse_temporal(raw, datatype)
+        elif datatype in ("Integer", "Float"):
+            Decimal(raw)
 
 
 # random JSON-LD-ish annotation objects for the path properties

@@ -351,6 +351,29 @@ class TestRobustness:
         assert cli.main(["verify", str(path)]) == 0
         assert json.loads(capsysbinary.readouterr().out)["entries"] == []
 
+    def test_jsonld_file_that_is_not_utf_8_is_e101(self, capsysbinary):
+        probe = FIXTURES / "probes" / "latin1_standalone.json"
+        assert cli.main(["verify", str(probe)]) == 1
+        [entry] = json.loads(capsysbinary.readouterr().out)["entries"]
+        assert (entry["code"], entry["path"]) == ("E101", "$")
+        assert entry["description"].startswith(
+            "block does not parse: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("probe", ["jsonld_graph_object.json",
+                                       "jsonld_schema_prefix.json"])
+    def test_jsonld_forms_of_one_event_are_checked_clean(self, probe,
+                                                         capsysbinary):
+        """A @graph object, and schema: terms under a schema prefix."""
+        path = str(FIXTURES / "probes" / probe)
+        assert cli.main(["verify", path]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["entries"] == []
+        assert cli.main(["extract", path]) == 0
+        [dump] = json.loads(capsysbinary.readouterr().out)
+        assert [(node["path"], node["types"], list(node["properties"]))
+                for node in dump["nodes"]] == [
+            ("$0", ["Event"], ["name", "startDate", "location"]),
+            ("$0.location", ["Place"], ["name"])]
+
     @pytest.mark.parametrize("probe", ["nan_min_value.json", "big_integer.json",
                                        "deep_nesting.json",
                                        "float_overflow.json"])

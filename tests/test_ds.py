@@ -106,6 +106,42 @@ class TestLoading:
                      "properties": [{"name": "name", "isOptional": "yes",
                                      "ranges": ["Text"]}]}}, vocab)
 
+        def with_ranges(ranges, prop="location"):
+            return {"name": "E", "root": {"targetTypes": ["Event"],
+                                          "properties": [{"name": prop,
+                                                          "ranges": ranges}]}}
+
+        root = {"targetTypes": ["Event"]}
+        cases = [
+            ({"root": root}, d.DsParseError,
+             "document needs a non-empty 'name'"),
+            ({"name": "E", "dsVersion": 1, "root": root}, d.DsParseError,
+             "'dsVersion' must be a string"),
+            ({"name": "E", "root": {"targetTypes": "Event"}}, d.DsParseError,
+             "root: 'targetTypes' must be a non-empty list"),
+            ({"name": "E", "root": {**root, "properties": {}}},
+             d.DsParseError, "root: 'properties' must be a list"),
+            ({"name": "E", "root": {**root, "properties": ["name"]}},
+             d.DsParseError, "root: property entries must be objects"),
+            ({"name": "E", "root": {**root, "properties": [
+                {"ranges": ["Text"]}]}},
+             d.DsParseError, "root: property entry without a name"),
+            (with_ranges(["Txt"], "name"), d.DsIntegrityError,
+             "root.name: unknown range term 'Txt'"),
+            (with_ranges([{"node": root}]), d.DsParseError,
+             "root.location: range object needs a 'type' name"),
+            (with_ranges([{"type": "Plaec"}]), d.DsIntegrityError,
+             "root.location: unknown range type 'Plaec'"),
+            (with_ranges([{"type": "Place", "node": ["Place"]}]),
+             d.DsParseError, "root.location: nested 'node' must be an object"),
+            (with_ranges([3]), d.DsParseError,
+             "root.location: range entries must be names or objects"),
+        ]
+        for doc, error, message in cases:
+            with pytest.raises(error) as raised:
+                load_ds(doc, vocab)
+            assert str(raised.value) == message
+
     def test_shipped_example_documents_load(self, vocab):
         base = resources.files("sdocheck.data").joinpath("ds")
         for name in ("event.json", "lodging-business.json",

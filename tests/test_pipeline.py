@@ -142,10 +142,12 @@ RAW_MARKUP = st.sampled_from([
 ]) | st.text(max_size=8)
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
-                               "startDate", "minValue", "maxValue"])
+                               "startDate", "minValue", "maxValue", "schema",
+                               "schema:name"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | URLISH
-    | st.sampled_from(["Event", "https://schema.org", "2026-07-10"]),
+    | st.sampled_from(["Event", "https://schema.org", "2026-07-10",
+                       "https://schema.org/", "schema:Event"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(JSONLD_KEYS, inner, max_size=4),
     max_leaves=12)
@@ -309,6 +311,14 @@ SPLIT_BLOCKS = st.one_of(
             *({"@type": "Event", "name": name, "startDate": day,
                "location": {"@id": "#p"}} for _ in range(roots))]}),
         SPLIT_NAMES, SPLIT_DATES, st.integers(1, 3)),
+    # one root as a @graph object, its terms prefixed now and then
+    st.builds(lambda name, day, context, prefix: _jsonld(
+        {"@context": context, "@graph": {
+            "@type": prefix + "Event", prefix + "name": name,
+            prefix + "startDate": day}}),
+        SPLIT_NAMES, SPLIT_DATES,
+        st.sampled_from(["https://schema.org", {"schema": "https://schema.org/"}]),
+        st.sampled_from(["", "schema:"])),
     # no roots: E101, E102, and a context that skips the block (E103)
     st.sampled_from([
         '<script type="application/ld+json">{"@type": </script>',

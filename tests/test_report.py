@@ -73,8 +73,10 @@ def test_machine_serialization_of_empty_report():
 def test_human_line_format():
     report = r.merge_reports(
         [r.make_entry("E302", "$0.name", "mandatory property missing")],
-        target="t", snapshot_id="s")
+        target="t", snapshot_id="s", ds_name="event")
     text = r.serialize_report(report, "human").decode()
+    assert text.splitlines()[:2] == ["target: t",
+                                     "domain specification: event"]
     assert any(line.startswith("ERROR E302 $0.name:")
                for line in text.splitlines())
 

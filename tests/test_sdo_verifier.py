@@ -275,6 +275,11 @@ class TestSemanticRules:
         findings = verify(block, vocab)
         assert [(f.code, f.path) for f in findings] == [("E208", "$0.endDate")]
 
+    def test_naive_and_zoned_datetimes_are_not_compared(self, vocab):
+        block = {**COMPLIANT_EVENT, "startDate": "2026-07-10T18:00:00Z",
+                 "endDate": "2026-07-10T17:00:00"}
+        assert verify(block, vocab) == []
+
     def test_value_order_rule(self, vocab):
         block = {"@context": "https://schema.org",
                  "@type": "QuantitativeValue", "name": "range",

@@ -80,6 +80,37 @@ class TestLoading:
         with pytest.raises(error, match="does not parse"):
             load(b'{"x": ' + NOT_JSON[case] + b", " + document[1:], vocab)
 
+    @pytest.mark.parametrize("terms, error, message", [
+        ([{"@id": "schema:Event", "@type": "rdfs:Class",
+           "rdfs:subClassOf": 3}],
+         v.ParseError, "unsupported reference value: 3"),
+        ([{"@type": "rdfs:Class"}], v.ParseError,
+         "term without '@id': {'@type': 'rdfs:Class'}"),
+        ([{"@id": "schema:Loop", "@type": "rdfs:Class",
+           "rdfs:subClassOf": {"@id": "schema:Loop"}}],
+         v.IntegrityError, "class 'Loop' lists itself as superclass"),
+        ([{"@id": "schema:odd"}], v.ParseError,
+         "term 'odd' carries no recognized '@type'"),
+        ([{"@id": "schema:Gold", "@type": "schema:Medal"}], v.IntegrityError,
+         "enumeration member 'Gold' declares unknown class 'Medal'"),
+        ([{"@id": "schema:name", "@type": "rdfs:Class",
+           "rdfs:subClassOf": {"@id": "schema:Thing"}}],
+         v.IntegrityError, "names with conflicting roles: ['name']"),
+        ([{"@id": "schema:about", "@type": "rdf:Property",
+           "schema:domainIncludes": {"@id": "schema:Nowhere"},
+           "schema:rangeIncludes": {"@id": "schema:Text"}}],
+         v.IntegrityError, "property 'about' names unknown domain 'Nowhere'"),
+        ([{"@id": "schema:about", "@type": "rdf:Property",
+           "schema:domainIncludes": {"@id": "schema:Thing"},
+           "schema:rangeIncludes": {"@id": "schema:Nowhere"}}],
+         v.IntegrityError, "property 'about' names unknown range 'Nowhere'"),
+    ])
+    def test_a_malformed_term_is_rejected_with_its_reason(self, terms, error,
+                                                          message):
+        with pytest.raises(error) as raised:
+            v.load_vocabulary(dump(MINI + terms))
+        assert str(raised.value) == message
+
     def test_dangling_superclass_reference(self):
         terms = MINI + [{"@id": "schema:Festival", "@type": "rdfs:Class",
                          "rdfs:subClassOf": {"@id": "schema:Nowhere"}}]
