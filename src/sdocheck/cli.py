@@ -21,7 +21,6 @@ import sys
 from urllib.parse import quote
 
 from . import annotation as anno
-from . import content as content_mod
 from . import ds as ds_mod
 from . import pipeline
 from . import report as report_mod
@@ -82,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
                     if args.ds else None)
             config = None
             if args.command == "validate":
+                from . import content as content_mod  # verify never loads it
                 config = (_load(args.validation_config, "validation config",
                                 content_mod.load_validation_config)
                           if args.validation_config

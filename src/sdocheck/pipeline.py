@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import os
 import threading
+from typing import TYPE_CHECKING
 
-from . import annotation, content, ds, htmltree, report, sdo_verifier
+from . import annotation, ds, htmltree, report, sdo_verifier
 from .vocab import VocabularyGraph
+
+if TYPE_CHECKING:  # a run without content scoring never imports the layer
+    from .content import ValidationConfig
 
 # the fewest blocks a part checks; a page splits from 2 * MIN_BLOCKS blocks,
 # the smallest measured size at which two parts won 9 of 10 alternated pairs
@@ -75,7 +79,7 @@ def _parse_blocks(raw_blocks: list[annotation.RawBlock]):
 def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
         target: str | None = None,
         spec: ds.DomainSpecification | None = None,
-        validate: content.ValidationConfig | None = None,
+        validate: ValidationConfig | None = None,
         strict: bool = False,
         charset: str | None = None) -> report.VerificationReport:
     """Check one input against the vocabulary and, given ``spec``, a Domain
@@ -102,17 +106,23 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     """
     page, raw_blocks = _read(data, base_url, charset)
     is_page = page is not None
-    page_content = None
+    score_values = None
     if validate is not None:
         if not is_page:
             raise NotAPageError("validate needs a web page; "
                                 "got a standalone annotation file")
+        from . import content  # once per run, and only for content scoring
         page_content = content.extract_page_content(page, base_url, validate)
+
+        def score_values(graph):
+            values = content.collect_consistencies(graph, page_content,
+                                                   validate, vocab)
+            return (content.consistency_entries(values),
+                    [(value.score, value.status) for value in values])
     del page  # the blocks and pools are read; free the page before checking
 
     def check(blocks):
-        return _check_blocks(blocks, vocab, spec, page_content, validate,
-                             strict)
+        return _check_blocks(blocks, vocab, spec, strict, score_values)
 
     parts = None
     if _splits(len(raw_blocks)):
@@ -127,7 +137,7 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
         entries.append(report.make_entry(
             "E102", "$", "page contains no annotation blocks"))
     score = None
-    if page_content is not None:
+    if validate is not None:
         score = content.aggregate_scores(scores)
     return report.merge_reports(
         entries, target=base_url if target is None else target,
@@ -135,9 +145,11 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
         content_score=score)
 
 
-def _check_blocks(raw_blocks, vocab, spec, page_content, validate, strict):
+def _check_blocks(raw_blocks, vocab, spec, strict, score_values):
     """Parse and check blocks in order, roots numbered across them from 0:
-    one ``(root count, findings, value scores)`` per block."""
+    one ``(root count, findings, value scores)`` per block.  Given
+    ``score_values``, a graph's content findings and value scores are
+    ``score_values(graph)``."""
     checked = []
     for _, graph, entries in _parse_blocks(raw_blocks):
         scores = []
@@ -146,11 +158,9 @@ def _check_blocks(raw_blocks, vocab, spec, page_content, validate, strict):
                                                           strict))
             if spec is not None:
                 entries.extend(ds.verify_against_ds(graph, spec, vocab))
-            if page_content is not None:
-                values = content.collect_consistencies(
-                    graph, page_content, validate, vocab)
-                entries.extend(content.consistency_entries(values))
-                scores = [(value.score, value.status) for value in values]
+            if score_values is not None:
+                content_entries, scores = score_values(graph)
+                entries.extend(content_entries)
         checked.append((0 if graph is None else len(graph.roots), entries,
                         scores))
     return checked

@@ -13,8 +13,6 @@ properties cannot be checked.  Findings are data, never exceptions.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .annotation import (AnnotationGraph, AnnotationNode, Entity, Literal,
                          PropertyValue, Reference, parse_temporal)
 from .report import ReportEntry, make_entry
@@ -53,6 +51,7 @@ def _check_value_order(node: AnnotationNode) -> tuple[str, str] | None:
         return None
     if low.datatype not in ("Integer", "Float") or high.datatype not in ("Integer", "Float"):
         return None
+    from decimal import Decimal  # the one verify-path rule that reads it
     if Decimal(low.raw) > Decimal(high.raw):
         return "minValue", f"minValue {low.raw} exceeds maxValue {high.raw}"
     return None

@@ -234,23 +234,42 @@ class TestRobustness:
                                 capture_output=True, timeout=60)
         assert result.stdout.decode().strip() == "False", result.stderr
 
-    def test_cli_import_loads_only_what_a_file_run_uses(self):
+    @staticmethod
+    def loaded_after(*argvs) -> tuple[set[str], set[str]]:
+        """The modules loaded after ``import sdocheck.cli`` and then after
+        ``cli.main(argv)`` for each of ``argvs``, in a fresh interpreter."""
         # -S: a site hook may import modules of its own (certifi, say)
-        probe = ("import json, sys, sdocheck.cli; "
-                 "print(json.dumps(sorted(sys.modules)))")
+        probe = ("import io, json, sys, sdocheck.cli as cli\n"
+                 "before = sorted(sys.modules)\n"
+                 "stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())\n"
+                 f"for argv in {list(argvs)!r}: cli.main(argv)\n"
+                 "stdout.write(json.dumps([before, sorted(sys.modules)]))\n")
         result = subprocess.run(
             [sys.executable, "-S", "-c", probe], capture_output=True,
             timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
         assert result.returncode == 0, result.stderr
-        loaded = set(json.loads(result.stdout))
+        before, after = json.loads(result.stdout)
+        return set(before), set(after)
+
+    def test_cli_import_loads_only_what_a_file_run_uses(self):
+        page = str(FIXTURES / "page_good.html")
+        imported, verified = self.loaded_after(
+            ["verify", page, "--ds", str(DS_DIR / "event.json")])
         unused = {"dataclasses", "inspect", "importlib.resources",
                   "sdocheck.fetch", "requests", "html.parser", "_markupbase"}
-        assert loaded & unused == set()
-        # the benchmark's tracer finds its targets in sys.modules
+        assert imported & unused == set()
+        # only content scoring reads the content layer and what it imports
+        assert verified & (unused | {"sdocheck.content", "decimal",
+                                     "unicodedata"}) == set()
         layers = {f"sdocheck.{name}" for name in (
             "vocab", "ds", "htmltree", "annotation", "sdo_verifier",
-            "content", "report", "pipeline")}
-        assert layers <= loaded
+            "report", "pipeline")}
+        assert layers <= imported
+
+    def test_validate_loads_the_content_layer(self):
+        _, validated = self.loaded_after(
+            ["validate", str(FIXTURES / "page_good.html")])
+        assert "sdocheck.content" in validated
 
     def test_relative_link_resolves_against_the_file_path(self, capsysbinary):
         probe = FIXTURES / "probes" / "relative_link.html"

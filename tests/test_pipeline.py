@@ -628,8 +628,8 @@ def test_children_of_a_killed_caller_exit(vocab, tmp_path):
               for i in range(600)]
     page = ("<html><body>" + "".join(blocks) + "</body></html>").encode()
     _, raw_blocks = pipeline._read(page, BASE, None)
-    checked = pipeline._check_blocks(raw_blocks[1::2], vocab, None, None,
-                                     None, False)
+    checked = pipeline._check_blocks(raw_blocks[1::2], vocab, None, False,
+                                     None)
     assert len(pickle.dumps(checked, pickle.HIGHEST_PROTOCOL)) > 64 * 1024
     (tmp_path / "page.html").write_bytes(page)
     # the caller and its child inherit `held`; reading it gives EOF once
