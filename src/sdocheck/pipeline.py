@@ -132,10 +132,8 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
             pass
     if parts is None:
         parts = [check(raw_blocks)]
-    entries, scores = _merge(parts)
-    if is_page and not raw_blocks:
-        entries.append(report.make_entry(
-            "E102", "$", "page contains no annotation blocks"))
+    entries, scores, matched = _merge(parts)
+    entries.extend(_page_entries(is_page, spec, matched))
     score = None
     if validate is not None:
         score = content.aggregate_scores(scores)
@@ -147,47 +145,72 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
 
 def _check_blocks(raw_blocks, vocab, spec, strict, score_values):
     """Parse and check blocks in order, roots numbered across them from 0:
-    one ``(root count, findings, value scores)`` per block.  Given
-    ``score_values``, a graph's content findings and value scores are
-    ``score_values(graph)``."""
+    one ``(root count, target matched, findings, value scores)`` per block,
+    where a block that did not parse matched None, and one that did whether
+    a root is of a target type of ``spec``.  Given ``score_values``, a
+    graph's content findings and value scores are ``score_values(graph)``."""
     checked = []
     for _, graph, entries in _parse_blocks(raw_blocks):
+        matched = None
         scores = []
         if graph is not None:
             entries.extend(sdo_verifier.verify_schema_org(graph, vocab,
                                                           strict))
+            matched = False
             if spec is not None:
-                entries.extend(ds.verify_against_ds(graph, spec, vocab))
+                found = ds.verify_against_ds(graph, spec, vocab)
+                matched = found is not None
+                if matched:
+                    entries.extend(found)
             if score_values is not None:
                 content_entries, scores = score_values(graph)
                 entries.extend(content_entries)
-        checked.append((0 if graph is None else len(graph.roots), entries,
-                        scores))
+        checked.append((0 if graph is None else len(graph.roots), matched,
+                        entries, scores))
     return checked
 
 
 def _merge(parts):
-    """The findings and value scores of every block in block order, from
-    ``parts[j]`` checking blocks ``j, j + k, ...`` of ``k`` parts (every
-    block, or the even blocks then the odd ones), with each path's leading
-    ``$<n>`` renumbered from the part's roots to the page's."""
+    """The findings, value scores and target flags of every block in block
+    order, from ``parts[j]`` checking blocks ``j, j + k, ...`` of ``k``
+    parts (every block, or the even blocks then the odd ones), with each
+    path's leading ``$<n>`` renumbered from the part's roots to the
+    page's."""
     entries = []
     scores = []
+    matched = []
     k = len(parts)
     part_roots = [0] * k
     page_roots = 0
     for index in range(sum(map(len, parts))):
         part = index % k
-        roots, block_entries, block_scores = parts[part][index // k]
+        roots, block_matched, block_entries, block_scores = (
+            parts[part][index // k])
         shift = page_roots - part_roots[part]
         if shift:
             block_entries = [entry._replace(path=_renumber(entry.path, shift))
                              for entry in block_entries]
         entries.extend(block_entries)
         scores.extend(block_scores)
+        matched.append(block_matched)
         part_roots[part] += roots
         page_roots += roots
-    return entries, scores
+    return entries, scores, matched
+
+
+def _page_entries(is_page: bool, spec: ds.DomainSpecification | None,
+                  matched: list[bool | None]) -> list[report.ReportEntry]:
+    """The page phase: findings about the whole input, at ``$``, from its
+    blocks' target flags in block order (None for a block that did not
+    parse).  E102 for a page without blocks; given ``spec``, one E301 when
+    some block parsed and no root of any block is of a target type."""
+    if is_page and not matched:
+        return [report.make_entry("E102", "$",
+                                  "page contains no annotation blocks")]
+    parsed = [flag for flag in matched if flag is not None]
+    if spec is not None and parsed and not any(parsed):
+        return [ds.target_mismatch(spec)]
+    return []
 
 
 def _renumber(path: str, shift: int) -> str:

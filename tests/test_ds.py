@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from importlib import resources
 
-from sdocheck import ds as d
+from sdocheck import ds as d, pipeline
 from generators import delete_property, random_ds_with_annotation
 from helpers import load_ds, parse_jsonld, report_order
 
@@ -43,11 +43,27 @@ GOOD_EVENT = {
 }
 
 
+ORGANIZATION = {"@context": "https://schema.org", "@type": "Organization",
+                "name": "Hall Trust"}
+
+
 def check(annotation, ds_doc, vocab):
     spec = load_ds(ds_doc, vocab)
     graph, entries = parse_jsonld(annotation)
     assert entries == []
     return d.verify_against_ds(graph, spec, vocab)
+
+
+def page_of(*blocks) -> bytes:
+    """A page of one JSON-LD script per block."""
+    return "".join(f'<script type="application/ld+json">{json.dumps(block)}'
+                   "</script>" for block in blocks).encode()
+
+
+def entries_of(page: bytes, ds_doc, vocab) -> list[tuple[str, str]]:
+    result = pipeline.run(page, "https://x.example/", vocab,
+                          spec=load_ds(ds_doc, vocab))
+    return [(entry.code, entry.path) for entry in result.entries]
 
 
 class TestLoading:
@@ -184,11 +200,20 @@ class TestMatching:
                  "name": "Alpenhof"}
         assert check(hotel, doc, vocab) == []
 
-    def test_no_match_is_one_entry_per_graph(self, vocab):
+    def test_no_match_is_one_entry_per_page(self, vocab):
         doc = {"name": "lodging", "root": {
             "targetTypes": ["LodgingBusiness"], "properties": []}}
-        findings = check(GOOD_EVENT, doc, vocab)
-        assert [(f.code, f.path) for f in findings] == [("E301", "$")]
+        assert check(GOOD_EVENT, doc, vocab) is None  # the page decides
+        page = page_of(GOOD_EVENT, ORGANIZATION, GOOD_EVENT)
+        assert entries_of(page, doc, vocab) == [("E301", "$")]
+
+    def test_a_target_root_in_any_block_matches_the_page(self, vocab):
+        page = page_of(ORGANIZATION, GOOD_EVENT, ORGANIZATION)
+        assert entries_of(page, MINIMAL, vocab) == []
+
+    def test_a_page_whose_blocks_do_not_parse_gets_no_e301(self, vocab):
+        page = page_of({"@context": "https://x.example/", "@type": "Event"})
+        assert entries_of(page, MINIMAL, vocab) == [("E102", "$"), ("E103", "$")]
 
 
 class TestConstraintChecks:

@@ -143,7 +143,7 @@ RAW_MARKUP = st.sampled_from([
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
                                "startDate", "minValue", "maxValue", "schema",
-                               "schema:name"])
+                               "schema:name", "@vocab"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | URLISH
     | st.sampled_from(["Event", "https://schema.org", "2026-07-10",
@@ -317,8 +317,18 @@ SPLIT_BLOCKS = st.one_of(
             "@type": prefix + "Event", prefix + "name": name,
             prefix + "startDate": day}}),
         SPLIT_NAMES, SPLIT_DATES,
-        st.sampled_from(["https://schema.org", {"schema": "https://schema.org/"}]),
+        st.sampled_from(["https://schema.org", {"schema": "https://schema.org/"},
+                         [{"@vocab": "https://schema.org/"}],
+                         [{"schema": "https://schema.org/"},
+                          "https://x.example/"]]),
         st.sampled_from(["", "schema:"])),
+    # a root of no target type of the constraint document, in either carrier
+    st.builds(lambda name, kind: _jsonld(
+        {"@context": "https://schema.org", "@type": kind, "name": name}),
+        SPLIT_NAMES, st.sampled_from(["Organization", "Person"])),
+    st.builds(lambda name: (
+        '<div itemscope itemtype="https://schema.org/Organization">'
+        f'<span itemprop="name">{escape(name)}</span></div>'), SPLIT_NAMES),
     # no roots: E101, E102, and a context that skips the block (E103)
     st.sampled_from([
         '<script type="application/ld+json">{"@type": </script>',
