@@ -437,8 +437,18 @@ def _schema_prefix(context: dict) -> bool:
         "http://schema.org", "https://schema.org")
 
 
+def _context_object_ok(context: dict) -> bool:
+    """Whether the context object makes schema.org its ``@vocab`` or its
+    ``schema`` prefix."""
+    vocab_entry = context.get("@vocab")
+    return ((isinstance(vocab_entry, str) and _context_string_ok(vocab_entry))
+            or _schema_prefix(context))
+
+
 def _context_accepted(context, builder: _GraphBuilder) -> bool:
-    """True when the block declares a schema.org context (or none at all)."""
+    """True when the block declares a schema.org context (or none at all):
+    the schema.org IRI, an object that the object rule accepts, or a list
+    holding either."""
     if context is None:
         return True
     if isinstance(context, str):
@@ -448,16 +458,16 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
                      "block skipped")
         return False
     if isinstance(context, dict):
-        vocab_entry = context.get("@vocab")
-        if ((isinstance(vocab_entry, str) and _context_string_ok(vocab_entry))
-                or _schema_prefix(context)):
+        if _context_object_ok(context):
             _ignore_aliases([context], builder)
             return True
         builder.warn("context object lacks a schema.org default vocabulary; "
                      "block skipped")
         return False
     if isinstance(context, list):
-        if any(isinstance(c, str) and _context_string_ok(c) for c in context):
+        if any(_context_string_ok(c) if isinstance(c, str)
+               else isinstance(c, dict) and _context_object_ok(c)
+               for c in context):
             _ignore_aliases([c for c in context if isinstance(c, dict)],
                             builder)
             return True

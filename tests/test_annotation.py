@@ -252,6 +252,16 @@ class TestJsonLdParsing:
         assert graph is None
         assert [e.code for e in entries] == ["E103", "E102"]
 
+    @pytest.mark.parametrize("context", [
+        [], ["https://x.example/"], [{"@vocab": "https://x.example/"}],
+        [{"sdo": "https://schema.org/"}, 7]])
+    def test_a_context_list_without_schema_org_skips_the_block(self, context):
+        block = json.dumps({"@context": context, "@type": "Event"})
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
+        assert graph is None
+        assert [(e.code, e.description) for e in entries][0] == (
+            "E103", "unsupported @context form; block skipped")
+
     def test_context_object_with_vocab_and_aliases(self):
         block = ('{"@context":{"@vocab":"https://schema.org/","n":"name"},'
                  '"@type":"Event","name":"A"}')
@@ -272,6 +282,11 @@ class TestJsonLdParsing:
         ({"@vocab": "https://schema.org/", "schema": "https://schema.org/"},
          []),
         (["https://schema.org", {"schema": "https://schema.org/"}], []),
+        # a list whose schema.org entry is an object
+        ([{"@vocab": "https://schema.org/"}], []),
+        ([{"@language": "en"}, {"@vocab": "http://schema.org"}], []),
+        ([{"schema": "https://schema.org/"}, {"n": "name"}],
+         ["term-aliasing context entries ignored: n"]),
         ({"@vocab": "https://schema.org/", "schema": "https://x.example/"},
          ["term-aliasing context entries ignored: schema"]),
     ])

@@ -379,10 +379,12 @@ class TestRobustness:
             "block does not parse: 'utf-8' codec can't decode byte 0xe9")
 
     @pytest.mark.parametrize("probe", ["jsonld_graph_object.json",
-                                       "jsonld_schema_prefix.json"])
+                                       "jsonld_schema_prefix.json",
+                                       "jsonld_context_list_object.json"])
     def test_jsonld_forms_of_one_event_are_checked_clean(self, probe,
                                                          capsysbinary):
-        """A @graph object, and schema: terms under a schema prefix."""
+        """A @graph object, schema: terms under a schema prefix, and a
+        context list whose schema.org entry is an object."""
         path = str(FIXTURES / "probes" / probe)
         assert cli.main(["verify", path]) == 0
         assert json.loads(capsysbinary.readouterr().out)["entries"] == []
