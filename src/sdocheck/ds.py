@@ -182,14 +182,6 @@ def match_target(ds: DomainSpecification, graph: AnnotationGraph,
                    for target in targets)]
 
 
-def target_mismatch(ds: DomainSpecification) -> ReportEntry:
-    """E301, at ``$``: no root of any block of the input is of a target
-    type."""
-    targets = ", ".join(ds.root.target_types)
-    return make_entry("E301", "$",
-                      f"no annotation root is of target type {targets}")
-
-
 # a (node, type node) pair, by identity: the key of the findings memo
 _Pair = tuple[int, int]
 # a finding, with the pair whose findings explain it when it is an E305
@@ -205,8 +197,8 @@ def verify_against_ds(graph: AnnotationGraph, ds: DomainSpecification,
     fits no declared range, E305 a value class-matches a nested type node
     but breaks its constraints.  Each (node, type node) pair is checked
     once, and a pair's nested findings follow the first E305 that the
-    report keeps, at their own paths.  E301 is about a whole input, so
-    ``target_mismatch`` makes it once no block of the input matches.
+    report keeps, at their own paths.  E301 is about a whole input, so the
+    pipeline makes it once no block of the input matches.
     """
     matching = match_target(ds, graph, vocab)
     if not matching:

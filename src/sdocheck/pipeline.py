@@ -209,7 +209,9 @@ def _page_entries(is_page: bool, spec: ds.DomainSpecification | None,
                                   "page contains no annotation blocks")]
     parsed = [flag for flag in matched if flag is not None]
     if spec is not None and parsed and not any(parsed):
-        return [ds.target_mismatch(spec)]
+        targets = ", ".join(spec.root.target_types)
+        return [report.make_entry(
+            "E301", "$", f"no annotation root is of target type {targets}")]
     return []
 
 
