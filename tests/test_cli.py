@@ -241,7 +241,8 @@ class TestRobustness:
         # -S: a site hook may import modules of its own (certifi, say)
         probe = ("import io, json, sys, sdocheck.cli as cli\n"
                  "before = sorted(sys.modules)\n"
-                 "stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())\n"
+                 "stdout = sys.stdout\n"
+                 "sys.stdout = io.TextIOWrapper(io.BytesIO())\n"
                  f"for argv in {list(argvs)!r}: cli.main(argv)\n"
                  "stdout.write(json.dumps([before, sorted(sys.modules)]))\n")
         result = subprocess.run(

@@ -213,7 +213,8 @@ class TestMatching:
 
     def test_a_page_whose_blocks_do_not_parse_gets_no_e301(self, vocab):
         page = page_of({"@context": "https://x.example/", "@type": "Event"})
-        assert entries_of(page, MINIMAL, vocab) == [("E102", "$"), ("E103", "$")]
+        assert entries_of(page, MINIMAL, vocab) == [("E102", "$"),
+                                                    ("E103", "$")]
 
 
 class TestConstraintChecks:
