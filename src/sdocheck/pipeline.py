@@ -3,7 +3,8 @@ and library callers: parse the input (an HTML page once, or one JSON-LD
 file), parse every annotation block with roots numbered across blocks, then
 run the vocabulary checks, the Domain Specification checks and, given a
 ValidationConfig, the page-content scoring, and merge their findings.
-``parse`` is the first two steps, which ``sdocheck extract`` shares.
+``parse`` is the first two steps, which ``sdocheck extract`` shares.  A
+page phase after the merge adds the findings about the whole input.
 
 One block's checks never read another block, so while a second CPU is
 free, ``run`` checks a page of many blocks in two parts, the even blocks in
