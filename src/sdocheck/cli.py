@@ -9,7 +9,10 @@ Three subcommands:
 Exit codes: 0 no finding at or above --fail-level, 1 findings, 2 tool
 failure (unreadable input, bad vocabulary or constraint document, network
 error, internal error, a stdout that cannot take the output).  The report
-goes to stdout, diagnostics to stderr.
+goes to stdout, diagnostics to stderr; a closed or unwritable stderr drops
+them and leaves the exit code as listed.  ``entry_point`` ends the process
+with ``os._exit`` once stdout and stderr are flushed, so no atexit handler
+runs; callers that need the code call ``main``, which returns it.
 """
 
 from __future__ import annotations
@@ -94,25 +97,44 @@ def main(argv: list[str] | None = None) -> int:
             output = report_mod.serialize_report(report, args.format)
             code = _exit_code(report, args.fail_level)
     except (CliFailure, pipeline.NotAPageError) as exc:
-        print(f"sdocheck: {exc}", file=sys.stderr)
+        _warn(f"sdocheck: {exc}")
         return 2
     except Exception as exc:  # a crash must not read as exit 1, "findings"
-        print(f"sdocheck: internal error: {exc!r}", file=sys.stderr)
+        _warn(f"sdocheck: internal error: {exc!r}")
         return 2
     # a stdout that cannot take the output is a tool failure, not "findings"
     return code if _write_output(output) else 2
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """``main`` as a process, ended by ``os._exit`` past the teardown."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help and usage errors
+        code = exc.code or 0
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            code = 2  # as when _write_output fails
+    os._exit(code)
+
+
+def _warn(line: str) -> None:
+    """One line on stderr, dropped if stderr is closed or cannot take it."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
 
 
 def _write_output(output: str | bytes) -> bool:
     """Write the command's output to stdout.  False when stdout cannot take
     it, after one line on stderr, or none when a reader left early."""
     if sys.stdout is None:  # the interpreter started with it closed
-        print("sdocheck: cannot write output: stdout is closed",
-              file=sys.stderr)
+        _warn("sdocheck: cannot write output: stdout is closed")
         return False
     try:
         if isinstance(output, bytes):
@@ -121,23 +143,10 @@ def _write_output(output: str | bytes) -> bool:
             sys.stdout.write(output)
         sys.stdout.flush()
     except OSError as exc:
-        _discard_stdout()
         if not isinstance(exc, BrokenPipeError):
-            print(f"sdocheck: cannot write output: {exc}", file=sys.stderr)
+            _warn(f"sdocheck: cannot write output: {exc}")
         return False
     return True
-
-
-def _discard_stdout() -> None:
-    """Point the stdout descriptor at the null device, so the output still
-    buffered does not fail again when the interpreter flushes it at exit."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):
-        return  # an in-memory stream: nothing flushes it to a descriptor
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +164,8 @@ def _load_input(raw: str) -> tuple[bytes, str, str | None]:
         except FetchError as exc:
             raise CliFailure(f"fetch failed: {exc}") from exc
         if not 200 <= result.status < 300:
-            print(f"sdocheck: warning: HTTP {result.status} from "
-                  f"{result.final_url}", file=sys.stderr)
+            _warn(f"sdocheck: warning: HTTP {result.status} from "
+                  f"{result.final_url}")
         return result.body, result.final_url, result.charset
     try:
         with open(raw, "rb") as handle:

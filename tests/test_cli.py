@@ -525,6 +525,34 @@ class TestUnwritableStdout:
             "sdocheck: cannot write output: stdout is closed"]
 
 
+class TestUnwritableStderr:
+    """A closed or read-only stderr drops the diagnostic: a failed run still
+    exits 2, never 1 ("findings"), and puts nothing on stdout."""
+
+    CASES = {
+        "unreadable input": ["verify", str(FIXTURES / "does_not_exist.json")],
+        "bad --ds": ["verify", str(FIXTURES / "clean_event.json"),
+                     "--ds", str(FIXTURES / "does_not_exist.json")],
+        "full stdout": ["verify", str(FIXTURES / "clean_event.json")],
+    }
+
+    @pytest.mark.skipif(os.name != "posix" or not os.path.exists("/dev/full"),
+                        reason="needs POSIX descriptors and /dev/full")
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    def test_failure_exits_2_with_nothing_on_stdout(self, case, stderr):
+        with open("/dev/full", "wb") as full, \
+                open(os.devnull, "rb") as read_only:
+            result = subprocess.run(
+                [sys.executable, "-m", "sdocheck", *self.CASES[case]],
+                stdout=full if case == "full stdout" else subprocess.PIPE,
+                stderr=read_only if stderr == "read-only" else None,
+                preexec_fn=(lambda: os.close(2)) if stderr == "closed"
+                else None, timeout=60)
+        assert result.returncode == 2
+        assert result.stdout in (None, b"")
+
+
 class _Tally:
     """A stdout that keeps no text: counts one marker across writes."""
 
@@ -627,3 +655,44 @@ class TestDepthLimit:
                     for e in entries] == [
                 ("E101", "$", "block does not parse: it nests deeper than "
                               f"{MAX_DEPTH} levels")]
+
+
+class TestEntryPoint:
+    """A process started either way hands back what ``cli.main`` returns and
+    writes: exit code, stdout and stderr, byte for byte."""
+
+    CASES = [
+        *[["verify", str(FIXTURES / name), "--fail-level", level]
+          for name in ("clean_event.json", "warn_event.json",
+                       "error_event.json")
+          for level in ("error", "warning", "never")],
+        ["--help"],
+        ["verify"],
+        # a report of 481 KB, far more than a 64 KB pipe buffer holds
+        ["validate", str(FIXTURES / "probes" / "jsonld_300_deep.html")],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", CASES, ids=lambda argv: " ".join(Path(a).name for a in argv))
+    def test_a_process_hands_back_what_main_returns(self, argv, monkeypatch,
+                                                    capsysbinary):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsysbinary.readouterr()
+        expected = (code, captured.out, captured.err)
+        if argv == ["--help"]:
+            assert code == 0 and captured.out.startswith(b"usage: sdocheck")
+            assert captured.out.endswith(b"show this help message and exit\n")
+        elif argv == ["verify"]:
+            assert code == 2 and captured.out == b""
+            assert captured.err.startswith(b"usage: sdocheck verify")
+        elif argv[0] == "validate":
+            assert len(captured.out) > 65536
+        for start in TestDepthLimit.STARTS:
+            result = subprocess.run([sys.executable, *start, *argv],
+                                    capture_output=True, timeout=60)
+            assert (result.returncode, result.stdout,
+                    result.stderr) == expected, start
