@@ -192,6 +192,15 @@ class TestNumberPatterns:
         page = page_from("<p>120.50</p>")
         assert Decimal("120.5") in page.numbers
 
+    @given(st.text(alphabet=st.one_of(st.characters(categories=["Nd"]),
+                                      st.sampled_from(".,")), max_size=30))
+    @example("1.234,5 ١٢٣,٤٥٦ 7,,8 9.")
+    def test_every_numeral_run_reads_as_a_number_or_none(self, text):
+        for run in c._NUMERAL_RE.findall(text):
+            for separator in ("point", "comma"):
+                value = c.parse_numeral(run, separator)
+                assert value is None or isinstance(value, Decimal)
+
 
 class TestValueScoring:
     def test_trailing_slash_normalization_matches(self):
@@ -225,6 +234,15 @@ class TestValueScoring:
                                         page, config)
         assert result.status is c.MatchStatus.MATCHED
         assert result.score == 1.0
+
+    def test_a_surface_form_without_tokens_scores_zero(self):
+        config = c.ValidationConfig(
+            boolean_surface_forms={"petsAllowed": {"true": ["!!"]}})
+        page = page_from("<p>pets allowed !!</p>")
+        result = c.consistency_of_value(literal("true"), "petsAllowed",
+                                        page, config)
+        assert (result.score, result.status) == (0.0,
+                                                 c.MatchStatus.UNMATCHED)
 
     def test_enumeration_member_split_at_camel_case(self, vocab):
         page = page_from("<p>currently in stock</p>")
@@ -386,6 +404,9 @@ def test_validation_config_rejects_bad_values():
         c.load_validation_config(b'{"dateOrder": "YDM"}')
     with pytest.raises(ValueError):
         c.load_validation_config(b'{"decimalSeparator": "space"}')
+    with pytest.raises(ValueError, match="booleanSurfaceForms must be an "
+                                         "object"):
+        c.load_validation_config(b'{"booleanSurfaceForms": ["pets ok"]}')
 
 
 # NaN, the infinities and 1e400 are no JSON numbers: they fail at parse

@@ -54,6 +54,7 @@ MARKUP_PIECES = st.sampled_from([
 @example('<a x=">">z</a x=">"><!-- a -- >text&amp')
 @example('<p itemscope>x<a href="y')
 @example('<script type="application/ld+json">a</ſcript>b</script>')
+@example('<p itemscope><a\x00>x</a></p>')
 def test_tag_soup_reads_as_the_stdlib_tokenizer_reads_it(page):
     _same_as_stdlib(page)
 

@@ -70,6 +70,12 @@ def test_machine_serialization_of_empty_report():
     assert b'"entries": []' in data
 
 
+def test_an_unknown_format_is_refused():
+    report = r.merge_reports([], target="t", snapshot_id="s")
+    with pytest.raises(ValueError, match="unknown report format: 'xml'"):
+        r.serialize_report(report, "xml")
+
+
 def test_human_line_format():
     report = r.merge_reports(
         [r.make_entry("E302", "$0.name", "mandatory property missing")],

@@ -287,6 +287,17 @@ class TestSemanticRules:
         findings = verify(block, vocab)
         assert [(f.code, f.path) for f in findings] == [("E208", "$0.minValue")]
 
+    def test_times_are_not_compared(self, vocab):
+        block = {**COMPLIANT_EVENT, "startDate": "19:00:00",
+                 "endDate": "18:00:00"}
+        assert "E208" not in [f.code for f in verify(block, vocab)]
+
+    def test_bounds_that_are_no_numbers_are_not_compared(self, vocab):
+        block = {"@context": "https://schema.org",
+                 "@type": "QuantitativeValue", "name": "range",
+                 "minValue": "high", "maxValue": "low"}
+        assert "E208" not in [f.code for f in verify(block, vocab)]
+
     def test_rule_applies_to_subclasses(self, vocab):
         block = {**COMPLIANT_EVENT, "@type": "Festival",
                  "endDate": "2026-07-01"}

@@ -117,6 +117,12 @@ class TestLoading:
         with pytest.raises(v.IntegrityError):
             v.load_vocabulary(dump(terms))
 
+    def test_a_superclass_may_be_a_plain_string(self):
+        terms = MINI + [{"@id": "schema:Festival", "@type": "rdfs:Class",
+                         "rdfs:subClassOf": "schema:Event"}]
+        graph = v.load_vocabulary(dump(terms))
+        assert v.is_subclass_of(graph, "Festival", "Event")
+
     def test_cyclic_subclass_chain(self):
         terms = MINI + [
             {"@id": "schema:A", "@type": "rdfs:Class",
