@@ -19,7 +19,7 @@ import enum
 import re
 import unicodedata
 from datetime import date, datetime
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import NamedTuple
 from urllib.parse import urlsplit, urlunsplit
 
@@ -240,10 +240,7 @@ def parse_numeral(run: str, decimal_separator: str = "point") -> Decimal | None:
     when the grouping makes thousands impossible.  Returns None for runs
     that are not plausible numbers (e.g. version strings like 1.2.3)."""
     if not any(c in run for c in ".,"):
-        try:
-            return Decimal(run)
-        except InvalidOperation:
-            return None
+        return Decimal(run)
     dec_char = "." if decimal_separator == "point" else ","
     thou_char = "," if dec_char == "." else "."
     last = max(run.rfind("."), run.rfind(","))
@@ -265,8 +262,6 @@ def parse_numeral(run: str, decimal_separator: str = "point") -> Decimal | None:
         if not int_part.isdigit():
             return None
         digits = int_part
-    if frac is not None and not frac.isdigit():
-        return None
     return Decimal(digits + ("." + frac if frac else ""))
 
 
@@ -274,97 +269,69 @@ def parse_numeral(run: str, decimal_separator: str = "point") -> Decimal | None:
 # scoring
 
 
-def classify_value_kind(value: Literal | Reference, property_name: str,
-                        vocab: VocabularyGraph | None) -> ValueKind | None:
-    """The consistency kind of a value; None when nothing can be checked.
-
-    Enumeration members win over the URL reading: a member written in IRI
-    form describes page wording, not a link target.
-    """
-    raw = value.iri if isinstance(value, Reference) else value.raw
-    if vocab is not None and vocab.enumerations_of_member(strip_namespace(raw)):
-        return ValueKind.ENUMERATION
-    if isinstance(value, Reference):
-        return ValueKind.URL
-    datatype = value.datatype
-    if datatype == UNDETERMINED:
-        return None
-    if datatype == "URL":
-        return ValueKind.URL
-    if datatype in ("Date", "DateTime"):
-        return ValueKind.DATE
-    if datatype == "Time":
-        return ValueKind.TIME
-    if datatype == "Boolean":
-        return ValueKind.BOOLEAN
-    if datatype in ("Integer", "Float"):
-        if property_name in _RATING_PROPERTIES:
-            return ValueKind.RATING
-        return ValueKind.NUMBER
-    return ValueKind.STRING
-
-
 def consistency_of_value(value: Literal | Reference, property_name: str,
                          page: PageContent, config: ValidationConfig,
                          vocab: VocabularyGraph | None = None,
                          ) -> ValueConsistency:
-    """Score one annotation value against the page pools."""
-    path = value.path or "$0"
-    kind = classify_value_kind(value, property_name, vocab)
-    raw = value.iri if isinstance(value, Reference) else value.raw
+    """Score one annotation value against the page pools.
 
-    if kind is None:
-        return ValueConsistency(path, ValueKind.STRING, 0.0,
-                                MatchStatus.UNVERIFIABLE, "empty value")
-    if kind is ValueKind.URL:
-        normalized = normalize_url(raw)
-        hit = normalized in page.urls
-        return _scored(path, kind, 1.0 if hit else 0.0, config,
-                       f"URL {normalized or raw!r} "
-                       + ("found on page" if hit else "not found on page"))
+    The value's datatype picks its kind, its pool and its evidence.  An
+    enumeration member wins over the URL reading: a member written in IRI
+    form describes page wording, not a link target.
+    """
+    path = value.path or "$0"
+    if isinstance(value, Reference):
+        raw, datatype = value.iri, "URL"
+    else:
+        raw, datatype = value.raw, value.datatype
+    if vocab is not None and vocab.enumerations_of_member(strip_namespace(raw)):
+        score = _containment(camel_case_tokens(strip_namespace(raw)), page)
+        return _scored(path, ValueKind.ENUMERATION, score, config,
+                       f"member-name token containment {score:.3f}")
     # classify_literal labels a literal Date or DateTime only when
     # parse_temporal reads it, and Integer or Float only when Decimal does
-    if kind is ValueKind.DATE:
-        when = parse_temporal(raw, value.datatype)
+    if datatype == "URL":
+        normalized = normalize_url(raw)
+        kind, hit = ValueKind.URL, normalized in page.urls
+        shown = f"URL {normalized or raw!r}"
+    elif datatype in ("Date", "DateTime"):
+        when = parse_temporal(raw, datatype)
         if isinstance(when, datetime):
             when = when.date()
-        hit = when in page.dates
-        return _scored(path, kind, 1.0 if hit else 0.0, config,
-                       f"date {when.isoformat()} "
-                       + ("found on page" if hit else "not found on page"))
-    if kind is ValueKind.TIME:
-        return ValueConsistency(path, kind, 0.0, MatchStatus.UNVERIFIABLE,
-                                "times are not extracted from page content")
-    if kind in (ValueKind.NUMBER, ValueKind.RATING):
+        kind, hit, shown = ValueKind.DATE, when in page.dates, f"date {when}"
+    elif datatype in ("Integer", "Float"):
         number = Decimal(raw)
-        hit = number in page.numbers
-        return _scored(path, kind, 1.0 if hit else 0.0, config,
-                       f"number {number} "
-                       + ("found on page" if hit else "not found on page"))
-    if kind is ValueKind.BOOLEAN:
+        kind = (ValueKind.RATING if property_name in _RATING_PROPERTIES
+                else ValueKind.NUMBER)
+        hit, shown = number in page.numbers, f"number {number}"
+    elif datatype == UNDETERMINED:
+        return ValueConsistency(path, ValueKind.STRING, 0.0,
+                                MatchStatus.UNVERIFIABLE, "empty value")
+    elif datatype == "Time":
+        return ValueConsistency(path, ValueKind.TIME, 0.0,
+                                MatchStatus.UNVERIFIABLE,
+                                "times are not extracted from page content")
+    elif datatype == "Boolean":
         forms = config.boolean_surface_forms.get(property_name)
         phrases = forms.get(raw, []) if forms else []
         if not phrases:
             return ValueConsistency(
-                path, kind, 0.0, MatchStatus.UNVERIFIABLE,
+                path, ValueKind.BOOLEAN, 0.0, MatchStatus.UNVERIFIABLE,
                 f"no surface forms configured for boolean {property_name!r}")
         score = max(_containment(tokenize(p), page) for p in phrases)
-        return _scored(path, kind, score, config,
+        return _scored(path, ValueKind.BOOLEAN, score, config,
                        f"best surface-form containment {score:.3f}")
-    if kind is ValueKind.ENUMERATION:
-        tokens = camel_case_tokens(strip_namespace(raw))
+    else:
+        tokens = tokenize(raw)
+        if not tokens:
+            return ValueConsistency(path, ValueKind.STRING, 0.0,
+                                    MatchStatus.UNVERIFIABLE,
+                                    "value has no comparable tokens")
         score = _containment(tokens, page)
-        return _scored(path, kind, score, config,
-                       f"member-name token containment {score:.3f}")
-
-    tokens = tokenize(raw)
-    if not tokens:
-        return ValueConsistency(path, ValueKind.STRING, 0.0,
-                                MatchStatus.UNVERIFIABLE,
-                                "value has no comparable tokens")
-    score = _containment(tokens, page)
-    return _scored(path, ValueKind.STRING, score, config,
-                   f"token containment {score:.3f}")
+        return _scored(path, ValueKind.STRING, score, config,
+                       f"token containment {score:.3f}")
+    return _scored(path, kind, 1.0 if hit else 0.0, config,
+                   f"{shown} {'found' if hit else 'not found'} on page")
 
 
 def _containment(tokens: list[str], page: PageContent) -> float:
@@ -399,7 +366,6 @@ def aggregate_scores(scores: list[tuple[float, MatchStatus]]) -> ScoreSummary:
 _KIND_TO_CODE = {
     ValueKind.URL: "E402",
     ValueKind.DATE: "E403",
-    ValueKind.TIME: "E403",
     ValueKind.NUMBER: "E403",
     ValueKind.RATING: "E403",
     ValueKind.STRING: "E401",
