@@ -17,7 +17,10 @@ Every run is a fresh interpreter started from the repository root, so the
 report targets and ``file:`` URLs are the same on every side.  It also runs
 ``validate`` on ``PAGE`` with each document in ``UNLOADABLE``, written to the
 temporary directory, so that a loader's failure message and exit code are
-held as well.
+held as well, and ``validate --validation-config`` with ``SCORING`` on every
+page (``.html``) of the fixtures and corpora, so that the scoring rules no
+default run reaches are compared too: month-first dates, a decimal comma and
+boolean surface forms, one of them a phrase without tokens.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -73,6 +76,12 @@ UNLOADABLE = {
     "config-threshold-list": ("--validation-config", b'{"threshold": [1]}'),
     "config-threshold-nan": ("--validation-config", b'{"threshold": NaN}'),
 }
+# every scoring rule away from its default: month-first dotted and slashed
+# dates, a decimal comma, and the corpus's boolean worded as its pages word
+# it, with an em dash (no tokens) as the only form of false
+SCORING = (b'{"dateOrder": "MDY", "decimalSeparator": "comma", '
+           b'"booleanSurfaceForms": {"petsAllowed": '
+           b'{"true": ["Pets welcome"], "false": ["\\u2014"]}}}')
 # `python -m sdocheck`, with no other runnable task seen on the machine
 AS_IF_IDLE = ("from sdocheck import cli, pipeline; "
               "pipeline._runnable_tasks = lambda: 1; cli.entry_point()")
@@ -145,13 +154,17 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(theirs)], input=archive.stdout,
                        check=True)
+        paths = inputs(Path(tmp) / "corpus")
         runs = [[command[0], path, *command[1:]]
-                for path in inputs(Path(tmp) / "corpus")
-                for command in COMMANDS]
+                for path in paths for command in COMMANDS]
         for name, (option, document) in UNLOADABLE.items():
             path = Path(tmp) / f"{name}.json"
             path.write_bytes(document)
             runs.append(["validate", PAGE, option, str(path)])
+        scoring = Path(tmp) / "scoring.json"
+        scoring.write_bytes(SCORING)
+        runs.extend(["validate", path, "--validation-config", str(scoring)]
+                    for path in paths if path.endswith(".html"))
         with ThreadPoolExecutor(JOBS) as pool:
             found = list(pool.map(
                 lambda argv: differences(argv, REPO / "src", theirs / "src"),
