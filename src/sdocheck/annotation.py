@@ -437,18 +437,35 @@ def _schema_prefix(context: dict) -> bool:
         "http://schema.org", "https://schema.org")
 
 
+def _schema_vocab(context: dict) -> bool:
+    """Whether the context object makes schema.org its ``@vocab``."""
+    vocab_entry = context.get("@vocab")
+    return isinstance(vocab_entry, str) and _context_string_ok(vocab_entry)
+
+
 def _context_object_ok(context: dict) -> bool:
     """Whether the context object makes schema.org its ``@vocab`` or its
     ``schema`` prefix."""
-    vocab_entry = context.get("@vocab")
-    return ((isinstance(vocab_entry, str) and _context_string_ok(vocab_entry))
-            or _schema_prefix(context))
+    return _schema_vocab(context) or _schema_prefix(context)
+
+
+def _other_vocabulary(context: dict) -> str | None:
+    """The term of a context object that names schema.org by one of
+    ``@vocab`` and ``schema`` while it maps the other elsewhere, or None:
+    its ``schema:`` or plain terms would then name another vocabulary."""
+    vocab_ok, prefix_ok = _schema_vocab(context), _schema_prefix(context)
+    if vocab_ok and not prefix_ok and "schema" in context:
+        return "schema"
+    if prefix_ok and not vocab_ok and "@vocab" in context:
+        return "@vocab"
+    return None
 
 
 def _context_accepted(context, builder: _GraphBuilder) -> bool:
     """True when the block declares a schema.org context (or none at all):
     the schema.org IRI, an object that the object rule accepts, or a list
-    holding either."""
+    holding either, where no object maps one of ``@vocab`` and ``schema``
+    to schema.org and the other elsewhere."""
     if context is None:
         return True
     if isinstance(context, str):
@@ -457,9 +474,18 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
         builder.warn(f"context {context!r} is not a schema.org context; "
                      "block skipped")
         return False
+    objects = ([context] if isinstance(context, dict)
+               else [c for c in context if isinstance(c, dict)]
+               if isinstance(context, list) else [])
+    for obj in objects:
+        term = _other_vocabulary(obj)
+        if term is not None:
+            builder.warn(f"context maps {term} to {obj[term]!r}, not to "
+                         "schema.org; block skipped")
+            return False
     if isinstance(context, dict):
         if _context_object_ok(context):
-            _ignore_aliases([context], builder)
+            _ignore_aliases(objects, builder)
             return True
         builder.warn("context object lacks a schema.org default vocabulary; "
                      "block skipped")
@@ -468,8 +494,7 @@ def _context_accepted(context, builder: _GraphBuilder) -> bool:
         if any(_context_string_ok(c) if isinstance(c, str)
                else isinstance(c, dict) and _context_object_ok(c)
                for c in context):
-            _ignore_aliases([c for c in context if isinstance(c, dict)],
-                            builder)
+            _ignore_aliases(objects, builder)
             return True
     builder.warn("unsupported @context form; block skipped")
     return False

@@ -287,8 +287,6 @@ class TestJsonLdParsing:
         ([{"@language": "en"}, {"@vocab": "http://schema.org"}], []),
         ([{"schema": "https://schema.org/"}, {"n": "name"}],
          ["term-aliasing context entries ignored: n"]),
-        ({"@vocab": "https://schema.org/", "schema": "https://x.example/"},
-         ["term-aliasing context entries ignored: schema"]),
     ])
     def test_only_a_term_key_of_a_context_object_warns(self, context,
                                                        warnings):
@@ -306,17 +304,32 @@ class TestJsonLdParsing:
         assert (graph.roots[0].types, list(graph.roots[0].properties)) == (
             ["Event"], ["name"])
 
-    @pytest.mark.parametrize("context", [
-        {"sdo": "https://schema.org/"}, {"schema": "https://x.example/"},
-        {"schema": "schema.org"}])
-    def test_a_prefix_of_another_name_or_base_skips_the_block(self, context):
+    NO_SCHEMA_ORG = ("context object lacks a schema.org default "
+                     "vocabulary; block skipped")
+
+    @pytest.mark.parametrize("context, warning", [
+        ({"sdo": "https://schema.org/"}, NO_SCHEMA_ORG),
+        ({"schema": "https://x.example/"}, NO_SCHEMA_ORG),
+        ({"schema": "schema.org"}, NO_SCHEMA_ORG),
+        # schema.org by one of @vocab and schema, elsewhere by the other
+        ({"@vocab": "https://schema.org/", "schema": "https://x.example/"},
+         "context maps schema to 'https://x.example/', not to schema.org; "
+         "block skipped"),
+        ({"@vocab": "https://x.example/", "schema": "https://schema.org/"},
+         "context maps @vocab to 'https://x.example/', not to schema.org; "
+         "block skipped"),
+        (["https://schema.org",
+          {"schema": "http://schema.org", "@vocab": None}],
+         "context maps @vocab to None, not to schema.org; block skipped"),
+    ])
+    def test_a_prefix_of_another_name_or_base_skips_the_block(self, context,
+                                                              warning):
         block = json.dumps({"@context": context, "@type": "schema:Event",
                             "schema:name": "A"})
         graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is None
         assert [e.description for e in entries] == [
-            "context object lacks a schema.org default vocabulary; "
-            "block skipped", "annotation block contains no typed node"]
+            warning, "annotation block contains no typed node"]
 
     def test_reverse_keyword_is_skipped_with_warning(self):
         block = ('{"@context":"https://schema.org","@type":"Event","name":"A",'

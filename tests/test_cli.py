@@ -396,6 +396,18 @@ class TestRobustness:
             ("$0", ["Event"], ["name", "startDate", "location"]),
             ("$0.location", ["Place"], ["name"])]
 
+    @pytest.mark.parametrize("probe, term", [
+        ("jsonld_vocab_schema_org_prefix_other.json", "schema"),
+        ("jsonld_prefix_schema_org_vocab_other.json", "@vocab")])
+    def test_a_context_of_schema_org_and_another_vocabulary_is_skipped(
+            self, probe, term, capsysbinary):
+        assert cli.main(["verify", str(FIXTURES / "probes" / probe)]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        assert [(e["code"], e["description"]) for e in report["entries"]] == [
+            ("E102", "annotation block contains no typed node"),
+            ("E103", f"context maps {term} to 'https://x.example/', not to "
+                     "schema.org; block skipped")]
+
     @pytest.mark.parametrize("probe", ["nan_min_value.json", "big_integer.json",
                                        "deep_nesting.json",
                                        "float_overflow.json"])

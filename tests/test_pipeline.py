@@ -147,7 +147,8 @@ JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | URLISH
     | st.sampled_from(["Event", "https://schema.org", "2026-07-10",
-                       "https://schema.org/", "schema:Event"]),
+                       "https://schema.org/", "schema:Event",
+                       "https://x.example/"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(JSONLD_KEYS, inner, max_size=4),
     max_leaves=12)
