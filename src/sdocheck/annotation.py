@@ -12,10 +12,11 @@ layers read.  Every walk uses an explicit stack, so nesting depth is
 bounded by memory, not by the interpreter's recursion limit.
 
 JSON-LD handling is deliberately schema.org-flavored: only the keywords
-``@context``, ``@type``, ``@id``, ``@graph`` and ``@value`` are honored,
-and the context must be a schema.org context.  Anything else is reported
-as an unsupported construct and skipped.  Microdata property names are
-never keywords.
+``@context``, ``@type``, ``@id``, ``@graph`` and ``@value`` are honored;
+anything else is reported as an unsupported construct and skipped.  Each
+top-level object's ``@context`` folds into one active context, and every
+type and property name is expanded in it: a schema.org IRI becomes its bare
+term, any other IRI stays whole.  Microdata names are never keywords.
 
 Parsing is pure; parsed graphs are only mutated during construction and are
 safe to share afterwards.
@@ -138,13 +139,6 @@ class RawBlock(NamedTuple):
         return "json-ld"
 
 
-def _string_list(value) -> list[str]:
-    if value is None:
-        return []
-    items = value if isinstance(value, list) else [value]
-    return [item for item in items if isinstance(item, str)]
-
-
 def parse_temporal(raw: str, datatype: str) -> date | datetime | time:
     """The value of an ISO 8601 literal of datatype Date, DateTime or Time.
 
@@ -247,9 +241,28 @@ class _GraphBuilder:
         self.entries = entries
         self.base_url = base_url  # a Microdata item's URLs resolve against it
         self.by_id: dict[str, AnnotationNode] = {}
+        self.vocab, self.terms = _SCHEMA_ORG, {}  # a JSON-LD object's context
+        self.unexpanded: set[str] = set()
 
     def warn(self, construct: str) -> None:
         self.entries.append(make_entry("E103", "$", construct))
+
+    def expand(self, name: str) -> str | None:
+        """A JSON-LD type or property name as a node keeps it: a schema.org
+        term bare, any other IRI whole; None, with one E103 per name, when
+        it expands to no IRI."""
+        if (":" not in name and self.vocab == _SCHEMA_ORG
+                and name not in self.terms):
+            return name  # the common case, a schema.org term by @vocab
+        iri = _expand(name, self.vocab, self.terms)
+        if iri is None or ":" not in iri:
+            if name not in self.unexpanded:
+                self.unexpanded.add(name)
+                self.warn(f"name {name!r} expands to no IRI; skipped")
+            return None
+        if iri.startswith(_SCHEMA_ORG_IRIS):
+            return iri.partition("schema.org/")[2]
+        return iri
 
     def node_for_id(self, identifier: str) -> AnnotationNode:
         node = self.by_id.get(identifier)
@@ -279,21 +292,22 @@ class _GraphBuilder:
                 identifier = (resolve_url(identifier, self.base_url)
                               or identifier)
             types = [t for t in obj.types if strip_namespace(t)]
-            pairs = obj.properties
+            pairs, name = obj.properties, strip_namespace
             if obj.itemref:
                 self.warn("itemref is not supported; "
                           "referenced properties skipped")
         else:
-            identifier = obj.get("@id")
-            types, pairs = _string_list(obj.get("@type")), obj.items()
+            identifier, types = obj.get("@id"), obj.get("@type")
+            types = types if isinstance(types, list) else [types]
+            pairs, name = obj.items(), self.expand
         if isinstance(identifier, str) and identifier:
             node = self.node_for_id(identifier)
         else:
             node = AnnotationNode()
         for t in types:
-            stripped = strip_namespace(t)
-            if stripped not in node.types:
-                node.types.append(stripped)
+            t = name(t) if isinstance(t, str) else None
+            if t is not None and t not in node.types:
+                node.types.append(t)
         keywords = isinstance(obj, dict)  # an itemprop is never a keyword
         for key, value in pairs:
             if keywords and key.startswith("@"):
@@ -301,6 +315,9 @@ class _GraphBuilder:
                     self.warn("embedded @context ignored")
                 elif key not in _HONORED_KEYWORDS:
                     self.warn(f"keyword {key!r} is not supported; skipped")
+                continue
+            key = name(key)
+            if key is None:
                 continue
             parsed = []
             for item in value if isinstance(value, list) else [value]:
@@ -313,8 +330,7 @@ class _GraphBuilder:
                 if built is not None:
                     parsed.append(built)
             if parsed:
-                node.properties.setdefault(strip_namespace(key),
-                                           []).extend(parsed)
+                node.properties.setdefault(key, []).extend(parsed)
         return node
 
     def build_value(self, value):
@@ -405,8 +421,10 @@ def _parse_jsonld(payload: str | bytes, entries: list[ReportEntry]):
         if not isinstance(top, dict):
             builder.warn("top-level entry is not an object; skipped")
             continue
-        if not _context_accepted(top.get("@context"), builder):
+        context = _fold_context(top.get("@context"), builder.warn)
+        if context is None:
             continue
+        builder.vocab, builder.terms = context
         graph = top.get("@graph")
         if isinstance(graph, dict):  # JSON-LD 1.1: a graph of one node
             graph = [graph]
@@ -421,92 +439,56 @@ def _parse_jsonld(payload: str | bytes, entries: list[ReportEntry]):
     return roots
 
 
-_ACCEPTED_CONTEXT_BASES = {"http://schema.org", "https://schema.org", "schema.org"}
+_SCHEMA_ORG = "https://schema.org/"
+_SCHEMA_ORG_IRIS = ("https://schema.org/", "http://schema.org/")
+_SCHEMA_ORG_NAMES = {"http://schema.org", "https://schema.org", "schema.org"}
 
 
-def _context_string_ok(value: str) -> bool:
-    return value.rstrip("/") in _ACCEPTED_CONTEXT_BASES
+def _fold_context(context, warn) -> tuple[str | None, dict] | None:
+    """The ``(vocab, terms)`` that a top-level object's ``@context`` folds
+    into (JSON-LD 1.1 API §4.1), or None when the block is skipped.
 
-
-def _schema_prefix(context: dict) -> bool:
-    """Whether the context object defines the ``schema`` prefix as
-    schema.org, so ``schema:`` names schema.org terms (``strip_namespace``
-    reads them)."""
-    base = context.get("schema")
-    return isinstance(base, str) and base.rstrip("/") in (
-        "http://schema.org", "https://schema.org")
-
-
-def _schema_vocab(context: dict) -> bool:
-    """Whether the context object makes schema.org its ``@vocab``."""
-    vocab_entry = context.get("@vocab")
-    return isinstance(vocab_entry, str) and _context_string_ok(vocab_entry)
-
-
-def _context_object_ok(context: dict) -> bool:
-    """Whether the context object makes schema.org its ``@vocab`` or its
-    ``schema`` prefix."""
-    return _schema_vocab(context) or _schema_prefix(context)
-
-
-def _other_vocabulary(context: dict) -> str | None:
-    """The term of a context object that names schema.org by one of
-    ``@vocab`` and ``schema`` while it maps the other elsewhere, or None:
-    its ``schema:`` or plain terms would then name another vocabulary."""
-    vocab_ok, prefix_ok = _schema_vocab(context), _schema_prefix(context)
-    if vocab_ok and not prefix_ok and "schema" in context:
-        return "schema"
-    if prefix_ok and not vocab_ok and "@vocab" in context:
-        return "@vocab"
-    return None
-
-
-def _context_accepted(context, builder: _GraphBuilder) -> bool:
-    """True when the block declares a schema.org context (or none at all):
-    the schema.org IRI, an object that the object rule accepts, or a list
-    holding either, where no object maps one of ``@vocab`` and ``schema``
-    to schema.org and the other elsewhere."""
-    if context is None:
-        return True
-    if isinstance(context, str):
-        if _context_string_ok(context):
-            return True
-        builder.warn(f"context {context!r} is not a schema.org context; "
+    The fold starts from schema.org's context, to which ``null`` resets, and
+    a later entry wins.  The schema.org IRI, known by name, sets ``@vocab``
+    and ``schema`` to schema.org; an object sets ``@vocab`` and its terms,
+    each a string or ``{"@id": ...}``.  Remote contexts are never fetched.
+    """
+    vocab, terms = _SCHEMA_ORG, {"schema": _SCHEMA_ORG}
+    for entry in context if isinstance(context, list) else [context]:
+        if entry is None:
+            vocab, terms = _SCHEMA_ORG, {"schema": _SCHEMA_ORG}
+        elif isinstance(entry, str):
+            if entry.rstrip("/") not in _SCHEMA_ORG_NAMES:
+                warn(f"context {entry!r} is not a schema.org context; "
                      "block skipped")
-        return False
-    objects = ([context] if isinstance(context, dict)
-               else [c for c in context if isinstance(c, dict)]
-               if isinstance(context, list) else [])
-    for obj in objects:
-        term = _other_vocabulary(obj)
-        if term is not None:
-            builder.warn(f"context maps {term} to {obj[term]!r}, not to "
-                         "schema.org; block skipped")
-            return False
-    if isinstance(context, dict):
-        if _context_object_ok(context):
-            _ignore_aliases(objects, builder)
-            return True
-        builder.warn("context object lacks a schema.org default vocabulary; "
-                     "block skipped")
-        return False
-    if isinstance(context, list):
-        if any(_context_string_ok(c) if isinstance(c, str)
-               else isinstance(c, dict) and _context_object_ok(c)
-               for c in context):
-            _ignore_aliases(objects, builder)
-            return True
-    builder.warn("unsupported @context form; block skipped")
-    return False
+                return None
+            vocab, terms = _SCHEMA_ORG, {**terms, "schema": _SCHEMA_ORG}
+        elif isinstance(entry, dict):
+            vocab = entry.get("@vocab", vocab)
+            vocab = vocab if isinstance(vocab, str) else None
+            terms = dict(terms)
+            for term, value in entry.items():
+                if term.startswith("@"):  # @language, @base, @version
+                    continue
+                if isinstance(value, dict):  # no @id: the term's own IRI
+                    value = value.get("@id", term)
+                terms.pop(term, None)
+                terms[term] = (_expand(value, vocab, terms)
+                               if isinstance(value, str)
+                               and not value.startswith("@") else None)
+        else:
+            warn("unsupported @context form; block skipped")
+            return None
+    return vocab, terms
 
 
-def _ignore_aliases(contexts: list[dict], builder: _GraphBuilder) -> None:
-    """Warn of the terms that context objects alias: a key not starting
-    with ``@``.  Other keys (``@vocab``, ``@language``) alias no term, and
-    a ``schema`` prefix for schema.org is read."""
-    aliases = {key for context in contexts for key in context
-               if not key.startswith("@")
-               and not (key == "schema" and _schema_prefix(context))}
-    if aliases:
-        builder.warn("term-aliasing context entries ignored: "
-                     + ", ".join(sorted(aliases)))
+def _expand(name: str, vocab: str | None, terms: dict) -> str | None:
+    """The IRI of a type or property name in an active context (JSON-LD 1.1
+    API §5.2, vocabulary-relative), or None when it has none."""
+    if name in terms:
+        return terms[name]
+    prefix, colon, suffix = name.partition(":")
+    if colon:  # a compact IRI, an absolute IRI or a blank node identifier
+        iri = terms.get(prefix)
+        return iri + suffix if iri and not suffix.startswith("//") else name
+    return None if vocab is None else vocab + name

@@ -252,49 +252,86 @@ class TestJsonLdParsing:
         assert graph is None
         assert [e.code for e in entries] == ["E103", "E102"]
 
-    @pytest.mark.parametrize("context", [
-        [], ["https://x.example/"], [{"@vocab": "https://x.example/"}],
-        [{"sdo": "https://schema.org/"}, 7]])
-    def test_a_context_list_without_schema_org_skips_the_block(self, context):
+    @pytest.mark.parametrize("context, warning", [
+        (["https://x.example/"],
+         "context 'https://x.example/' is not a schema.org context; "
+         "block skipped"),
+        (["https://schema.org", "https://x.example/"],
+         "context 'https://x.example/' is not a schema.org context; "
+         "block skipped"),
+        ([{"sdo": "https://schema.org/"}, 7],
+         "unsupported @context form; block skipped")])
+    def test_a_context_list_without_schema_org_skips_the_block(self, context,
+                                                               warning):
         block = json.dumps({"@context": context, "@type": "Event"})
         graph, entries = a.parse_annotation(a.RawBlock(block, 0))
         assert graph is None
-        assert [(e.code, e.description) for e in entries][0] == (
-            "E103", "unsupported @context form; block skipped")
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", warning),
+            ("E102", "annotation block contains no typed node")]
+
+    # a block starts from the schema.org context and null resets to it;
+    # a later list entry wins
+    @pytest.mark.parametrize("context, types, properties", [
+        ([], ["Event"], ["name"]),
+        ([None], ["Event"], ["name"]),
+        ([{"@vocab": "https://x.example/"}, None], ["Event"], ["name"]),
+        ([{"@vocab": "https://x.example/"}],
+         ["https://x.example/Event"], ["https://x.example/name"]),
+        ([{"@vocab": "https://schema.org/"}, {"@vocab": "https://x.example/"}],
+         ["https://x.example/Event"], ["https://x.example/name"]),
+        ([{"@vocab": "https://x.example/"}, "https://schema.org"],
+         ["Event"], ["name"]),
+        ([{"@vocab": "https://x.example/"}, {"@vocab": "http://schema.org/"}],
+         ["Event"], ["name"])])
+    def test_a_context_list_folds_in_order(self, context, types, properties):
+        graph, entries = parse_jsonld({"@context": context, "@type": "Event",
+                                       "name": "A"})
+        assert entries == []
+        root = graph.roots[0]
+        assert (root.types, list(root.properties)) == (types, properties)
 
     def test_context_object_with_vocab_and_aliases(self):
         block = ('{"@context":{"@vocab":"https://schema.org/","n":"name"},'
-                 '"@type":"Event","name":"A"}')
+                 '"@type":"Event","n":"A"}')
         graph, entries = a.parse_annotation(a.RawBlock(block, 0))
-        assert graph is not None
-        assert [e.code for e in entries] == ["E103"]
+        assert entries == []
+        assert [v.raw for v in graph.roots[0].properties["name"]] == ["A"]
 
-    @pytest.mark.parametrize("context, warnings", [
-        (["https://schema.org", {"@language": "en"}], []),
-        ({"@vocab": "https://schema.org/", "@language": "en"}, []),
-        (["https://schema.org", {"@language": "en", "n": "name"},
-          {"m": "name", "n": "name"}],
-         ["term-aliasing context entries ignored: m, n"]),
-        # a schema prefix for schema.org is read, not ignored
-        ({"schema": "https://schema.org/"}, []),
-        ({"schema": "http://schema.org", "n": "name"},
-         ["term-aliasing context entries ignored: n"]),
-        ({"@vocab": "https://schema.org/", "schema": "https://schema.org/"},
-         []),
-        (["https://schema.org", {"schema": "https://schema.org/"}], []),
-        # a list whose schema.org entry is an object
-        ([{"@vocab": "https://schema.org/"}], []),
-        ([{"@language": "en"}, {"@vocab": "http://schema.org"}], []),
-        ([{"schema": "https://schema.org/"}, {"n": "name"}],
-         ["term-aliasing context entries ignored: n"]),
+    @pytest.mark.parametrize("context", [
+        ["https://schema.org", {"@language": "en"}],
+        {"@vocab": "https://schema.org/", "@language": "en"},
+        {"schema": "https://schema.org/"},
+        {"@vocab": "https://schema.org/", "schema": "https://schema.org/"},
+        ["https://schema.org", {"schema": "https://schema.org/"}],
+        [{"@vocab": "https://schema.org/"}],
+        [{"@language": "en"}, {"@vocab": "http://schema.org/"}],
+        {"@base": "https://x.example/", "@version": 1.1},
     ])
-    def test_only_a_term_key_of_a_context_object_warns(self, context,
-                                                       warnings):
+    def test_a_schema_org_context_reads_plain_names(self, context):
         block = json.dumps({"@context": context, "@type": "Event",
                             "name": "A"})
         graph, entries = a.parse_annotation(a.RawBlock(block, 0))
-        assert graph is not None
-        assert [e.description for e in entries] == warnings
+        assert entries == []
+        assert graph.roots[0].types == ["Event"]
+
+    @pytest.mark.parametrize("context", [
+        ["https://schema.org", {"title": "name"}],
+        ["https://schema.org", {"@language": "en", "title": "n"},
+         {"n": "name", "title": "name"}],
+        {"schema": "http://schema.org/", "title": "schema:name"},
+        [{"schema": "https://schema.org/"}, {"title": "name"}],
+        {"title": {"@id": "schema:name"}},
+        {"title": {"@id": "https://schema.org/name", "@type": "@id"}},
+        {"title": "http://schema.org/name"},
+        # a term defined by one entry is replaced by a later one
+        [{"title": "https://x.example/t"}, {"title": "name"}],
+    ])
+    def test_a_term_reads_as_the_name_it_maps_to(self, context):
+        graph, entries = parse_jsonld({"@context": context, "@type": "Event",
+                                       "title": "A"})
+        assert entries == []
+        assert list(graph.roots[0].properties) == ["name"]
 
     def test_a_schema_prefix_names_schema_org_terms(self):
         graph, entries = parse_jsonld({
@@ -304,32 +341,47 @@ class TestJsonLdParsing:
         assert (graph.roots[0].types, list(graph.roots[0].properties)) == (
             ["Event"], ["name"])
 
-    NO_SCHEMA_ORG = ("context object lacks a schema.org default "
-                     "vocabulary; block skipped")
-
-    @pytest.mark.parametrize("context, warning", [
-        ({"sdo": "https://schema.org/"}, NO_SCHEMA_ORG),
-        ({"schema": "https://x.example/"}, NO_SCHEMA_ORG),
-        ({"schema": "schema.org"}, NO_SCHEMA_ORG),
+    @pytest.mark.parametrize("context, type_iri, name_iri", [
+        ({"sdo": "https://schema.org/"}, "Event", "name"),
+        ({"schema": "https://x.example/"},
+         "https://x.example/Event", "https://x.example/name"),
+        ({"schema": "schema.org"}, "schema.orgEvent", "schema.orgname"),
         # schema.org by one of @vocab and schema, elsewhere by the other
         ({"@vocab": "https://schema.org/", "schema": "https://x.example/"},
-         "context maps schema to 'https://x.example/', not to schema.org; "
-         "block skipped"),
+         "https://x.example/Event", "https://x.example/name"),
         ({"@vocab": "https://x.example/", "schema": "https://schema.org/"},
-         "context maps @vocab to 'https://x.example/', not to schema.org; "
-         "block skipped"),
+         "Event", "name"),
+        (["https://schema.org", {"schema": "https://x.example/"}],
+         "https://x.example/Event", "https://x.example/name"),
         (["https://schema.org",
           {"schema": "http://schema.org", "@vocab": None}],
-         "context maps @vocab to None, not to schema.org; block skipped"),
+         "http://schema.orgEvent", "http://schema.orgname"),
     ])
-    def test_a_prefix_of_another_name_or_base_skips_the_block(self, context,
-                                                              warning):
-        block = json.dumps({"@context": context, "@type": "schema:Event",
-                            "schema:name": "A"})
-        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
-        assert graph is None
+    def test_a_prefix_expands_to_the_iri_it_names(self, context, type_iri,
+                                                  name_iri):
+        graph, entries = parse_jsonld({"@context": context,
+                                       "@type": "schema:Event",
+                                       "schema:name": "A"})
+        assert entries == []
+        assert (graph.roots[0].types, list(graph.roots[0].properties)) == (
+            [type_iri], [name_iri])
+
+    @pytest.mark.parametrize("context", [
+        ["https://schema.org", {"@vocab": None}],
+        {"@vocab": 7},
+        {"name": None, "Event": None},
+        {"name": {"@id": None}, "Event": None},
+        {"name": "@type", "Event": {"@id": "@id"}},
+    ])
+    def test_a_name_that_expands_to_no_iri_is_skipped_once(self, context):
+        graph, entries = parse_jsonld({
+            "@context": context, "@type": ["Event", "schema:Event"],
+            "name": "A", "schema:subEvent": {"@type": "Event", "name": "B"}})
         assert [e.description for e in entries] == [
-            warning, "annotation block contains no typed node"]
+            "name 'Event' expands to no IRI; skipped",
+            "name 'name' expands to no IRI; skipped"]
+        assert [(n.types, list(n.properties)) for n in graph.nodes] == [
+            (["Event"], ["subEvent"]), ([], [])]
 
     def test_reverse_keyword_is_skipped_with_warning(self):
         block = ('{"@context":"https://schema.org","@type":"Event","name":"A",'

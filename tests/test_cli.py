@@ -396,17 +396,29 @@ class TestRobustness:
             ("$0", ["Event"], ["name", "startDate", "location"]),
             ("$0.location", ["Place"], ["name"])]
 
-    @pytest.mark.parametrize("probe, term", [
-        ("jsonld_vocab_schema_org_prefix_other.json", "schema"),
-        ("jsonld_prefix_schema_org_vocab_other.json", "@vocab")])
-    def test_a_context_of_schema_org_and_another_vocabulary_is_skipped(
-            self, probe, term, capsysbinary):
+    @pytest.mark.parametrize("probe, findings", [
+        ("jsonld_vocab_schema_org_prefix_other.json",
+         [("E201", "$0", "type 'https://x.example/Event'")]),
+        ("jsonld_prefix_schema_org_vocab_other.json",
+         [("E201", "$0", "type 'https://x.example/Event'"),
+          ("E201", "$0.https://x.example/location",
+           "type 'https://x.example/Place'"),
+          ("E202", "$0.https://x.example/location",
+           "property 'https://x.example/location'"),
+          ("E202", "$0.https://x.example/location.https://x.example/name",
+           "property 'https://x.example/name'"),
+          ("E202", "$0.https://x.example/name",
+           "property 'https://x.example/name'"),
+          ("E202", "$0.https://x.example/startDate",
+           "property 'https://x.example/startDate'")])])
+    def test_names_a_context_maps_to_another_vocabulary_are_unknown(
+            self, probe, findings, capsysbinary):
         assert cli.main(["verify", str(FIXTURES / "probes" / probe)]) == 1
         report = json.loads(capsysbinary.readouterr().out)
-        assert [(e["code"], e["description"]) for e in report["entries"]] == [
-            ("E102", "annotation block contains no typed node"),
-            ("E103", f"context maps {term} to 'https://x.example/', not to "
-                     "schema.org; block skipped")]
+        assert [(e["code"], e["path"], e["description"])
+                for e in report["entries"]] == [
+            (code, path, f"{what} is not defined by the vocabulary")
+            for code, path, what in findings]
 
     @pytest.mark.parametrize("probe", ["nan_min_value.json", "big_integer.json",
                                        "deep_nesting.json",
