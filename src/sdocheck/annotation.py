@@ -313,6 +313,9 @@ class _GraphBuilder:
             if keywords and key.startswith("@"):
                 if key == "@context" and not top_level:
                     self.warn("embedded @context ignored")
+                elif key == "@graph" and value is not None:  # not top-level
+                    self.warn("@graph is read only in a top-level object; "
+                              "skipped")
                 elif key not in _HONORED_KEYWORDS:
                     self.warn(f"keyword {key!r} is not supported; skipped")
                 continue
@@ -426,16 +429,19 @@ def _parse_jsonld(payload: str | bytes, entries: list[ReportEntry]):
             continue
         builder.vocab, builder.terms = context
         graph = top.get("@graph")
-        if isinstance(graph, dict):  # JSON-LD 1.1: a graph of one node
-            graph = [graph]
-        if isinstance(graph, list):
-            for item in graph:
-                if isinstance(item, dict):
-                    roots.append(builder.build(item, top_level=True))
-                else:
-                    builder.warn("@graph entry is not an object; skipped")
-        else:
+        if graph is None:
             roots.append(builder.build(top, top_level=True))
+            continue
+        beside = [repr(k) for k in top if k not in ("@context", "@graph")]
+        if beside:
+            builder.warn("keys beside @graph are not read: "
+                         + ", ".join(beside))
+        # JSON-LD 1.1 allows a graph of one node
+        for item in graph if isinstance(graph, list) else [graph]:
+            if isinstance(item, dict):
+                roots.append(builder.build(item, top_level=True))
+            else:
+                builder.warn("@graph entry is not an object; skipped")
     return roots
 
 

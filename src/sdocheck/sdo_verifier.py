@@ -74,12 +74,15 @@ def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
     The one conformance rule of both checking layers.  A literal fits a
     datatype range that is Text, its own datatype or a numeric widening of
     it, and an enumeration range when its text is a member name or member
-    IRI.  A reference fits any other class range, and an enumeration range
-    when its IRI names a member.  An entity fits a class range that is in
+    IRI.  A reference fits the URL datatype, which names an IRI as it does,
+    any other class range, and an enumeration range when its IRI names a
+    member.  An entity fits a class range that is in
     the superclass closure of one of its known types.
     """
     cls = vocab.classes.get(range_name)
     if cls is None:  # a datatype range
+        if isinstance(value, Reference):
+            return range_name == "URL"
         return isinstance(value, Literal) and (
             range_name in ("Text", value.datatype)
             or range_name in DATATYPE_WIDENING.get(value.datatype, ()))

@@ -1,13 +1,15 @@
 import json
+import random
 from datetime import timezone
 from decimal import Decimal
 from html import escape
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sdocheck import annotation as a
+from sdocheck import annotation as a, pipeline, report
+from generators import random_compliant_annotation
 from sdocheck.htmltree import decode_html, parse_html
 from helpers import (PATH_GRAMMAR_RE, graph_fingerprint, parse_jsonld,
                      resolve_path)
@@ -101,6 +103,27 @@ class TestJsonLdParsing:
         assert [(e.code, e.description) for e in entries] == [
             ("E103", "@graph entry is not an object; skipped")]
         assert [r.path for r in graph.roots] == ["$0"]
+
+    def test_keys_beside_a_top_level_graph_are_reported(self):
+        graph, entries = parse_jsonld({
+            "@context": "https://schema.org", "@type": "Event", "name": "x",
+            "startDate": "2026-07-10",
+            "@graph": [{"@type": "Place", "name": "P"}]})
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", "keys beside @graph are not read: '@type', 'name', "
+                     "'startDate'")]
+        assert [r.types for r in graph.roots] == [["Place"]]
+
+    @pytest.mark.parametrize("block", [
+        {"@type": "Event", "name": "x",
+         "location": {"@graph": [{"@type": "Place", "name": "P"}]}},
+        {"@graph": [{"@type": "Event", "name": "x",
+                     "@graph": {"@type": "Place", "name": "P"}}]}])
+    def test_a_graph_below_the_top_level_is_reported(self, block):
+        graph, entries = parse_jsonld(block)
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", "@graph is read only in a top-level object; skipped")]
+        assert [n.types for n in graph.nodes if n.types] == [["Event"]]
 
     def test_an_embedded_context_is_ignored(self):
         graph, entries = parse_jsonld({
@@ -433,6 +456,36 @@ class TestJsonLdParsing:
         one, _ = parse_jsonld(block)
         two, _ = parse_jsonld(block)
         assert graph_fingerprint(one) == graph_fingerprint(two)
+
+
+def _aliased(value, aliases: dict):
+    """``value`` with each property key renamed to an alias term, which
+    ``aliases`` records against the name it stands for."""
+    if isinstance(value, list):
+        return [_aliased(item, aliases) for item in value]
+    if not isinstance(value, dict):
+        return value
+    return {key if key.startswith("@")
+            else aliases.setdefault(key, f"alias{len(aliases)}"):
+            _aliased(item, aliases) for key, item in value.items()}
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**9))
+def test_properties_renamed_through_alias_terms_report_the_same(vocab, seed):
+    original = random_compliant_annotation(vocab, random.Random(seed))
+    aliases: dict[str, str] = {}
+    renamed = _aliased(original, aliases)
+    # the string form and the {"@id": "schema:..."} form, in turn
+    renamed["@context"] = ["https://schema.org", {
+        alias: name if i % 2 else {"@id": f"schema:{name}"}
+        for i, (name, alias) in enumerate(aliases.items())}]
+
+    def report_bytes(doc):
+        return report.serialize_report(pipeline.run(
+            json.dumps(doc).encode(), "annotation.json", vocab))
+
+    assert report_bytes(renamed) == report_bytes(original)
 
 
 class TestMicrodataParsing:

@@ -286,6 +286,20 @@ class TestConstraintChecks:
                  "location": {"@id": "https://x.example/place/1"}}
         assert check(block, EVENT_DS, vocab) == []
 
+    @pytest.mark.parametrize("prop, codes", [
+        ("url", []), ("name", [("E304", "$0.name")])])
+    def test_a_reference_fits_only_a_url_range_of_a_shipped_document(
+            self, vocab, prop, codes):
+        document = resources.files("sdocheck") / "data/ds/local-business.json"
+        spec = d.load_domain_specification(document.read_bytes(), vocab)
+        block = {"@context": "https://schema.org", "@type": "LocalBusiness",
+                 "name": "Shop", "address": "1 Main Street",
+                 "url": "https://shop.example/",
+                 prop: {"@id": "https://shop.example/"}}
+        graph, _ = parse_jsonld(block)
+        assert [(f.code, f.path)
+                for f in d.verify_against_ds(graph, spec, vocab)] == codes
+
     def test_widening_applies_to_ds_datatype_ranges(self, vocab):
         doc = {"name": "offer", "root": {"targetTypes": ["Offer"],
                "properties": [{"name": "price", "ranges": ["Number"]}]}}

@@ -143,12 +143,13 @@ RAW_MARKUP = st.sampled_from([
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
                                "startDate", "minValue", "maxValue", "schema",
-                               "schema:name", "@vocab"])
+                               "schema:name", "@vocab", "title"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | URLISH
     | st.sampled_from(["Event", "https://schema.org", "2026-07-10",
                        "https://schema.org/", "schema:Event",
-                       "https://x.example/"]),
+                       "https://x.example/", "name", "schema:name", "title",
+                       "@type", "http://schema.org/"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(JSONLD_KEYS, inner, max_size=4),
     max_leaves=12)
@@ -318,10 +319,18 @@ SPLIT_BLOCKS = st.one_of(
             "@type": prefix + "Event", prefix + "name": name,
             prefix + "startDate": day}}),
         SPLIT_NAMES, SPLIT_DATES,
-        st.sampled_from(["https://schema.org", {"schema": "https://schema.org/"},
-                         [{"@vocab": "https://schema.org/"}],
-                         [{"schema": "https://schema.org/"},
-                          "https://x.example/"]]),
+        st.sampled_from([
+            "https://schema.org", {"schema": "https://schema.org/"},
+            [{"@vocab": "https://schema.org/"}],
+            [{"schema": "https://schema.org/"}, "https://x.example/"],
+            # term definitions as a string, as {"@id": ...} and as null
+            ["https://schema.org", {"name": "title",
+                                    "startDate": {"@id": "schema:endDate"}}],
+            {"name": None}, [{"@vocab": "https://x.example/"}, None],
+            # a later entry remaps @vocab or schema
+            [{"@vocab": "https://schema.org/"},
+             {"@vocab": "https://x.example/"}],
+            ["https://schema.org", {"schema": "https://x.example/"}]]),
         st.sampled_from(["", "schema:"])),
     # a root of no target type of the constraint document, in either carrier
     st.builds(lambda name, kind: _jsonld(

@@ -80,6 +80,10 @@ class TestCheckFamilies:
             ("E204", "$0.name", "reference 'https://x.example/n' where "
                                 "'name' expects range {Text}")]
 
+    def test_a_reference_fits_a_url_range(self, vocab):
+        block = {**COMPLIANT_EVENT, "url": {"@id": "https://e.example/"}}
+        assert verify(block, vocab) == []
+
     def test_malformed_date_literal(self, vocab):
         block = {**COMPLIANT_EVENT, "startDate": "next friday"}
         findings = verify(block, vocab)
@@ -203,8 +207,12 @@ FITS_RANGE_TABLE = [
     pytest.param(Literal("Town Square", "Text"), "Place", False,
                  id="literal_is_no_entity"),
     # reference, datatype range
-    pytest.param(Reference("https://x.example/a"), "URL", False,
-                 id="reference_is_no_literal"),
+    pytest.param(Reference("https://x.example/a"), "URL", True,
+                 id="reference_is_a_url"),
+    pytest.param(Reference("https://x.example/a"), "Text", False,
+                 id="reference_is_no_text"),
+    pytest.param(Reference("https://x.example/a"), "Date", False,
+                 id="reference_is_no_date"),
     # reference, enumeration range
     pytest.param(Reference(SCHEDULED), "EventStatusType", True,
                  id="reference_member_iri"),
