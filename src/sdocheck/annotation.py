@@ -249,8 +249,8 @@ class _GraphBuilder:
 
     def expand(self, name: str) -> str | None:
         """A JSON-LD type or property name as a node keeps it: a schema.org
-        term bare, any other IRI whole; None, with one E103 per name, when
-        it expands to no IRI."""
+        term bare, any other IRI (the bare namespace too) whole; None, with
+        one E103 per name, when it expands to no IRI."""
         if (":" not in name and self.vocab == _SCHEMA_ORG
                 and name not in self.terms):
             return name  # the common case, a schema.org term by @vocab
@@ -261,7 +261,7 @@ class _GraphBuilder:
                 self.warn(f"name {name!r} expands to no IRI; skipped")
             return None
         if iri.startswith(_SCHEMA_ORG_IRIS):
-            return iri.partition("schema.org/")[2]
+            return iri.partition("schema.org/")[2] or iri
         return iri
 
     def node_for_id(self, identifier: str) -> AnnotationNode:

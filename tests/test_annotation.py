@@ -306,7 +306,10 @@ class TestJsonLdParsing:
         ([{"@vocab": "https://x.example/"}, "https://schema.org"],
          ["Event"], ["name"]),
         ([{"@vocab": "https://x.example/"}, {"@vocab": "http://schema.org/"}],
-         ["Event"], ["name"])])
+         ["Event"], ["name"]),
+        # @vocab is joined to a plain name as it stands; no "/" is added
+        ([{"@language": "en"}, {"@vocab": "http://schema.org"}],
+         ["http://schema.orgEvent"], ["http://schema.orgname"])])
     def test_a_context_list_folds_in_order(self, context, types, properties):
         graph, entries = parse_jsonld({"@context": context, "@type": "Event",
                                        "name": "A"})
@@ -374,6 +377,8 @@ class TestJsonLdParsing:
          "https://x.example/Event", "https://x.example/name"),
         ({"@vocab": "https://x.example/", "schema": "https://schema.org/"},
          "Event", "name"),
+        # the namespace itself names no term
+        ({"schema:name": "schema"}, "Event", "https://schema.org/"),
         (["https://schema.org", {"schema": "https://x.example/"}],
          "https://x.example/Event", "https://x.example/name"),
         (["https://schema.org",
