@@ -46,7 +46,8 @@ import corpus  # noqa: E402
 
 # the shipped constraint documents, as absolute paths
 DS_FILES = {name: str(REPO / path) for name, path in corpus.DS_FILES.items()}
-COMMANDS = (("verify",), ("verify", "--ds", DS_FILES["event"]), ("validate",),
+COMMANDS = (("verify",), ("verify", "--ds", DS_FILES["event"]),
+            ("verify", "--strict", "--ds", DS_FILES["event"]), ("validate",),
             *(("validate", "--ds", path) for path in DS_FILES.values()),
             ("extract",))
 # a good page, and documents that no loader takes (each by the option that
