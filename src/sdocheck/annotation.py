@@ -3,9 +3,9 @@
 Two carriers are supported: JSON-LD ``<script>`` blocks and Microdata
 (``itemscope``/``itemprop``) attribute trees.  A block is a JSON-LD
 script's text or a ``MicrodataItem`` tree that the page's one parse
-recorded; the graph builder resolves the item's ``itemid`` and link and
-media URLs against the document base.  One builder turns either into the
-same graph shape: typed nodes with ordered property -> value lists.  One
+recorded.  One builder turns either into the same graph shape, by one
+rule: typed nodes with ordered property -> value lists, every identifier
+resolved against the block's base and every name expanded.  One
 finishing pass then gives every node and value the path at which it sits
 (``$0.offers[1].price``) and records the node order that the checking
 layers read.  Every walk uses an explicit stack, so nesting depth is
@@ -16,7 +16,8 @@ JSON-LD handling is deliberately schema.org-flavored: only the keywords
 anything else is reported as an unsupported construct and skipped.  Each
 top-level object's ``@context`` folds into one active context, and every
 type and property name is expanded in it: a schema.org IRI becomes its bare
-term, any other IRI stays whole.  Microdata names are never keywords.
+term, any other IRI stays whole.  A Microdata item is read in schema.org's
+context, and its names are never keywords.
 
 Parsing is pure; parsed graphs are only mutated during construction and are
 safe to share afterwards.
@@ -33,7 +34,7 @@ from urllib.parse import urlsplit
 from .htmltree import (Document, MicrodataItem, PageURL, effective_base_url,
                        resolve_url)
 from .report import ReportEntry, make_entry
-from .vocab import read_json, strip_namespace
+from .vocab import read_json
 
 UNDETERMINED = "Undetermined"
 
@@ -123,9 +124,9 @@ class RawBlock(NamedTuple):
 
     For JSON-LD the payload is the verbatim script text, or the bytes of a
     standalone file; for Microdata it is the item that the page's parse
-    recorded (the attribute syntax has no textual block to preserve), and
-    ``base_url`` is the document base that its ``itemid`` and link and
-    media URLs resolve against.
+    recorded (the attribute syntax has no textual block to preserve).
+    ``base_url``, a page's document base or a standalone file's URL, is
+    what the block's identifiers and link and media URLs resolve against.
     """
     payload: str | bytes | MicrodataItem
     block_index: int
@@ -191,7 +192,8 @@ def extract_annotation_blocks(tree: Document,
     are global and zero-based.
     """
     base = effective_base_url(tree, base_url)
-    blocks = [RawBlock(text, index) for index, text in enumerate(tree.scripts)]
+    blocks = [RawBlock(text, index, base)
+              for index, text in enumerate(tree.scripts)]
     blocks.extend(RawBlock(item, index, base)
                   for index, item in enumerate(tree.items, len(blocks)))
     return blocks
@@ -211,10 +213,11 @@ def parse_annotation(block: RawBlock, first_root_ordinal: int = 0,
     numbering so paths stay unique when a page carries several blocks.
     """
     entries: list[ReportEntry] = []
+    builder = _GraphBuilder(entries, block.base_url)
     if isinstance(block.payload, MicrodataItem):
-        roots = [_GraphBuilder(entries, block.base_url).build(block.payload)]
+        roots = [builder.build(block.payload)]
     else:
-        roots = _parse_jsonld(block.payload, entries)
+        roots = _parse_jsonld(block.payload, builder)
     if roots is None:
         return None, entries
 
@@ -239,18 +242,18 @@ class _GraphBuilder:
 
     def __init__(self, entries: list[ReportEntry], base_url: str = ""):
         self.entries = entries
-        self.base_url = base_url  # a Microdata item's URLs resolve against it
+        self.base_url = base_url  # identifiers, page URLs resolve against it
         self.by_id: dict[str, AnnotationNode] = {}
-        self.vocab, self.terms = _SCHEMA_ORG, {}  # a JSON-LD object's context
+        self.vocab, self.terms = _SCHEMA_ORG_CONTEXT  # the active context
         self.unexpanded: set[str] = set()
 
     def warn(self, construct: str) -> None:
         self.entries.append(make_entry("E103", "$", construct))
 
     def expand(self, name: str) -> str | None:
-        """A JSON-LD type or property name as a node keeps it: a schema.org
-        term bare, any other IRI (the bare namespace too) whole; None, with
-        one E103 per name, when it expands to no IRI."""
+        """A type or property name as a node keeps it: a schema.org term
+        bare, any other IRI (the bare namespace too) whole; None, with one
+        E103 per name, when it expands to no IRI."""
         if (":" not in name and self.vocab == _SCHEMA_ORG
                 and name not in self.terms):
             return name  # the common case, a schema.org term by @vocab
@@ -265,6 +268,8 @@ class _GraphBuilder:
         return iri
 
     def node_for_id(self, identifier: str) -> AnnotationNode:
+        if identifier and not identifier.startswith("_:"):  # no blank node
+            identifier = resolve_url(identifier, self.base_url) or identifier
         node = self.by_id.get(identifier)
         if node is None:
             node = AnnotationNode(identifier=identifier)
@@ -287,25 +292,20 @@ class _GraphBuilder:
 
     def build_node(self, obj: dict | MicrodataItem, top_level: bool = False):
         if isinstance(obj, MicrodataItem):
-            identifier = obj.identifier
-            if identifier:
-                identifier = (resolve_url(identifier, self.base_url)
-                              or identifier)
-            types = [t for t in obj.types if strip_namespace(t)]
-            pairs, name = obj.properties, strip_namespace
+            identifier, types, pairs = obj.identifier, obj.types, obj.properties
             if obj.itemref:
                 self.warn("itemref is not supported; "
                           "referenced properties skipped")
         else:
             identifier, types = obj.get("@id"), obj.get("@type")
             types = types if isinstance(types, list) else [types]
-            pairs, name = obj.items(), self.expand
+            pairs = obj.items()
         if isinstance(identifier, str) and identifier:
             node = self.node_for_id(identifier)
         else:
             node = AnnotationNode()
         for t in types:
-            t = name(t) if isinstance(t, str) else None
+            t = self.expand(t) if isinstance(t, str) else None
             if t is not None and t not in node.types:
                 node.types.append(t)
         keywords = isinstance(obj, dict)  # an itemprop is never a keyword
@@ -319,7 +319,7 @@ class _GraphBuilder:
                 elif key not in _HONORED_KEYWORDS:
                     self.warn(f"keyword {key!r} is not supported; skipped")
                 continue
-            key = name(key)
+            key = self.expand(key)
             if key is None:
                 continue
             parsed = []
@@ -406,18 +406,17 @@ def _finish(roots: list[AnnotationNode],
     return nodes
 
 
-def _parse_jsonld(payload: str | bytes, entries: list[ReportEntry]):
+def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
     try:
         doc = read_json(payload, ValueError, "block")
     except ValueError as exc:
-        entries.append(make_entry("E101", "$", str(exc)))
+        builder.entries.append(make_entry("E101", "$", str(exc)))
         return None
     if not isinstance(doc, (dict, list)):
-        entries.append(make_entry(
+        builder.entries.append(make_entry(
             "E101", "$", "top-level JSON value is not an object or array"))
         return None
 
-    builder = _GraphBuilder(entries)
     top_objects = doc if isinstance(doc, list) else [doc]
     roots: list[AnnotationNode] = []
     for top in top_objects:
@@ -448,6 +447,7 @@ def _parse_jsonld(payload: str | bytes, entries: list[ReportEntry]):
 _SCHEMA_ORG = "https://schema.org/"
 _SCHEMA_ORG_IRIS = ("https://schema.org/", "http://schema.org/")
 _SCHEMA_ORG_NAMES = {"http://schema.org", "https://schema.org", "schema.org"}
+_SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG})
 
 
 def _fold_context(context, warn) -> tuple[str | None, dict] | None:
@@ -459,10 +459,10 @@ def _fold_context(context, warn) -> tuple[str | None, dict] | None:
     and ``schema`` to schema.org; an object sets ``@vocab`` and its terms,
     each a string or ``{"@id": ...}``.  Remote contexts are never fetched.
     """
-    vocab, terms = _SCHEMA_ORG, {"schema": _SCHEMA_ORG}
+    vocab, terms = _SCHEMA_ORG_CONTEXT
     for entry in context if isinstance(context, list) else [context]:
         if entry is None:
-            vocab, terms = _SCHEMA_ORG, {"schema": _SCHEMA_ORG}
+            vocab, terms = _SCHEMA_ORG_CONTEXT
         elif isinstance(entry, str):
             if entry.rstrip("/") not in _SCHEMA_ORG_NAMES:
                 warn(f"context {entry!r} is not a schema.org context; "

@@ -64,7 +64,7 @@ def _read(data: bytes, base_url: str, charset: str | None):
     if text.lstrip(" \t\n\x0b\x0c\r").startswith("<"):
         page = htmltree.parse_html(text)
         return page, annotation.extract_annotation_blocks(page, base_url)
-    return None, [annotation.RawBlock(data, 0)]
+    return None, [annotation.RawBlock(data, 0, base_url)]
 
 
 def _parse_blocks(raw_blocks: list[annotation.RawBlock]):

@@ -366,8 +366,8 @@ def _item_value(element: Element) -> str:
 
 def oracle_blocks(html: str, base_url: str) -> list[RawBlock]:
     """The page's annotation blocks, read from a walk of its full tree:
-    JSON-LD scripts in document order, then top-level Microdata items with
-    the document base."""
+    JSON-LD scripts in document order, then top-level Microdata items, all
+    with the document base."""
     tree = _full_tree(html)
     base = _base(tree, base_url)
     scripts, items = [], []
@@ -379,7 +379,7 @@ def oracle_blocks(html: str, base_url: str) -> list[RawBlock]:
                                    if isinstance(c, str)))
         if "itemscope" in element.attrs and "itemprop" not in element.attrs:
             items.append(_read_item(element))
-    return ([RawBlock(text, index) for index, text in enumerate(scripts)]
+    return ([RawBlock(text, index, base) for index, text in enumerate(scripts)]
             + [RawBlock(item, index, base)
                for index, item in enumerate(items, len(scripts))])
 

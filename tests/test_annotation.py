@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from sdocheck import annotation as a, pipeline, report
 from generators import random_compliant_annotation
 from sdocheck.htmltree import decode_html, parse_html
-from helpers import (PATH_GRAMMAR_RE, graph_fingerprint, parse_jsonld,
-                     resolve_path)
+from helpers import (PATH_GRAMMAR_RE, graph_fingerprint, node_fingerprint,
+                     parse_jsonld, resolve_path)
 
 PROBES = Path(__file__).parent / "fixtures" / "probes"
 
@@ -635,6 +635,69 @@ class TestMicrodataParsing:
         blocks = blocks_of(html)
         g2, _ = a.parse_annotation(blocks[0])
         assert graph_fingerprint(g1) == graph_fingerprint(g2)
+
+
+class TestOneReadingRule:
+    """Both carriers expand names in schema.org's context and resolve
+    identifiers against the block's base."""
+
+    @staticmethod
+    def microdata_root(attrs, prop="name"):
+        html = (f'<div itemscope {attrs}><span itemprop="{prop}">x</span>'
+                '</div>')
+        graph, entries = a.parse_annotation(blocks_of(html)[0])
+        assert entries == []
+        return graph.roots[0]
+
+    @pytest.mark.parametrize("name", [
+        "Event", "schema:Event", "https://schema.org/Event",
+        "http://schema.org/Event"])
+    def test_names_read_alike_in_both_carriers(self, name):
+        prop = name.replace("Event", "name")
+        root = self.microdata_root(f'itemtype="{name}"', prop)
+        graph, _ = parse_jsonld({"@type": name, prop: "x"})
+        assert (root.types, list(root.properties)) == (["Event"], ["name"])
+        assert graph_fingerprint(graph) == (node_fingerprint(root),)
+
+    @pytest.mark.parametrize("prop", ["https://schema.org/", "schema"])
+    def test_an_itemprop_naming_the_namespace_keeps_the_iri(self, prop):
+        root = self.microdata_root('itemtype="https://schema.org/Event"',
+                                   prop)
+        assert list(root.properties) == ["https://schema.org/"]
+        assert root.properties["https://schema.org/"][0].path == (
+            "$0.https://schema.org/")
+
+    def test_an_itemtype_naming_the_namespace_keeps_the_iri(self):
+        root = self.microdata_root('itemtype="https://schema.org/"')
+        assert root.types == ["https://schema.org/"]
+
+    def test_both_carriers_resolve_an_identifier_to_one(self):
+        html = ('<script type="application/ld+json">{"@type": "Event", '
+                '"@id": "/e/1", "location": {"@id": "hall"}}</script>'
+                '<div itemscope itemtype="https://schema.org/Event" '
+                'itemid="/e/1"><span itemprop="name">x</span></div>')
+        roots = [a.parse_annotation(block)[0].roots[0]
+                 for block in blocks_of(html, "https://x.example/d/p")]
+        assert [root.identifier for root in roots] == [
+            "https://x.example/e/1", "https://x.example/e/1"]
+        assert roots[0].properties["location"][0].iri == (
+            "https://x.example/d/hall")
+
+    @pytest.mark.parametrize("identifier", ["_:b0", "http://["])
+    def test_a_blank_or_unparsable_identifier_stays_as_written(
+            self, identifier):
+        root = self.microdata_root('itemtype="https://schema.org/Event" '
+                                   f'itemid="{identifier}"')
+        graph, _ = a.parse_annotation(a.RawBlock(json.dumps(
+            {"@type": "Event", "@id": identifier,
+             "organizer": {"@id": identifier}}), 0, "https://x.example/"))
+        assert root.identifier == graph.roots[0].identifier == identifier
+
+    def test_a_standalone_file_resolves_identifiers_against_its_url(self):
+        _, blocks = pipeline.parse(b'{"@type": "Event", "@id": "e1"}',
+                                   "file:///d/f.json")
+        (_, graph, _), = blocks
+        assert graph.roots[0].identifier == "file:///d/e1"
 
 
 class TestClassifyLiteral:

@@ -100,14 +100,15 @@ def check_every_way(vocab, data: bytes,
 URLISH = (st.sampled_from(["http://[", "http://[oops", "http://[::1]/x",
                            "https://x.example/a", "/rel", "#frag", "",
                            "mailto:a@b.example", "http://a]b", "[",
-                           "https://schema.org/Event"])
+                           "https://schema.org/Event", "_:b0"])
           | st.text(alphabet="[]:/.#?ahtps x", max_size=12))
 ATTRIBUTES = st.lists(st.tuples(
     st.sampled_from(["itemscope", "itemprop", "itemid", "itemtype", "href",
                      "src", "content", "datetime", "itemref", "type",
                      "value", "data"]),
     st.none() | URLISH | st.sampled_from(["name", "url", "subEvent", "@type",
-                                          "startDate", "application/ld+json"]),
+                                          "startDate", "application/ld+json",
+                                          "https://schema.org/", "schema"]),
 ), max_size=4)
 RAW_MARKUP = st.sampled_from([
     "<![foo bar]>", "<![CDATA[x]]>", "<![if !IE]>", "<![endif]>", "<![",
