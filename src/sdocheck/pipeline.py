@@ -123,7 +123,7 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     del page  # the blocks and pools are read; free the page before checking
 
     def check(blocks):
-        return _check_blocks(blocks, vocab, spec, strict, score_values)
+        return _check_blocks(blocks, vocab, spec, score_values)
 
     parts = None
     if _splits(len(raw_blocks)):
@@ -141,10 +141,10 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
     return report.merge_reports(
         entries, target=base_url if target is None else target,
         snapshot_id=vocab.snapshot_id, ds_name=spec.name if spec else None,
-        content_score=score)
+        content_score=score, strict=strict)
 
 
-def _check_blocks(raw_blocks, vocab, spec, strict, score_values):
+def _check_blocks(raw_blocks, vocab, spec, score_values):
     """Parse and check blocks in order, roots numbered across them from 0:
     one ``(root count, target matched, findings, value scores)`` per block,
     where a block that did not parse matched None, and one that did whether
@@ -155,8 +155,7 @@ def _check_blocks(raw_blocks, vocab, spec, strict, score_values):
         matched = None
         scores = []
         if graph is not None:
-            entries.extend(sdo_verifier.verify_schema_org(graph, vocab,
-                                                          strict))
+            entries.extend(sdo_verifier.verify_schema_org(graph, vocab))
             matched = False
             if spec is not None:
                 found = ds.verify_against_ds(graph, spec, vocab)

@@ -101,14 +101,10 @@ class ReportEntry(NamedTuple):
                 f"{self.title} — {self.description}")
 
 
-def make_entry(code: str, path: str, description: str,
-               strict: bool = False) -> ReportEntry:
+def make_entry(code: str, path: str, description: str) -> ReportEntry:
     """Build an entry from the catalog; unknown codes are a programming error."""
     row = CATALOG[code]
-    severity = row.severity
-    if strict and row.strict_severity is not None:
-        severity = row.strict_severity
-    return ReportEntry(code=code, title=row.title, severity=severity,
+    return ReportEntry(code=code, title=row.title, severity=row.severity,
                        path=path, description=description, source=row.source)
 
 
@@ -143,12 +139,17 @@ class VerificationReport(NamedTuple):
 
 def merge_reports(entries: list[ReportEntry], target: str, snapshot_id: str,
                   ds_name: str | None = None,
-                  content_score: ScoreSummary | None = None) -> VerificationReport:
+                  content_score: ScoreSummary | None = None,
+                  strict: bool = False) -> VerificationReport:
     """The report of ``entries``, sorted by (path, code), stably: the one
-    place that orders findings.
+    place that orders findings, and the one that applies ``strict``, which
+    raises each entry to its catalog row's ``strict_severity``.
 
     Duplicate entries are kept: two identical findings are two findings.
     """
+    if strict:
+        entries = [e._replace(severity=CATALOG[e.code].strict_severity
+                              or e.severity) for e in entries]
     return VerificationReport(target=target, snapshot_id=snapshot_id,
                               ds_name=ds_name,
                               entries=sorted(entries,

@@ -8,7 +8,8 @@ Eight check families, each keyed to a report code:
     E204 range violation           E208 semantic inconsistency
 
 plus E209, an informational note for untyped nested entities whose own
-properties cannot be checked.  Findings are data, never exceptions.
+properties cannot be checked.  Findings are data, never exceptions, and
+carry their catalog severity; ``report.merge_reports`` applies ``--strict``.
 """
 
 from __future__ import annotations
@@ -96,23 +97,22 @@ def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
         range_name, frozenset())
 
 
-def verify_schema_org(graph: AnnotationGraph, vocab: VocabularyGraph,
-                      strict: bool = False) -> list[ReportEntry]:
+def verify_schema_org(graph: AnnotationGraph,
+                      vocab: VocabularyGraph) -> list[ReportEntry]:
     """Run all vocabulary conformance checks over every reachable node."""
     findings: list[ReportEntry] = []
     for node in graph.iter_nodes():
-        _check_node(node, vocab, strict, findings)
+        _check_node(node, vocab, findings)
     return findings
 
 
-def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
+def _check_node(node: AnnotationNode, vocab: VocabularyGraph,
                 findings: list[ReportEntry]) -> None:
     known_types = []
     for t in node.types:
         if t not in vocab.classes:
             findings.append(make_entry(
-                "E201", node.path, f"type {t!r} is not defined by the vocabulary",
-                strict))
+                "E201", node.path, f"type {t!r} is not defined by the vocabulary"))
         else:
             known_types.append(t)
 
@@ -131,17 +131,17 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
         if not prop_known:
             findings.append(make_entry(
                 "E202", prop_path,
-                f"property {prop!r} is not defined by the vocabulary", strict))
+                f"property {prop!r} is not defined by the vocabulary"))
         elif known_types and not any(property_applies_to(vocab, prop, t)
                                      for t in known_types):
             findings.append(make_entry(
                 "E203", prop_path,
                 f"property {prop!r} does not apply to "
-                f"{_type_list_text(node.types)}", strict))
+                f"{_type_list_text(node.types)}"))
 
         for value in values:
-            _check_value(value, prop, prop_known, vocab, strict, findings)
-        _check_duplicates(prop, prop_path, values, findings, strict)
+            _check_value(value, prop, prop_known, vocab, findings)
+        _check_duplicates(prop, prop_path, values, findings)
 
     for rule_id, applicable_type, check in _RULES:
         if not any(applicable_type in vocab.ancestors(t) for t in known_types):
@@ -151,7 +151,7 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph, strict: bool,
             prop, description = violation
             findings.append(make_entry(
                 "E208", f"{node.path}.{prop}",
-                f"rule {rule_id!r}: {description}", strict))
+                f"rule {rule_id!r}: {description}"))
 
 
 def _type_list_text(types: list[str]) -> str:
@@ -159,8 +159,7 @@ def _type_list_text(types: list[str]) -> str:
 
 
 def _check_value(value: PropertyValue, prop: str, prop_known: bool,
-                 vocab: VocabularyGraph, strict: bool,
-                 findings: list[ReportEntry]) -> None:
+                 vocab: VocabularyGraph, findings: list[ReportEntry]) -> None:
     if isinstance(value, Literal) and value.raw.strip() == "":
         findings.append(make_entry(
             "E206", value.path, f"value of {prop!r} is empty"))
@@ -179,32 +178,31 @@ def _check_value(value: PropertyValue, prop: str, prop_known: bool,
             findings.append(make_entry(
                 "E205", value.path,
                 f"value {_shorten(value.raw)!r} is plain text but {prop!r} "
-                f"expects {_range_text(ranges)}", strict))
+                f"expects {_range_text(ranges)}"))
         else:
             findings.append(make_entry(
                 "E204", value.path,
                 f"value {_shorten(value.raw)!r} ({value.datatype}) does not "
-                f"conform to {_range_text(ranges)}", strict))
+                f"conform to {_range_text(ranges)}"))
     elif isinstance(value, Reference):
         findings.append(make_entry(
             "E204", value.path,
             f"reference {value.iri!r} where {prop!r} expects "
-            f"{_range_text(ranges)}", strict))
+            f"{_range_text(ranges)}"))
     elif any(t in vocab.classes for t in value.node.types):
         findings.append(make_entry(
             "E204", value.path,
             f"entity of {_type_list_text(value.node.types)} does not "
-            f"conform to {_range_text(ranges)}", strict))
+            f"conform to {_range_text(ranges)}"))
     elif not value.node.types and not any_class_range:
         findings.append(make_entry(
             "E204", value.path,
-            f"untyped entity where {prop!r} expects {_range_text(ranges)}",
-            strict))
+            f"untyped entity where {prop!r} expects {_range_text(ranges)}"))
     # an entity whose declared types are all unknown: E201 is filed there
 
 
 def _check_duplicates(prop: str, prop_path: str, values: list[PropertyValue],
-                      findings: list[ReportEntry], strict: bool) -> None:
+                      findings: list[ReportEntry]) -> None:
     counts: dict[tuple, int] = {}
     labels: dict[tuple, str] = {}
     for value in values:
@@ -226,7 +224,7 @@ def _check_duplicates(prop: str, prop_path: str, values: list[PropertyValue],
             findings.append(make_entry(
                 "E207", prop_path,
                 f"value {_shorten(labels[key])!r} occurs {count} times "
-                f"under {prop!r}", strict))
+                f"under {prop!r}"))
 
 
 def _range_text(ranges) -> str:

@@ -444,7 +444,7 @@ def _boom_page(at: int) -> bytes:
     return ("<html><body>" + "".join(blocks) + "</body></html>").encode()
 
 
-def _raise_on_boom(graph, vocab, strict=False):
+def _raise_on_boom(graph, vocab):
     if "Boom" in graph.roots[0].types:
         raise RuntimeError(f"cannot check {graph.roots[0].path}")
     return []
@@ -477,10 +477,10 @@ def test_a_child_killed_by_a_signal_is_checked_again(vocab, monkeypatch):
     parent = os.getpid()
     verify = pipeline.sdo_verifier.verify_schema_org
 
-    def die_in_a_child(graph, vocab, strict=False):
+    def die_in_a_child(graph, vocab):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return verify(graph, vocab, strict)
+        return verify(graph, vocab)
 
     page = _boom_page(0).replace(b"Boom", b"Event")
     serial = split_run(monkeypatch, False, page, BASE, vocab)
@@ -649,8 +649,7 @@ def test_children_of_a_killed_caller_exit(vocab, tmp_path):
               for i in range(600)]
     page = ("<html><body>" + "".join(blocks) + "</body></html>").encode()
     _, raw_blocks = pipeline._read(page, BASE, None)
-    checked = pipeline._check_blocks(raw_blocks[1::2], vocab, None, False,
-                                     None)
+    checked = pipeline._check_blocks(raw_blocks[1::2], vocab, None, None)
     assert len(pickle.dumps(checked, pickle.HIGHEST_PROTOCOL)) > 64 * 1024
     (tmp_path / "page.html").write_bytes(page)
     # the caller and its child inherit `held`; reading it gives EOF once

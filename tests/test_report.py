@@ -27,10 +27,15 @@ def test_unknown_code_is_a_programming_error():
 
 
 def test_strict_elevates_only_domain_and_range_codes():
-    assert r.make_entry("E203", "$0.p", "d").severity is r.Severity.WARNING
-    assert r.make_entry("E203", "$0.p", "d", strict=True).severity is r.Severity.ERROR
-    assert r.make_entry("E204", "$0.p", "d", strict=True).severity is r.Severity.ERROR
-    assert r.make_entry("E206", "$0.p", "d", strict=True).severity is r.Severity.WARNING
+    entries = [r.make_entry(code, "$0.p", "d") for code in ALL_CODES]
+    relaxed, strict = (r.merge_reports(entries, target="t", snapshot_id="s",
+                                       strict=flag).entries
+                       for flag in (False, True))
+    assert [e.code for e in relaxed] == ALL_CODES
+    assert [(e.code, e.severity, s.severity)
+            for e, s in zip(relaxed, strict) if e != s] == [
+        ("E203", r.Severity.WARNING, r.Severity.ERROR),
+        ("E204", r.Severity.WARNING, r.Severity.ERROR)]
 
 
 def test_merge_of_nothing_is_the_empty_report():

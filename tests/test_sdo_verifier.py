@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdocheck import ds, pipeline, sdo_verifier as sv
 from sdocheck.annotation import AnnotationNode, Entity, Literal, Reference
-from sdocheck.report import Severity
+from sdocheck.report import Severity, merge_reports
 from sdocheck.vocab import load_default_vocabulary
 from generators import random_compliant_annotation
 from helpers import load_ds, parse_jsonld
@@ -26,9 +26,13 @@ COMPLIANT_EVENT = {
 
 
 def verify(block, vocab, strict=False):
+    """The block's findings, in report order under ``strict``."""
     graph, entries = parse_jsonld(block)
     assert entries == []
-    return sv.verify_schema_org(graph, vocab, strict)
+    findings = sv.verify_schema_org(graph, vocab)
+    if strict:
+        return merge_reports(findings, "t", "s", strict=True).entries
+    return findings
 
 
 class TestCheckFamilies:
