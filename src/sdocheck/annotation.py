@@ -437,10 +437,14 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
                          + ", ".join(beside))
         # JSON-LD 1.1 allows a graph of one node
         for item in graph if isinstance(graph, list) else [graph]:
-            if isinstance(item, dict):
-                roots.append(builder.build(item, top_level=True))
-            else:
+            if not isinstance(item, dict):
                 builder.warn("@graph entry is not an object; skipped")
+                continue
+            own = (_fold_context(item["@context"], builder.warn, context)
+                   if "@context" in item else context)
+            if own is not None:  # a failed fold skips the entry
+                builder.vocab, builder.terms = own
+                roots.append(builder.build(item, top_level=True))
     return roots
 
 
@@ -450,16 +454,18 @@ _SCHEMA_ORG_NAMES = {"http://schema.org", "https://schema.org", "schema.org"}
 _SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG})
 
 
-def _fold_context(context, warn) -> tuple[str | None, dict] | None:
-    """The ``(vocab, terms)`` that a top-level object's ``@context`` folds
-    into (JSON-LD 1.1 API §4.1), or None when the block is skipped.
+def _fold_context(context, warn, start=_SCHEMA_ORG_CONTEXT,
+                  ) -> tuple[str | None, dict] | None:
+    """The ``(vocab, terms)`` that an object's ``@context`` folds into
+    (JSON-LD 1.1 API §4.1), or None when the object is skipped.
 
-    The fold starts from schema.org's context, to which ``null`` resets, and
-    a later entry wins.  The schema.org IRI, known by name, sets ``@vocab``
+    The fold starts from ``start``: a ``@graph`` entry's from the top-level
+    object's context, any other from schema.org's, to which ``null`` resets.
+    A later entry wins.  The schema.org IRI, known by name, sets ``@vocab``
     and ``schema`` to schema.org; an object sets ``@vocab`` and its terms,
     each a string or ``{"@id": ...}``.  Remote contexts are never fetched.
     """
-    vocab, terms = _SCHEMA_ORG_CONTEXT
+    vocab, terms = start
     for entry in context if isinstance(context, list) else [context]:
         if entry is None:
             vocab, terms = _SCHEMA_ORG_CONTEXT

@@ -134,6 +134,31 @@ class TestJsonLdParsing:
             ("E103", "embedded @context ignored")]
         assert graph.nodes[1].types == ["Place"]
 
+    def test_a_graph_entry_folds_its_context_over_the_top_level_one(self):
+        graph, entries = parse_jsonld({
+            "@context": {"@vocab": "https://x.example/"},
+            "@graph": [
+                {"@type": "Event"},
+                {"@context": None, "@type": "Event"},
+                {"@context": "https://schema.org", "@type": "Event"},
+                {"@context": {"schema": "https://y.example/"},
+                 "@type": "schema:Event"},
+                {"@type": "Place"}]})
+        assert entries == []
+        assert [r.types for r in graph.roots] == [
+            ["https://x.example/Event"], ["Event"], ["Event"],
+            ["https://y.example/Event"], ["https://x.example/Place"]]
+
+    def test_a_graph_entry_whose_context_fails_is_skipped(self):
+        graph, entries = parse_jsonld({
+            "@context": "https://schema.org",
+            "@graph": [{"@context": "https://x.example/", "@type": "Event",
+                        "name": "x"}, {"@type": "Place", "name": "P"}]})
+        assert [(e.code, e.description) for e in entries] == [
+            ("E103", "context 'https://x.example/' is not a schema.org "
+                     "context; block skipped")]
+        assert [r.types for r in graph.roots] == [["Place"]]
+
     def test_top_level_array(self):
         block = ('[{"@context":"https://schema.org","@type":"Event","name":"A"},'
                  '{"@context":"https://schema.org","@type":"Person","name":"B"}]')
