@@ -290,7 +290,11 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
                        f"member-name token containment {score:.3f}")
     # classify_literal labels a literal Date or DateTime only when
     # parse_temporal reads it, and Integer or Float only when Decimal does
-    if datatype == "URL":
+    if datatype == "URL" and raw.startswith("_:"):  # a blank node reference
+        return ValueConsistency(path, ValueKind.URL, 0.0,
+                                MatchStatus.UNVERIFIABLE,
+                                "a blank node names no page URL")
+    elif datatype == "URL":
         normalized = normalize_url(raw)
         kind, hit = ValueKind.URL, normalized in page.urls
         shown = f"URL {normalized or raw!r}"

@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sdocheck import content as c
+from sdocheck import content as c, pipeline
 from sdocheck.annotation import Literal, Reference
 from sdocheck.htmltree import parse_html
 from helpers import parse_jsonld, report_order
@@ -285,6 +285,22 @@ class TestValueScoring:
             c.ValidationConfig())
         assert result.value_kind is c.ValueKind.URL
         assert result.score == 1.0
+
+    def test_a_blank_node_reference_is_unverifiable(self):
+        page = page_from('<a href="_:nobody">p</a>')
+        result = c.consistency_of_value(Reference("_:nobody"), "organizer",
+                                        page, c.ValidationConfig())
+        assert (result.status, result.evidence) == (
+            c.MatchStatus.UNVERIFIABLE, "a blank node names no page URL")
+
+    def test_a_relative_reference_matches_its_resolved_link(self, vocab):
+        page = (b'<script type="application/ld+json">{"@type": "Event", '
+                b'"name": "Gala", "location": {"@id": "/venue/hall"}}'
+                b'</script><p>Gala at <a href="/venue/hall">the hall</a></p>')
+        run = pipeline.run(page, "https://x.example/e/1", vocab,
+                           validate=c.ValidationConfig())
+        assert run.entries == []
+        assert run.content_score == (1.0, 2, 2, 0)
 
     def test_symbol_only_string_is_unverifiable(self):
         page = page_from("<p>whatever</p>")
