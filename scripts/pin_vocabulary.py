@@ -286,9 +286,10 @@ def main() -> int:
         "class_count": len(graph.classes),
         "property_count": len(graph.properties),
         "datatype_count": len(graph.datatypes),
-        "enumeration_count": sum(1 for c in graph.classes.values()
-                                 if c.is_enumeration),
-        "member_count": sum(len(m) for m in graph.enumeration_members.values()),
+        "enumeration_count": sum(1 for name in graph.classes
+                                 if graph.is_enumeration(name)),
+        "member_count": sum(len(enumerations) for enumerations
+                            in graph.member_enumerations.values()),
     }
     stats_path = DATA_DIR / "snapshot_stats.json"
     stats_path.write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")

@@ -31,8 +31,7 @@ from datetime import date, datetime, time
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .htmltree import (Document, MicrodataItem, PageURL, effective_base_url,
-                       resolve_url)
+from .htmltree import Document, MicrodataItem, PageURL, resolve_url
 from .report import ReportEntry, make_entry
 from .vocab import read_json
 
@@ -183,18 +182,17 @@ def classify_literal(raw: str) -> str:
 # block extraction
 
 
-def extract_annotation_blocks(tree: Document,
-                              base_url: str) -> list[RawBlock]:
-    """All annotation blocks of a parsed page, in document order.
+def extract_annotation_blocks(tree: Document) -> list[RawBlock]:
+    """All annotation blocks of a parsed page, in document order, each with
+    the document base.
 
     JSON-LD script blocks come first (verbatim, even if malformed), followed
     by one synthetic block per top-level Microdata item scope.  Block indices
     are global and zero-based.
     """
-    base = effective_base_url(tree, base_url)
-    blocks = [RawBlock(text, index, base)
+    blocks = [RawBlock(text, index, tree.base)
               for index, text in enumerate(tree.scripts)]
-    blocks.extend(RawBlock(item, index, base)
+    blocks.extend(RawBlock(item, index, tree.base)
                   for index, item in enumerate(tree.items, len(blocks)))
     return blocks
 

@@ -25,7 +25,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 from .annotation import (AnnotationGraph, Literal, Reference, UNDETERMINED,
                          parse_temporal)
-from .htmltree import Document, effective_base_url, resolve_url
+from .htmltree import Document, resolve_url
 from .report import ReportEntry, ScoreSummary, make_entry
 from .vocab import VocabularyGraph, read_json, strip_namespace
 
@@ -176,18 +176,17 @@ def camel_case_tokens(name: str) -> list[str]:
     return [t.lower() for t in _CAMEL_RE.findall(name)]
 
 
-def extract_page_content(tree: Document, base_url: str,
-                         config: ValidationConfig | None = None) -> PageContent:
-    """Reduce a parsed page to its comparable pools.
+def extract_page_content(tree: Document,
+                         config: ValidationConfig) -> PageContent:
+    """Reduce a parsed page to its comparable pools, its links resolved
+    against the document base.
 
     Script, style and template content is invisible, which keeps embedded
     JSON-LD annotation blocks out of their own evidence.
     """
-    config = config or ValidationConfig()
-    base = effective_base_url(tree, base_url)
     urls: set[str] = set()
     for link in tree.links:
-        url = resolve_url(link, base)
+        url = resolve_url(link, tree.base)
         if url is not None:
             urls.add(normalize_url(url))
     text = tree.text
@@ -284,7 +283,7 @@ def consistency_of_value(value: Literal | Reference, property_name: str,
         raw, datatype = value.iri, "URL"
     else:
         raw, datatype = value.raw, value.datatype
-    if vocab is not None and vocab.enumerations_of_member(strip_namespace(raw)):
+    if vocab is not None and strip_namespace(raw) in vocab.member_enumerations:
         score = _containment(camel_case_tokens(strip_namespace(raw)), page)
         return _scored(path, ValueKind.ENUMERATION, score, config,
                        f"member-name token containment {score:.3f}")

@@ -6,12 +6,12 @@ the interpreter's copy); a plain start tag is read whole by one pattern.
 Each token goes straight to the builder, which records, in document order,
 the text of the page's JSON-LD ``<script>`` elements and its top-level
 Microdata items (``itemscope`` without ``itemprop``) as ``MicrodataItem``
-trees, the first ``<base href>``, the visible text and the raw link
-values (``href``, ``src`` and ``<object data>``).  The WHATWG Microdata
-rules live here: which items are top level, which item a property belongs
-to, and a property's value.  The builder holds the names of the open
-elements and, for each open item or property, what it is still filling in;
-no element is kept once it closes, so no tree of the page is ever held.
+trees, the visible text, the raw link values (``href``, ``src`` and
+``<object data>``) and, once the page ends, the document base.  The WHATWG
+Microdata rules live here: which items are top level, which item a property
+belongs to, and a property's value.  The builder holds the names of the
+open elements and, for each open item or property, what it is still filling
+in; no element is kept once it closes, so no tree of the page is ever held.
 
 Lenient by design: unmatched end tags are dropped, unclosed elements are
 closed when an ancestor closes or the page ends, and decoding falls back to
@@ -164,15 +164,17 @@ class Document:
     items, in document order.  ``text`` is the visible text, with a newline
     at each block element's open and close.  ``links`` are the raw ``href``
     and ``src`` values of visible elements other than ``<base>`` and the
-    ``data`` values of visible ``<object>`` elements,
-    unresolved, because the first ``<base href>`` also applies to links that
-    come before it.
+    ``data`` values of visible ``<object>`` elements, unresolved.  ``base``
+    is the document base that every URL of the page resolves against: the
+    first ``<base href>`` resolved against the page's URL, else that URL (a
+    ``<base href>`` that does not parse is ignored, as in WHATWG HTML).  It
+    is known only when the page ends, as it applies to earlier links too.
     """
 
-    __slots__ = ("base_href", "scripts", "items", "text", "links")
+    __slots__ = ("base", "scripts", "items", "text", "links")
 
     def __init__(self):
-        self.base_href: str | None = None
+        self.base = ""
         self.scripts: list[str] = []
         self.items: list[MicrodataItem] = []
         self.text = ""
@@ -314,6 +316,7 @@ class _TreeBuilder:
 
     def __init__(self):
         self.document = Document()
+        self.base_href: str | None = None  # the first <base href>
         # the names of the open elements, the document's sentinel at the
         # bottom
         self.stack: list[str] = ["#document"]
@@ -335,8 +338,8 @@ class _TreeBuilder:
         stack = self.stack
         document = self.document
         if tag == "base":
-            if document.base_href is None and attrs.get("href"):
-                document.base_href = attrs["href"]
+            if self.base_href is None and attrs.get("href"):
+                self.base_href = attrs["href"]
         elif self.hidden_at is None and tag not in NON_CONTENT_ELEMENTS:
             if attrs.get("href"):
                 document.links.add(attrs["href"])
@@ -535,9 +538,11 @@ class _TreeBuilder:
         if i < n and raw_end is None:
             data(unescape(html[i:]))
 
-    def close(self) -> None:
+    def close(self, url: str) -> None:
         self._close_from(1)
         self.document.text = "".join(self.text)
+        self.document.base = (self.base_href
+                              and resolve_url(self.base_href, url) or url)
 
 
 def decode_html(data: bytes, charset: str | None = None) -> str:
@@ -562,11 +567,11 @@ def decode_html(data: bytes, charset: str | None = None) -> str:
     return data.decode(_CHARSET_CODECS.get(label, "utf-8"), errors="replace")
 
 
-def parse_html(text: str) -> Document:
-    """What one pass over the page's text (see ``decode_html``) records."""
+def parse_html(text: str, url: str) -> Document:
+    """What one pass over the page at ``url`` records (see ``decode_html``)."""
     builder = _TreeBuilder()
     builder.feed(text)
-    builder.close()
+    builder.close(url)
     return builder.document
 
 
@@ -581,10 +586,3 @@ def resolve_url(text: str, base: str = "") -> str | None:
         return None
     return joined
 
-
-def effective_base_url(root: Document, fallback: str) -> str:
-    """The document base: the first <base href>, resolved against fallback.
-    A <base href> that does not parse is ignored, as in WHATWG HTML."""
-    if root.base_href:
-        return resolve_url(root.base_href, fallback) or fallback
-    return fallback

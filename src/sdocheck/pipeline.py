@@ -62,8 +62,8 @@ def _read(data: bytes, base_url: str, charset: str | None):
     text = htmltree.decode_html(data, charset)
     # ASCII whitespace, vertical tab included
     if text.lstrip(" \t\n\x0b\x0c\r").startswith("<"):
-        page = htmltree.parse_html(text)
-        return page, annotation.extract_annotation_blocks(page, base_url)
+        page = htmltree.parse_html(text, base_url)
+        return page, annotation.extract_annotation_blocks(page)
     return None, [annotation.RawBlock(data, 0, base_url)]
 
 
@@ -113,7 +113,7 @@ def run(data: bytes, base_url: str, vocab: VocabularyGraph, *,
             raise NotAPageError("validate needs a web page; "
                                 "got a standalone annotation file")
         from . import content  # once per run, and only for content scoring
-        page_content = content.extract_page_content(page, base_url, validate)
+        page_content = content.extract_page_content(page, validate)
 
         def score_values(graph):
             values = content.collect_consistencies(graph, page_content,

@@ -80,8 +80,7 @@ def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
     member.  An entity fits a class range that is in
     the superclass closure of one of its known types.
     """
-    cls = vocab.classes.get(range_name)
-    if cls is None:  # a datatype range
+    if range_name not in vocab.classes:  # a datatype range
         if isinstance(value, Reference):
             return range_name == "URL"
         return isinstance(value, Literal) and (
@@ -90,11 +89,11 @@ def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
     if isinstance(value, Entity):
         return any(range_name in vocab.ancestors(t)
                    for t in value.node.types if t in vocab.classes)
-    if not cls.is_enumeration:
+    if not vocab.is_enumeration(range_name):
         return isinstance(value, Reference)
     term = value.raw if isinstance(value, Literal) else value.iri
-    return strip_namespace(term) in vocab.enumeration_members.get(
-        range_name, frozenset())
+    return range_name in vocab.member_enumerations.get(strip_namespace(term),
+                                                       ())
 
 
 def verify_schema_org(graph: AnnotationGraph,

@@ -76,7 +76,6 @@ def strip_namespace(name: str) -> str:
 class ClassDef(NamedTuple):
     name: str
     sub_class_of: frozenset[str]
-    is_enumeration: bool = False
 
 
 class PropertyDef(NamedTuple):
@@ -86,22 +85,23 @@ class PropertyDef(NamedTuple):
 
 
 class VocabularyGraph:
-    __slots__ = ("classes", "properties", "enumeration_members", "datatypes",
-                 "snapshot_id", "_ancestors", "_member_index", "_applies")
+    """The terms of one vocabulary dump.  ``member_enumerations`` is the one
+    member table: a member's name -> the enumeration classes it is of."""
+
+    __slots__ = ("classes", "properties", "member_enumerations", "datatypes",
+                 "snapshot_id", "_ancestors", "_applies")
 
     def __init__(self, classes: dict[str, ClassDef],
                  properties: dict[str, PropertyDef],
-                 enumeration_members: dict[str, frozenset[str]],
+                 member_enumerations: dict[str, frozenset[str]],
                  datatypes: frozenset[str], snapshot_id: str):
         self.classes = classes
         self.properties = properties
-        self.enumeration_members = enumeration_members
+        self.member_enumerations = member_enumerations
         self.datatypes = datatypes
         self.snapshot_id = snapshot_id
         # reflexive-transitive superclass closure, precomputed at load time
         self._ancestors: dict[str, frozenset[str]] = {}
-        # member name -> enumeration classes it belongs to
-        self._member_index: dict[str, frozenset[str]] = {}
         # (property, type) -> whether the property applies to the type,
         # filled as property_applies_to answers
         self._applies: dict[tuple[str, str], bool] = {}
@@ -109,8 +109,8 @@ class VocabularyGraph:
     def ancestors(self, class_name: str) -> frozenset[str]:
         return self._ancestors[class_name]
 
-    def enumerations_of_member(self, member_name: str) -> frozenset[str]:
-        return self._member_index.get(member_name, frozenset())
+    def is_enumeration(self, class_name: str) -> bool:
+        return "Enumeration" in self._ancestors[class_name]
 
 
 def _as_id_list(value) -> list[str]:
@@ -235,12 +235,11 @@ def load_vocabulary(data: bytes) -> VocabularyGraph:
             raise ParseError(f"term {name!r} carries no recognized '@type'")
 
     graph = VocabularyGraph(classes=classes, properties=properties,
-                            enumeration_members={}, datatypes=frozenset(datatypes),
+                            member_enumerations={}, datatypes=frozenset(datatypes),
                             snapshot_id=snapshot_id)
     _link_members(graph, member_decls)
     _check_integrity(graph)
     _compute_closure(graph)
-    _mark_enumerations(graph)
     return graph
 
 
@@ -253,7 +252,6 @@ def load_default_vocabulary() -> VocabularyGraph:
 
 
 def _link_members(graph: VocabularyGraph, decls: list[tuple[str, list[str]]]) -> None:
-    members: dict[str, set[str]] = {}
     index: dict[str, set[str]] = {}
     for member, enum_classes in decls:
         for enum_class in enum_classes:
@@ -261,10 +259,8 @@ def _link_members(graph: VocabularyGraph, decls: list[tuple[str, list[str]]]) ->
                 raise IntegrityError(
                     f"enumeration member {member!r} declares unknown class "
                     f"{enum_class!r}")
-            members.setdefault(enum_class, set()).add(member)
             index.setdefault(member, set()).add(enum_class)
-    graph.enumeration_members = {k: frozenset(v) for k, v in members.items()}
-    graph._member_index = {k: frozenset(v) for k, v in index.items()}
+    graph.member_enumerations = {k: frozenset(v) for k, v in index.items()}
 
 
 def _check_integrity(graph: VocabularyGraph) -> None:
@@ -319,12 +315,6 @@ def _compute_closure(graph: VocabularyGraph) -> None:
             else:
                 trail.append(pending)
     graph._ancestors = ancestors
-
-
-def _mark_enumerations(graph: VocabularyGraph) -> None:
-    for name, cls in list(graph.classes.items()):
-        if "Enumeration" in graph._ancestors[name]:
-            graph.classes[name] = cls._replace(is_enumeration=True)
 
 
 def is_subclass_of(vocab: VocabularyGraph, sub: str, super_: str) -> bool:

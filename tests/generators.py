@@ -57,8 +57,14 @@ class _Counter:
 
 
 def _instantiable_classes(vocab: VocabularyGraph) -> list[str]:
-    return sorted(name for name, cls in vocab.classes.items()
-                  if not cls.is_enumeration)
+    return sorted(name for name in vocab.classes
+                  if not vocab.is_enumeration(name))
+
+
+def _members(vocab: VocabularyGraph, enumeration: str) -> list[str]:
+    return sorted(member for member, enumerations
+                  in vocab.member_enumerations.items()
+                  if enumeration in enumerations)
 
 
 def _applying_properties(vocab: VocabularyGraph, class_name: str) -> list[str]:
@@ -99,13 +105,12 @@ def _compliant_value(vocab: VocabularyGraph, rng: random.Random, prop: str,
     ranges = sorted(vocab.properties[prop].range_includes)
     datatype_ranges = [r for r in ranges if r in vocab.datatypes]
     class_ranges = [r for r in ranges if r in vocab.classes
-                    and not vocab.classes[r].is_enumeration]
+                    and not vocab.is_enumeration(r)]
     enum_ranges = [r for r in ranges if r in vocab.classes
-                   and vocab.classes[r].is_enumeration]
+                   and vocab.is_enumeration(r)]
 
     if enum_ranges and (not datatype_ranges or rng.random() < 0.5):
-        members = sorted(vocab.enumeration_members.get(enum_ranges[0],
-                                                       frozenset()))
+        members = _members(vocab, enum_ranges[0])
         if members:
             return rng.choice(members)
     if class_ranges and depth > 0 and (not datatype_ranges or rng.random() < 0.4):
@@ -216,9 +221,8 @@ def _ds_property_node(vocab: VocabularyGraph, rng: random.Random, prop: str,
             value = _literal_for(pick, counter.next())
         return prop_node, value, multiple, [], []
 
-    cls = vocab.classes[pick]
-    if cls.is_enumeration:
-        members = sorted(vocab.enumeration_members.get(pick, frozenset()))
+    if vocab.is_enumeration(pick):
+        members = _members(vocab, pick)
         assert members, f"enumeration {pick} has no members in the snapshot"
         prop_node = {"name": prop, "isOptional": is_optional,
                      "multipleValuesAllowed": False, "ranges": [pick]}

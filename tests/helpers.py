@@ -209,13 +209,13 @@ class _StdlibTokens(HTMLParser):
             return self.parse_bogus_comment(i, report)
 
 
-def stdlib_document(html: str) -> htmltree.Document:
+def stdlib_document(html: str, url: str) -> htmltree.Document:
     """The ``Document`` the builder records from the tokens of the
-    interpreter's ``html.parser``."""
+    interpreter's ``html.parser``, for the page at ``url``."""
     parser = _StdlibTokens()
     parser.feed(html)
     parser.close()
-    parser.builder.close()
+    parser.builder.close(url)
     return parser.builder.document
 
 

@@ -78,6 +78,11 @@ def test_criterion_1_vocabulary_integrity():
     assert len(vocab.classes) == stats["class_count"]
     assert len(vocab.properties) == stats["property_count"]
     assert len(vocab.datatypes) == stats["datatype_count"]
+    assert stats["enumeration_count"] == sum(
+        1 for name in vocab.classes if vocab.is_enumeration(name))
+    assert stats["member_count"] == sum(
+        len(enumerations) for enumerations
+        in vocab.member_enumerations.values())
     for name in vocab.classes:
         assert vb.is_subclass_of(vocab, name, "Thing"), name
     elapsed = time.perf_counter() - started
@@ -146,8 +151,8 @@ def test_criterion_4_format_equivalence(vocab):
         jsonld_text = (FIXTURES / "equiv" / f"{name}.jsonld").read_text()
         html_text = (FIXTURES / "equiv" / f"{name}.html").read_text("utf-8")
         g_json, e_json = parse_annotation(RawBlock(jsonld_text, 0))
-        blocks = extract_annotation_blocks(parse_html(html_text),
-                                           "https://x.example/")
+        blocks = extract_annotation_blocks(
+            parse_html(html_text, "https://x.example/"))
         assert len(blocks) == 1, name
         g_micro, e_micro = parse_annotation(blocks[0])
         assert g_json is not None and g_micro is not None, name
@@ -232,8 +237,8 @@ def test_criterion_5_content_extremes_and_monotonicity(vocab):
 
 def test_criterion_6_hand_computed_oracles(vocab):
     page = c.extract_page_content(
-        parse_html("<p>hotel alpenhof fügen</p>"),
-        "https://x.example/")
+        parse_html("<p>hotel alpenhof fügen</p>", "https://x.example/"),
+        c.ValidationConfig())
     result = c.consistency_of_value(
         Literal("Hotel Alpenhof Zillertal", "Text"),
         "name", page, c.ValidationConfig())
@@ -241,8 +246,8 @@ def test_criterion_6_hand_computed_oracles(vocab):
     assert result.status is c.MatchStatus.UNMATCHED
 
     page2 = c.extract_page_content(
-        parse_html('<a href="https://x.example/found">l</a>'),
-        "https://x.example/")
+        parse_html('<a href="https://x.example/found">l</a>',
+                   "https://x.example/"), c.ValidationConfig())
     config = c.ValidationConfig()
     items = [
         c.consistency_of_value(Literal("https://x.example/found", "URL"),

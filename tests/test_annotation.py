@@ -18,7 +18,7 @@ PROBES = Path(__file__).parent / "fixtures" / "probes"
 
 
 def blocks_of(html, base="https://x.example/"):
-    return a.extract_annotation_blocks(parse_html(html), base)
+    return a.extract_annotation_blocks(parse_html(html, base))
 
 
 EVENT_BLOCK = ('{"@context":"https://schema.org","@type":"Event",'

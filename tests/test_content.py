@@ -13,7 +13,8 @@ from helpers import parse_jsonld, report_order
 
 def page_from(html: str, base="https://x.example/",
               config=None) -> c.PageContent:
-    return c.extract_page_content(parse_html(html), base, config)
+    return c.extract_page_content(parse_html(html, base),
+                                  config or c.ValidationConfig())
 
 
 def score_graph(graph, page, vocab):

@@ -14,14 +14,17 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = sorted(p for p in (ROOT / "tests" / "fixtures").rglob("*")
                   if p.is_file())
 
+URL = "https://x.example/dir/page"
+
+
 def _recorded(document):
     return (document.scripts, [flat_item(item) for item in document.items],
-            document.text, document.links, document.base_href)
+            document.text, document.links, document.base)
 
 
 def _same_as_stdlib(page: str) -> None:
-    assert (_recorded(htmltree.parse_html(page))
-            == _recorded(stdlib_document(page)))
+    assert (_recorded(htmltree.parse_html(page, URL))
+            == _recorded(stdlib_document(page, URL)))
 
 
 @stdlib_is_the_oracle

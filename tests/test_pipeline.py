@@ -249,12 +249,12 @@ def test_a_page_reports_the_same_in_every_encoding(vocab, page, encoding):
 def test_one_read_of_a_page_matches_a_full_tree_walk(page):
     """The blocks and pools that one parse records are those that walks of
     the page's full tree find."""
-    document = parse_html(page)
-    assert (flat_blocks(extract_annotation_blocks(document, BASE))
+    document = parse_html(page, BASE)
+    assert (flat_blocks(extract_annotation_blocks(document))
             == flat_blocks(oracle_blocks(page, BASE)))
     assert document.text == oracle_text_and_urls(page, BASE)[0]
-    assert extract_page_content(document, BASE) == oracle_page_content(page,
-                                                                       BASE)
+    assert (extract_page_content(document, ValidationConfig())
+            == oracle_page_content(page, BASE))
 
 
 @settings(max_examples=60)
