@@ -298,7 +298,7 @@ class _GraphBuilder:
             identifier, types = obj.get("@id"), obj.get("@type")
             types = types if isinstance(types, list) else [types]
             pairs = obj.items()
-        if isinstance(identifier, str) and identifier:
+        if isinstance(identifier, str):
             node = self.node_for_id(identifier)
         else:
             node = AnnotationNode()
@@ -394,7 +394,7 @@ def _finish(roots: list[AnnotationNode],
             for i, value in enumerate(values):
                 if isinstance(value, Entity):
                     target = value.node
-                    if (target.identifier and not target.types
+                    if (target.identifier is not None and not target.types
                             and not target.properties):
                         value = values[i] = Reference(target.identifier)
                 value.path = f"{prop_path}[{i}]" if multi else prop_path

@@ -188,7 +188,7 @@ def _is_jsonld_type(attrs: dict[str, str]) -> bool:
 
 def _new_item(attrs: dict[str, str]) -> MicrodataItem:
     return MicrodataItem(attrs.get("itemtype", "").split(),
-                         attrs.get("itemid") or None, "itemref" in attrs, [])
+                         attrs.get("itemid"), "itemref" in attrs, [])
 
 
 def _property_value(tag: str, attrs: dict[str, str]) -> str | None:

@@ -211,7 +211,7 @@ def _check_duplicates(prop: str, prop_path: str, values: list[PropertyValue],
         elif isinstance(value, Reference):
             key = ("ref", value.iri)
             labels[key] = value.iri
-        elif value.node.identifier:
+        elif value.node.identifier is not None:
             key = ("ref", value.node.identifier)
             labels[key] = value.node.identifier
         else:

@@ -312,7 +312,7 @@ def _base(tree: _FullTree, base_url: str) -> str:
 def _new_item(element: Element) -> MicrodataItem:
     attrs = element.attrs
     return MicrodataItem(attrs.get("itemtype", "").split(),
-                         attrs.get("itemid") or None, "itemref" in attrs, [])
+                         attrs.get("itemid"), "itemref" in attrs, [])
 
 
 def _read_item(element: Element) -> MicrodataItem:

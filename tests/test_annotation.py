@@ -232,6 +232,24 @@ class TestJsonLdParsing:
         assert isinstance(value, a.Reference)
         assert value.iri == "https://schema.org/InStock"
 
+    def test_an_empty_bare_reference_is_a_reference(self):
+        graph, entries = parse_jsonld({
+            "@context": "https://schema.org", "@type": "Event", "name": "x",
+            "organizer": {"@id": ""}, "location": {"@id": ""}})
+        assert entries == []
+        values = [graph.roots[0].properties[p][0]
+                  for p in ("organizer", "location")]
+        assert [(type(v), v.iri, v.path) for v in values] == [
+            (a.Reference, "", "$0.organizer"),
+            (a.Reference, "", "$0.location")]
+
+    def test_a_node_keeps_an_empty_identifier(self):
+        graph, _ = parse_jsonld({"@type": "Event", "@id": "", "name": "x",
+                                 "superEvent": {"@id": ""}})
+        root = graph.roots[0]
+        assert root.identifier == ""
+        assert root.properties["superEvent"][0].node is root
+
     def test_shared_identifier_merges_nodes(self):
         block = json.dumps({
             "@context": "https://schema.org",
@@ -717,6 +735,11 @@ class TestOneReadingRule:
             {"@type": "Event", "@id": identifier,
              "organizer": {"@id": identifier}}), 0, "https://x.example/"))
         assert root.identifier == graph.roots[0].identifier == identifier
+
+    def test_an_empty_itemid_is_kept_as_written(self):
+        root = self.microdata_root('itemtype="https://schema.org/Event" '
+                                   'itemid=""')
+        assert root.identifier == ""
 
     def test_a_standalone_file_resolves_identifiers_against_its_url(self):
         _, blocks = pipeline.parse(b'{"@type": "Event", "@id": "e1"}',

@@ -294,6 +294,21 @@ class TestValueScoring:
         assert (result.status, result.evidence) == (
             c.MatchStatus.UNVERIFIABLE, "a blank node names no page URL")
 
+    def test_an_empty_reference_is_unverifiable(self, vocab):
+        page = (b'<script type="application/ld+json">{"@type": "Event", '
+                b'"name": "x", "organizer": {"@id": ""}, '
+                b'"location": {"@id": ""}}</script><a href="">x</a>')
+        run = pipeline.run(page, "https://x.example/", vocab,
+                           validate=c.ValidationConfig())
+        assert run.entries == []
+        assert run.content_score == (1.0, 1, 1, 2)
+        result = c.consistency_of_value(Reference(""), "organizer",
+                                        page_from('<a href="">x</a>'),
+                                        c.ValidationConfig())
+        assert (result.status, result.evidence) == (
+            c.MatchStatus.UNVERIFIABLE,
+            "an empty identifier names no page URL")
+
     def test_a_relative_reference_matches_its_resolved_link(self, vocab):
         page = (b'<script type="application/ld+json">{"@type": "Event", '
                 b'"name": "Gala", "location": {"@id": "/venue/hall"}}'

@@ -136,6 +136,14 @@ class TestCheckFamilies:
         assert [(f.code, f.path) for f in findings] == [
             ("E207", "$0.organizer")]
 
+    def test_an_empty_identifier_duplicates_by_identifier(self, vocab):
+        block = {**COMPLIANT_EVENT, "organizer": [
+            {"@id": "", "@type": "Organization", "name": "Org"}, {"@id": ""}]}
+        findings = verify(block, vocab)
+        assert [(f.code, f.path, f.description) for f in findings] == [
+            ("E207", "$0.organizer",
+             "value '' occurs 2 times under 'organizer'")]
+
     def test_enumeration_literal_and_iri_forms(self, vocab):
         offer = {"@context": "https://schema.org", "@type": "Offer",
                  "price": "10", "priceCurrency": "EUR",
