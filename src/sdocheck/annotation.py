@@ -421,8 +421,9 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
         if not isinstance(top, dict):
             builder.warn("top-level entry is not an object; skipped")
             continue
-        context = _fold_context(top.get("@context"), builder.warn)
-        if context is None:
+        context = _fold_context(top.get("@context"))
+        if isinstance(context, str):
+            builder.warn(f"{context}; block skipped")
             continue
         builder.vocab, builder.terms = context
         graph = top.get("@graph")
@@ -438,9 +439,11 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
             if not isinstance(item, dict):
                 builder.warn("@graph entry is not an object; skipped")
                 continue
-            own = (_fold_context(item["@context"], builder.warn, context)
+            own = (_fold_context(item["@context"], context)
                    if "@context" in item else context)
-            if own is not None:  # a failed fold skips the entry
+            if isinstance(own, str):
+                builder.warn(f"{own}; @graph entry skipped")
+            else:
                 builder.vocab, builder.terms = own
                 roots.append(builder.build(item, top_level=True))
     return roots
@@ -452,10 +455,10 @@ _SCHEMA_ORG_NAMES = {"http://schema.org", "https://schema.org", "schema.org"}
 _SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG})
 
 
-def _fold_context(context, warn, start=_SCHEMA_ORG_CONTEXT,
-                  ) -> tuple[str | None, dict] | None:
+def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
+                  ) -> tuple[str | None, dict] | str:
     """The ``(vocab, terms)`` that an object's ``@context`` folds into
-    (JSON-LD 1.1 API §4.1), or None when the object is skipped.
+    (JSON-LD 1.1 API §4.1), or why the object is skipped.
 
     The fold starts from ``start``: a ``@graph`` entry's from the top-level
     object's context, any other from schema.org's, to which ``null`` resets.
@@ -469,9 +472,7 @@ def _fold_context(context, warn, start=_SCHEMA_ORG_CONTEXT,
             vocab, terms = _SCHEMA_ORG_CONTEXT
         elif isinstance(entry, str):
             if entry.rstrip("/") not in _SCHEMA_ORG_NAMES:
-                warn(f"context {entry!r} is not a schema.org context; "
-                     "block skipped")
-                return None
+                return f"context {entry!r} is not a schema.org context"
             vocab, terms = _SCHEMA_ORG, {**terms, "schema": _SCHEMA_ORG}
         elif isinstance(entry, dict):
             vocab = entry.get("@vocab", vocab)
@@ -487,8 +488,7 @@ def _fold_context(context, warn, start=_SCHEMA_ORG_CONTEXT,
                                if isinstance(value, str)
                                and not value.startswith("@") else None)
         else:
-            warn("unsupported @context form; block skipped")
-            return None
+            return "unsupported @context form"
     return vocab, terms
 
 

@@ -156,7 +156,7 @@ class TestJsonLdParsing:
                         "name": "x"}, {"@type": "Place", "name": "P"}]})
         assert [(e.code, e.description) for e in entries] == [
             ("E103", "context 'https://x.example/' is not a schema.org "
-                     "context; block skipped")]
+                     "context; @graph entry skipped")]
         assert [r.types for r in graph.roots] == [["Place"]]
 
     def test_top_level_array(self):
