@@ -192,9 +192,8 @@ def _load(path: str, what: str, loader, *args):
 def _exit_code(report: report_mod.VerificationReport, fail_level: str) -> int:
     if fail_level == "never":
         return 0
-    minimum = {"error": Severity.ERROR.rank, "warning": Severity.WARNING.rank}
     worst = report.worst_severity()
-    if worst is not None and worst.rank >= minimum[fail_level]:
+    if worst is not None and worst.rank >= Severity(fail_level).rank:
         return 1
     return 0
 
