@@ -21,6 +21,11 @@ held as well, and ``validate --validation-config`` with ``SCORING`` on every
 page (``.html``) of the fixtures and corpora, so that the scoring rules no
 default run reaches are compared too: month-first dates, a decimal comma and
 boolean surface forms, one of them a phrase without tokens.
+The fetch path is compared too: the script serves the repository root over
+HTTP from its own process and runs ``verify`` on the URL of every fixture,
+``validate`` on the URL of every fixture page, ``verify`` on a URL that
+answers 404 and on ``FETCHED_QUERY``, a page URL with a non-ASCII query,
+a space and a fragment.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -29,11 +34,14 @@ exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -83,17 +91,26 @@ UNLOADABLE = {
 SCORING = (b'{"dateOrder": "MDY", "decimalSeparator": "comma", '
            b'"booleanSurfaceForms": {"petsAllowed": '
            b'{"true": ["Pets welcome"], "false": ["\\u2014"]}}}')
+# fetched as well as the fixtures: a page that is not there, and a page
+# whose URL the fetch must percent-encode (the fragment stays in the base)
+MISSING = "tests/fixtures/no-such-page.html"
+FETCHED_QUERY = PAGE + "?q=caf\xe9 x#f"
 # `python -m sdocheck`, with no other runnable task seen on the machine
 AS_IF_IDLE = ("from sdocheck import cli, pipeline; "
               "pipeline._runnable_tasks = lambda: 1; cli.entry_point()")
 
 
+def fixtures() -> list[str]:
+    """The fixtures but the goldens, relative to the repository root."""
+    return sorted(p.relative_to(REPO).as_posix()
+                  for p in (REPO / "tests" / "fixtures").rglob("*")
+                  if p.is_file() and "golden" not in p.parts)
+
+
 def inputs(corpus_dir: Path) -> list[str]:
-    """The fixtures, relative to the repository root, then the corpus
-    files that this writes under ``corpus_dir``."""
-    fixtures = REPO / "tests" / "fixtures"
-    paths = sorted(p.relative_to(REPO).as_posix() for p in fixtures.rglob("*")
-                   if p.is_file() and "golden" not in p.parts)
+    """The fixtures, then the corpus files that this writes under
+    ``corpus_dir``."""
+    paths = fixtures()
     for workload, build in sorted(corpus.WORKLOADS.items()):
         for seed in SEEDS:
             directory = corpus_dir / f"{workload}-{seed}"
@@ -101,6 +118,20 @@ def inputs(corpus_dir: Path) -> list[str]:
             built.write(directory)
             paths.extend(str(directory / inp.name) for inp in built.inputs)
     return paths
+
+
+class _QuietHandler(SimpleHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+def fetched_runs(root: str) -> list[list[str]]:
+    """The runs on pages served under the URL ``root``."""
+    runs = [["verify", root + path] for path in fixtures()]
+    runs.extend(["validate", root + path] for path in fixtures()
+                if path.endswith(".html"))
+    runs.extend(["verify", root + path] for path in (MISSING, FETCHED_QUERY))
+    return runs
 
 
 def _pin_to_one_cpu() -> None:
@@ -166,10 +197,20 @@ def main(argv: list[str] | None = None) -> int:
         scoring.write_bytes(SCORING)
         runs.extend(["validate", path, "--validation-config", str(scoring)]
                     for path in paths if path.endswith(".html"))
-        with ThreadPoolExecutor(JOBS) as pool:
-            found = list(pool.map(
-                lambda argv: differences(argv, REPO / "src", theirs / "src"),
-                runs))
+        server = ThreadingHTTPServer(("127.0.0.1", 0), functools.partial(
+            _QuietHandler, directory=str(REPO)))
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        runs.extend(fetched_runs(
+            f"http://127.0.0.1:{server.server_address[1]}/"))
+        try:
+            with ThreadPoolExecutor(JOBS) as pool:
+                found = list(pool.map(
+                    lambda argv: differences(argv, REPO / "src",
+                                             theirs / "src"),
+                    runs))
+        finally:
+            server.shutdown()
+            server.server_close()
     differing = 0
     for run_argv, what in zip(runs, found):
         if what:
