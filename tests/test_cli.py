@@ -228,11 +228,12 @@ class TestOnePassPerPage:
 
 
 class TestRobustness:
-    def test_file_inputs_do_not_import_requests(self):
-        probe = "import sys, sdocheck.cli; print('requests' in sys.modules)"
+    def test_file_inputs_do_not_import_http_modules(self):
+        probe = ("import sys, sdocheck.cli; print(sorted({'urllib.request', "
+                 "'http.client'} & set(sys.modules)))")
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True, timeout=60)
-        assert result.stdout.decode().strip() == "False", result.stderr
+        assert result.stdout.decode().strip() == "[]", result.stderr
 
     @staticmethod
     def loaded_after(*argvs) -> tuple[set[str], set[str]]:
@@ -257,7 +258,8 @@ class TestRobustness:
         imported, verified = self.loaded_after(
             ["verify", page, "--ds", str(DS_DIR / "event.json")])
         unused = {"dataclasses", "inspect", "importlib.resources",
-                  "sdocheck.fetch", "requests", "html.parser", "_markupbase"}
+                  "sdocheck.fetch", "urllib.request", "http.client",
+                  "html.parser", "_markupbase"}
         assert imported & unused == set()
         # only content scoring reads the content layer and what it imports
         assert verified & (unused | {"sdocheck.content", "decimal",

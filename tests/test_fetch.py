@@ -1,5 +1,8 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 
 from sdocheck import cli, fetch as f
 
+SRC = str(Path(__file__).parent.parent / "src")
 # a windows-1252 page that names its encoding in no <meta>: its text says
 # "Caf\xe9 M\xfcller" in single bytes, its JSON-LD in JSON escapes
 LATIN1_PAGE = (Path(__file__).parent / "fixtures" / "probes"
@@ -262,6 +266,26 @@ class TestUrlPreparation:
     def test_the_user_agent_is_sent(self, server):
         headers = echoed(f.fetch(f"{server}/echo"))["headers"]
         assert headers["user-agent"] == f.USER_AGENT
+
+
+def test_an_overlong_host_label_is_a_fetch_failure(monkeypatch, capsys):
+    def no_lookup(*args):
+        raise AssertionError("the URL should fail before any lookup")
+
+    monkeypatch.setattr(socket, "getaddrinfo", no_lookup)
+    assert cli.main(["verify", "http://" + "a" * 300 + "/"]) == 2
+    assert capsys.readouterr().err.startswith("sdocheck: fetch failed: ")
+
+
+def test_a_fetch_needs_no_third_party_module(server):
+    # None in sys.modules makes an import of that name fail
+    probe = ("import sys\n"
+             "sys.modules['requests'] = sys.modules['urllib3'] = None\n"
+             "from sdocheck import fetch\n"
+             f"print(fetch.fetch({server + '/ok'!r}).status)\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert result.stdout.decode().strip() == "200", result.stderr
 
 
 @pytest.fixture
