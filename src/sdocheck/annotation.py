@@ -242,7 +242,8 @@ class _GraphBuilder:
         self.entries = entries
         self.base_url = base_url  # identifiers, page URLs resolve against it
         self.by_id: dict[str, AnnotationNode] = {}
-        self.vocab, self.terms = _SCHEMA_ORG_CONTEXT  # the active context
+        # the active context: vocab, terms and @base ("" the block's base)
+        self.vocab, self.terms, self.base = _SCHEMA_ORG_CONTEXT
         self.unexpanded: set[str] = set()
 
     def warn(self, construct: str) -> None:
@@ -266,8 +267,10 @@ class _GraphBuilder:
         return iri
 
     def node_for_id(self, identifier: str) -> AnnotationNode:
-        if identifier and not identifier.startswith("_:"):  # no blank node
-            identifier = resolve_url(identifier, self.base_url) or identifier
+        if (identifier and not identifier.startswith("_:")  # no blank node
+                and self.base is not None):  # "@base": null keeps it
+            base = resolve_url(self.base, self.base_url) or ""
+            identifier = resolve_url(identifier, base) or identifier
         node = self.by_id.get(identifier)
         if node is None:
             node = AnnotationNode(identifier=identifier)
@@ -425,7 +428,7 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
         if isinstance(context, str):
             builder.warn(f"{context}; block skipped")
             continue
-        builder.vocab, builder.terms = context
+        builder.vocab, builder.terms, builder.base = context
         graph = top.get("@graph")
         if graph is None:
             roots.append(builder.build(top, top_level=True))
@@ -444,7 +447,7 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
             if isinstance(own, str):
                 builder.warn(f"{own}; @graph entry skipped")
             else:
-                builder.vocab, builder.terms = own
+                builder.vocab, builder.terms, builder.base = own
                 roots.append(builder.build(item, top_level=True))
     return roots
 
@@ -452,24 +455,25 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
 _SCHEMA_ORG = "https://schema.org/"
 _SCHEMA_ORG_IRIS = ("https://schema.org/", "http://schema.org/")
 _SCHEMA_ORG_NAMES = {"http://schema.org", "https://schema.org", "schema.org"}
-_SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG})
+_SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG}, "")
 
 
 def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
-                  ) -> tuple[str | None, dict] | str:
-    """The ``(vocab, terms)`` that an object's ``@context`` folds into
-    (JSON-LD 1.1 API §4.1), or why the object is skipped.
+                  ) -> tuple[str | None, dict, str | None] | str:
+    """The ``(vocab, terms, base)`` that an object's ``@context`` folds
+    into (JSON-LD 1.1 API §4.1), or why the object is skipped.
 
     The fold starts from ``start``: a ``@graph`` entry's from the top-level
     object's context, any other from schema.org's, to which ``null`` resets.
     A later entry wins.  The schema.org IRI, known by name, sets ``@vocab``
     and ``schema`` to schema.org; an object sets ``@vocab`` and its terms,
-    each a string or ``{"@id": ...}``.  Remote contexts are never fetched.
+    each a string or ``{"@id": ...}``, and ``@base``: a string resolved
+    against the base before it, or null.  Remote contexts are never fetched.
     """
-    vocab, terms = start
+    vocab, terms, base = start
     for entry in context if isinstance(context, list) else [context]:
         if entry is None:
-            vocab, terms = _SCHEMA_ORG_CONTEXT
+            vocab, terms, base = _SCHEMA_ORG_CONTEXT
         elif isinstance(entry, str):
             if entry.rstrip("/") not in _SCHEMA_ORG_NAMES:
                 return f"context {entry!r} is not a schema.org context"
@@ -477,9 +481,15 @@ def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
         elif isinstance(entry, dict):
             vocab = entry.get("@vocab", vocab)
             vocab = vocab if isinstance(vocab, str) else None
+            if "@base" in entry:
+                value = entry["@base"]
+                if value is not None and not isinstance(value, str):
+                    return "unsupported @base form"
+                base = (None if value is None
+                        else resolve_url(value, base or "") or value)
             terms = dict(terms)
             for term, value in entry.items():
-                if term.startswith("@"):  # @language, @base, @version
+                if term.startswith("@"):  # @language, @version, read above
                     continue
                 if isinstance(value, dict):  # no @id: the term's own IRI
                     value = value.get("@id", term)
@@ -489,7 +499,7 @@ def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
                                and not value.startswith("@") else None)
         else:
             return "unsupported @context form"
-    return vocab, terms
+    return vocab, terms, base
 
 
 def _expand(name: str, vocab: str | None, terms: dict) -> str | None:

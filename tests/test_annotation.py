@@ -741,6 +741,55 @@ class TestOneReadingRule:
                                    'itemid=""')
         assert root.identifier == ""
 
+    @staticmethod
+    def identifiers(obj) -> list[str]:
+        """Each node's identifier and each reference's IRI, in order, of
+        ``obj`` read on a page at https://x.example/d/p."""
+        graph, entries = a.parse_annotation(a.RawBlock(
+            json.dumps(obj), 0, "https://x.example/d/p"))
+        assert entries == []
+        return [item.identifier if isinstance(item, a.AnnotationNode)
+                else item.iri for node in graph.nodes
+                for item in [node, *node.properties.get("url", [])]]
+
+    @pytest.mark.parametrize("context, base", [
+        ({"@base": "https://other.example/dir/"}, "https://other.example/dir/"),
+        # a relative @base resolves against the block's base
+        ({"@base": "sub/"}, "https://x.example/d/sub/"),
+        # a later entry wins, resolved against the base before it
+        ([{"@base": "https://a.example/x/"}, {"@base": "y/"}],
+         "https://a.example/x/y/"),
+        # null: identifiers stay as written
+        ({"@base": None}, ""),
+    ])
+    def test_a_context_base_resolves_identifiers(self, context, base):
+        assert self.identifiers(
+            {"@context": context, "@type": "Event", "@id": "e1",
+             "url": {"@id": "page"}}) == [base + "e1", base + "page"]
+
+    def test_a_graph_entry_keeps_the_top_level_base(self):
+        assert self.identifiers(
+            {"@context": {"@base": "https://a.example/"}, "@graph": [
+                {"@type": "Event", "@id": "e1"},
+                {"@context": {"name": "name"}, "@type": "Event", "@id": "e2"},
+                {"@context": {"@base": "b/"}, "@type": "Event", "@id": "e3"},
+            ]}) == ["https://a.example/e1", "https://a.example/e2",
+                    "https://a.example/b/e3"]
+
+    def test_a_null_context_resets_the_base(self):
+        assert self.identifiers(
+            {"@context": [{"@base": "https://a.example/"}, None],
+             "@type": "Event", "@id": "e1"}) == ["https://x.example/d/e1"]
+
+    @pytest.mark.parametrize("value", [5, ["https://a.example/"], {}])
+    def test_a_base_that_is_no_string_skips_the_block(self, value):
+        block = json.dumps({"@context": {"@base": value}, "@type": "Event"})
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
+        assert graph is None
+        assert [e.description for e in entries] == [
+            "unsupported @base form; block skipped",
+            "annotation block contains no typed node"]
+
     def test_a_standalone_file_resolves_identifiers_against_its_url(self):
         _, blocks = pipeline.parse(b'{"@type": "Event", "@id": "e1"}',
                                    "file:///d/f.json")

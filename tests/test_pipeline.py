@@ -144,7 +144,7 @@ RAW_MARKUP = st.sampled_from([
 JSONLD_KEYS = st.sampled_from(["@context", "@type", "@id", "@graph", "@value",
                                "@list", "name", "url", "subEvent",
                                "startDate", "minValue", "maxValue", "schema",
-                               "schema:name", "@vocab", "title"])
+                               "schema:name", "@vocab", "title", "@base"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | URLISH
     | st.sampled_from(["Event", "https://schema.org", "2026-07-10",
@@ -307,13 +307,17 @@ SPLIT_BLOCKS = st.one_of(
         {"@context": "https://schema.org", "@type": "Event", "name": name,
          "startDate": day, prop: "x"}),
         SPLIT_NAMES, SPLIT_DATES, st.sampled_from(["url", "nmae"])),
-    # several roots in one @graph, sharing a node by @id
-    st.builds(lambda name, day, roots: _jsonld(
-        {"@context": "https://schema.org", "@graph": [
+    # several roots in one @graph, sharing a node by @id, under a context
+    # @base now and then
+    st.builds(lambda name, day, roots, context: _jsonld(
+        {"@context": context, "@graph": [
             {"@type": "Place", "@id": "#p", "name": name},
             *({"@type": "Event", "name": name, "startDate": day,
                "location": {"@id": "#p"}} for _ in range(roots))]}),
-        SPLIT_NAMES, SPLIT_DATES, st.integers(1, 3)),
+        SPLIT_NAMES, SPLIT_DATES, st.integers(1, 3),
+        st.sampled_from(["https://schema.org",
+                         ["https://schema.org",
+                          {"@base": "https://other.example/dir/"}]])),
     # one root as a @graph object, its terms prefixed now and then
     st.builds(lambda name, day, context, prefix: _jsonld(
         {"@context": context, "@graph": {
