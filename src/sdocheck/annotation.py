@@ -268,7 +268,7 @@ class _GraphBuilder:
 
     def node_for_id(self, identifier: str) -> AnnotationNode:
         if (identifier and not identifier.startswith("_:")  # no blank node
-                and self.base is not None):  # "@base": null keeps it
+                and self.base is not None):  # "@base": null: as written
             base = resolve_url(self.base, self.base_url) or ""
             identifier = resolve_url(identifier, base) or identifier
         node = self.by_id.get(identifier)
@@ -489,7 +489,7 @@ def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
                         else resolve_url(value, base or "") or value)
             terms = dict(terms)
             for term, value in entry.items():
-                if term.startswith("@"):  # @language, @version, read above
+                if term.startswith("@"):  # @vocab, @base above; others unread
                     continue
                 if isinstance(value, dict):  # no @id: the term's own IRI
                     value = value.get("@id", term)

@@ -110,6 +110,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def test_plain_fetch(server):
