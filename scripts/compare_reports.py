@@ -127,8 +127,9 @@ class _QuietHandler(SimpleHTTPRequestHandler):
 
 def fetched_runs(root: str) -> list[list[str]]:
     """The runs on pages served under the URL ``root``."""
-    runs = [["verify", root + path] for path in fixtures()]
-    runs.extend(["validate", root + path] for path in fixtures()
+    paths = fixtures()
+    runs = [["verify", root + path] for path in paths]
+    runs.extend(["validate", root + path] for path in paths
                 if path.endswith(".html"))
     runs.extend(["verify", root + path] for path in (MISSING, FETCHED_QUERY))
     return runs
