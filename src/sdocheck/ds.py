@@ -37,8 +37,7 @@ from typing import NamedTuple
 from .annotation import AnnotationGraph, AnnotationNode, Entity
 from .report import ReportEntry, make_entry
 from .sdo_verifier import value_fits_range
-from .vocab import (VocabularyGraph, is_subclass_of, read_json,
-                    strip_namespace)
+from .vocab import VocabularyGraph, read_json, strip_namespace
 
 
 class DsParseError(ValueError):
@@ -160,7 +159,7 @@ def _load_range_node(raw, vocab: VocabularyGraph, where: str) -> RangeNode:
             nested = _load_type_node(raw["node"], vocab,
                                      where=f"{where}<{class_name}>")
             for target in nested.target_types:
-                if not is_subclass_of(vocab, target, class_name):
+                if class_name not in vocab.classes[target]:
                     raise DsIntegrityError(
                         f"{where}: nested target {target!r} is not a subclass "
                         f"of {class_name!r}")
@@ -177,9 +176,8 @@ def match_target(ds: DomainSpecification, graph: AnnotationGraph,
     """Indices of roots whose type matches (or specializes) a target type."""
     targets = ds.root.target_types
     return [i for i, root in enumerate(graph.roots)
-            if any(is_subclass_of(vocab, t, target)
-                   for t in root.types if t in vocab.classes
-                   for target in targets)]
+            if any(target in vocab.classes.get(t, ())
+                   for t in root.types for target in targets)]
 
 
 # a (node, type node) pair, by identity: the key of the findings memo

@@ -87,8 +87,8 @@ def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
             range_name in ("Text", value.datatype)
             or range_name in DATATYPE_WIDENING.get(value.datatype, ()))
     if isinstance(value, Entity):
-        return any(range_name in vocab.ancestors(t)
-                   for t in value.node.types if t in vocab.classes)
+        return any(range_name in vocab.classes.get(t, ())
+                   for t in value.node.types)
     if not vocab.is_enumeration(range_name):
         return isinstance(value, Reference)
     term = value.raw if isinstance(value, Literal) else value.iri
@@ -143,7 +143,7 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph,
         _check_duplicates(prop, prop_path, values, findings)
 
     for rule_id, applicable_type, check in _RULES:
-        if not any(applicable_type in vocab.ancestors(t) for t in known_types):
+        if not any(applicable_type in vocab.classes[t] for t in known_types):
             continue
         violation = check(node)
         if violation is not None:

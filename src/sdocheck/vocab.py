@@ -7,6 +7,10 @@ shape: a top-level object with a ``@graph`` array of term objects carrying
 ``schema:domainIncludes`` and ``schema:rangeIncludes``.  Term names are
 stored bare, without namespace prefix.
 
+A loaded graph keeps one class table: each class name maps to its
+superclass closure, the class itself included, so every subclass question
+is a lookup in it.  The declared superclasses are read only while loading.
+
 The terms of a loaded :class:`VocabularyGraph` never change.  Each graph
 memoizes whether a property applies to a type in a table of its own, keyed
 on the two vocabulary terms, so the memo's size depends on the vocabulary,
@@ -59,10 +63,6 @@ class IntegrityError(ValueError):
     """The term dump is structurally broken (dangling reference, cycle)."""
 
 
-class UnknownTerm(Exception):
-    """A query named a term the vocabulary does not define."""
-
-
 def strip_namespace(name: str) -> str:
     """Strip any schema.org namespace prefix; other names pass through."""
     if ":" not in name:  # every prefix holds a colon
@@ -73,25 +73,21 @@ def strip_namespace(name: str) -> str:
     return name
 
 
-class ClassDef(NamedTuple):
-    name: str
-    sub_class_of: frozenset[str]
-
-
 class PropertyDef(NamedTuple):
-    name: str
     domain_includes: frozenset[str]
     range_includes: frozenset[str]
 
 
 class VocabularyGraph:
-    """The terms of one vocabulary dump.  ``member_enumerations`` is the one
-    member table: a member's name -> the enumeration classes it is of."""
+    """The terms of one vocabulary dump.  ``classes`` is the one class
+    table: a class's name -> its superclass closure, the class included.
+    ``member_enumerations`` is the one member table: a member's name -> the
+    enumeration classes it is of."""
 
     __slots__ = ("classes", "properties", "member_enumerations", "datatypes",
-                 "snapshot_id", "_ancestors", "_applies")
+                 "snapshot_id", "_applies")
 
-    def __init__(self, classes: dict[str, ClassDef],
+    def __init__(self, classes: dict[str, frozenset[str]],
                  properties: dict[str, PropertyDef],
                  member_enumerations: dict[str, frozenset[str]],
                  datatypes: frozenset[str], snapshot_id: str):
@@ -100,17 +96,12 @@ class VocabularyGraph:
         self.member_enumerations = member_enumerations
         self.datatypes = datatypes
         self.snapshot_id = snapshot_id
-        # reflexive-transitive superclass closure, precomputed at load time
-        self._ancestors: dict[str, frozenset[str]] = {}
         # (property, type) -> whether the property applies to the type,
         # filled as property_applies_to answers
         self._applies: dict[tuple[str, str], bool] = {}
 
-    def ancestors(self, class_name: str) -> frozenset[str]:
-        return self._ancestors[class_name]
-
     def is_enumeration(self, class_name: str) -> bool:
-        return "Enumeration" in self._ancestors[class_name]
+        return "Enumeration" in self.classes[class_name]
 
 
 def _as_id_list(value) -> list[str]:
@@ -203,7 +194,8 @@ def load_vocabulary(data: bytes) -> VocabularyGraph:
     if not isinstance(doc, dict) or not isinstance(doc.get("@graph"), list):
         raise ParseError("vocabulary dump must be an object with a '@graph' array")
 
-    classes: dict[str, ClassDef] = {}
+    # class name -> its declared superclasses, read only while loading
+    supers: dict[str, frozenset[str]] = {}
     properties: dict[str, PropertyDef] = {}
     datatypes: set[str] = set()
     member_decls: list[tuple[str, list[str]]] = []
@@ -216,17 +208,17 @@ def load_vocabulary(data: bytes) -> VocabularyGraph:
         if name in DATATYPE_NAMES:
             datatypes.add(name)
         elif "rdfs:Class" in types:
-            supers = frozenset(strip_namespace(s)
-                               for s in _as_id_list(term.get("rdfs:subClassOf")))
-            if name in supers:
+            declared = frozenset(strip_namespace(s) for s
+                                 in _as_id_list(term.get("rdfs:subClassOf")))
+            if name in declared:
                 raise IntegrityError(f"class {name!r} lists itself as superclass")
-            classes[name] = ClassDef(name=name, sub_class_of=supers)
+            supers[name] = declared
         elif "rdf:Property" in types:
             domains = frozenset(strip_namespace(s)
                                 for s in _as_id_list(term.get("schema:domainIncludes")))
             ranges = frozenset(strip_namespace(s)
                                for s in _as_id_list(term.get("schema:rangeIncludes")))
-            properties[name] = PropertyDef(name=name, domain_includes=domains,
+            properties[name] = PropertyDef(domain_includes=domains,
                                            range_includes=ranges)
         elif types:
             # instance of an enumeration class: an enumeration member
@@ -234,13 +226,12 @@ def load_vocabulary(data: bytes) -> VocabularyGraph:
         else:
             raise ParseError(f"term {name!r} carries no recognized '@type'")
 
-    graph = VocabularyGraph(classes=classes, properties=properties,
-                            member_enumerations={}, datatypes=frozenset(datatypes),
-                            snapshot_id=snapshot_id)
-    _link_members(graph, member_decls)
-    _check_integrity(graph)
-    _compute_closure(graph)
-    return graph
+    members = _link_members(supers, member_decls)
+    _check_integrity(supers, properties, datatypes)
+    return VocabularyGraph(classes=_closure(supers), properties=properties,
+                           member_enumerations=members,
+                           datatypes=frozenset(datatypes),
+                           snapshot_id=snapshot_id)
 
 
 def load_default_vocabulary() -> VocabularyGraph:
@@ -251,94 +242,81 @@ def load_default_vocabulary() -> VocabularyGraph:
         return load_vocabulary(handle.read())
 
 
-def _link_members(graph: VocabularyGraph, decls: list[tuple[str, list[str]]]) -> None:
+def _link_members(supers: dict[str, frozenset[str]],
+                  decls: list[tuple[str, list[str]]]) -> dict[str, frozenset[str]]:
     index: dict[str, set[str]] = {}
     for member, enum_classes in decls:
         for enum_class in enum_classes:
-            if enum_class not in graph.classes:
+            if enum_class not in supers:
                 raise IntegrityError(
                     f"enumeration member {member!r} declares unknown class "
                     f"{enum_class!r}")
             index.setdefault(member, set()).add(enum_class)
-    graph.member_enumerations = {k: frozenset(v) for k, v in index.items()}
+    return {k: frozenset(v) for k, v in index.items()}
 
 
-def _check_integrity(graph: VocabularyGraph) -> None:
-    resolvable = set(graph.classes) | graph.datatypes
+def _check_integrity(supers: dict[str, frozenset[str]],
+                     properties: dict[str, PropertyDef],
+                     datatypes: set[str]) -> None:
+    resolvable = set(supers) | datatypes
 
-    overlap = (set(graph.classes) & set(graph.properties)) \
-        | (set(graph.classes) & graph.datatypes) \
-        | (set(graph.properties) & graph.datatypes)
+    overlap = (set(supers) & set(properties)) | (set(supers) & datatypes) \
+        | (set(properties) & datatypes)
     if overlap:
         raise IntegrityError(f"names with conflicting roles: {sorted(overlap)}")
 
-    for cls in graph.classes.values():
-        for sup in cls.sub_class_of:
+    for name, declared in supers.items():
+        for sup in declared:
             if sup not in resolvable:
                 raise IntegrityError(
-                    f"class {cls.name!r} references unknown superclass {sup!r}")
-        if not cls.sub_class_of and cls.name != "Thing":
-            raise IntegrityError(f"class {cls.name!r} has no superclass")
+                    f"class {name!r} references unknown superclass {sup!r}")
+        if not declared and name != "Thing":
+            raise IntegrityError(f"class {name!r} has no superclass")
 
-    for prop in graph.properties.values():
+    for name, prop in properties.items():
         if not prop.domain_includes or not prop.range_includes:
             raise IntegrityError(
-                f"property {prop.name!r} lacks domain or range declarations")
+                f"property {name!r} lacks domain or range declarations")
         for d in prop.domain_includes:
-            if d not in graph.classes:
+            if d not in supers:
                 raise IntegrityError(
-                    f"property {prop.name!r} names unknown domain {d!r}")
+                    f"property {name!r} names unknown domain {d!r}")
         for r in prop.range_includes:
             if r not in resolvable:
                 raise IntegrityError(
-                    f"property {prop.name!r} names unknown range {r!r}")
+                    f"property {name!r} names unknown range {r!r}")
 
 
-def _compute_closure(graph: VocabularyGraph) -> None:
-    ancestors: dict[str, frozenset[str]] = {}
-    for start in graph.classes:
+def _closure(supers: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    """The class table: each class -> its reflexive-transitive superclass
+    closure."""
+    closure: dict[str, frozenset[str]] = {}
+    for start in supers:
         # a subclass chain, child first, whose closures are still open
-        trail = [] if start in ancestors else [start]
+        trail = [] if start in closure else [start]
         while trail:
             name = trail[-1]
-            supers = graph.classes[name].sub_class_of
-            pending = next((sup for sup in supers if sup in graph.classes
-                            and sup not in ancestors), None)
+            pending = next((sup for sup in supers[name] if sup in supers
+                            and sup not in closure), None)
             if pending is None:
                 # a datatype superclass is a leaf for the closure
-                ancestors[name] = frozenset({name}.union(
-                    *(ancestors.get(sup, {sup}) for sup in supers)))
+                closure[name] = frozenset({name}.union(
+                    *(closure.get(sup, {sup}) for sup in supers[name])))
                 trail.pop()
             elif pending in trail:
                 cycle = " -> ".join(trail + [pending])
                 raise IntegrityError(f"cyclic subclass chain: {cycle}")
             else:
                 trail.append(pending)
-    graph._ancestors = ancestors
-
-
-def is_subclass_of(vocab: VocabularyGraph, sub: str, super_: str) -> bool:
-    """Reflexive-transitive subclass test over the class hierarchy."""
-    if sub not in vocab.classes:
-        raise UnknownTerm(f"not a class: {sub!r}")
-    if super_ not in vocab.classes:
-        raise UnknownTerm(f"not a class: {super_!r}")
-    return super_ in vocab._ancestors[sub]
+    return closure
 
 
 def property_applies_to(vocab: VocabularyGraph, property_name: str,
                         type_name: str) -> bool:
     """True iff the property's expected domains cover the given type."""
     applies = vocab._applies.get((property_name, type_name))
-    if applies is not None:
-        return applies
-    prop = vocab.properties.get(property_name)
-    if prop is None:
-        raise UnknownTerm(f"not a property: {property_name!r}")
-    if type_name not in vocab.classes:
-        raise UnknownTerm(f"not a class: {type_name!r}")
-    applies = any(d in vocab._ancestors[type_name]
-                  for d in prop.domain_includes)
-    vocab._applies[(property_name, type_name)] = applies
+    if applies is None:
+        applies = any(d in vocab.classes[type_name] for d
+                      in vocab.properties[property_name].domain_includes)
+        vocab._applies[(property_name, type_name)] = applies
     return applies
-

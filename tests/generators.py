@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
-from sdocheck.vocab import VocabularyGraph, is_subclass_of, property_applies_to
+from sdocheck.vocab import VocabularyGraph, property_applies_to
 
 _THING_PROPS_LIMIT = 4
 
@@ -116,7 +116,7 @@ def _compliant_value(vocab: VocabularyGraph, rng: random.Random, prop: str,
     if class_ranges and depth > 0 and (not datatype_ranges or rng.random() < 0.4):
         target = class_ranges[0]
         subclasses = [c for c in _instantiable_classes(vocab)
-                      if is_subclass_of(vocab, c, target)]
+                      if target in vocab.classes[c]]
         return _compliant_node(vocab, rng, rng.choice(subclasses), counter,
                                depth - 1)
     if datatype_ranges:

@@ -84,7 +84,7 @@ def test_criterion_1_vocabulary_integrity():
         len(enumerations) for enumerations
         in vocab.member_enumerations.values())
     for name in vocab.classes:
-        assert vb.is_subclass_of(vocab, name, "Thing"), name
+        assert "Thing" in vocab.classes[name], name
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"vocabulary checks took {elapsed:.2f}s"
     _pass(f"criterion 1: vocabulary integrity "
