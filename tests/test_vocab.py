@@ -235,3 +235,67 @@ def test_domain_monotonicity_under_subclassing(vocab):
             assert v.property_applies_to(vocab, prop, sub)
 
     check()
+
+
+@st.composite
+def class_hierarchies(draw):
+    """Random acyclic classes under MINI's Thing, as (declared parents by
+    class, the dump's class terms in shuffled order).  A class's parents are
+    Thing, earlier classes and sometimes the datatype Text."""
+    parents = {}
+    for i in range(draw(st.integers(0, 30))):
+        earlier = ["Thing", "Text", *parents]
+        parents[f"C{i}"] = draw(st.sets(st.sampled_from(earlier), min_size=1,
+                                        max_size=3))
+    terms = [{"@id": f"schema:{name}", "@type": "rdfs:Class",
+              "rdfs:subClassOf": [{"@id": f"schema:{p}"} for p in sorted(ps)]}
+             for name, ps in parents.items()]
+    return parents, draw(st.permutations(terms))
+
+
+def closure_by_fixed_point(parents):
+    """Each class -> itself, its parents and its class parents' closures,
+    grown until nothing changes; a datatype parent is kept as a leaf."""
+    closure = {name: {name, *ps} for name, ps in parents.items()}
+    changed = True
+    while changed:
+        changed = False
+        for name in closure:
+            grown = closure[name].union(
+                *(closure[p] for p in list(closure[name]) if p in closure))
+            changed |= grown != closure[name]
+            closure[name] = grown
+    return closure
+
+
+@given(class_hierarchies())
+def test_the_class_table_is_the_superclass_closure(hierarchy):
+    parents, terms = hierarchy
+    graph = v.load_vocabulary(dump(MINI + terms))
+    expected = closure_by_fixed_point(
+        {"Thing": set(), "Event": {"Thing"}, **parents})
+    assert graph.classes == expected
+
+
+@given(class_hierarchies(), st.data())
+def test_a_back_edge_is_a_cyclic_subclass_chain(hierarchy, data):
+    parents, terms = hierarchy
+    closure = closure_by_fixed_point(parents)
+    edges = [(sub, sup) for sub in parents for sup in closure[sub]
+             if sup in parents and sup != sub]
+    if not edges:
+        return
+    sub, sup = data.draw(st.sampled_from(edges))
+    # sup becomes a subclass of its own subclass sub
+    for term in terms:
+        if term["@id"] == f"schema:{sup}":
+            term["rdfs:subClassOf"].append({"@id": f"schema:{sub}"})
+    with pytest.raises(v.IntegrityError,
+                       match="^cyclic subclass chain: ") as raised:
+        v.load_vocabulary(dump(MINI + terms))
+    chain = str(raised.value).removeprefix("cyclic subclass chain: ")
+    chain = chain.split(" -> ")
+    # the chain follows declared parents and ends on a class it passed
+    assert chain[-1] in chain[:-1]
+    declared = {**parents, sup: parents[sup] | {sub}}
+    assert all(b in declared[a] for a, b in zip(chain, chain[1:]))
