@@ -157,7 +157,7 @@ def _load_input(raw: str) -> tuple[bytes, str, str | None]:
     """The input's bytes, its base URL and its charset.  A fetch gives its
     final URL and the ``Content-Type`` charset; a file gives the ``file:``
     URL of its absolute path and no charset."""
-    if raw.startswith(("http://", "https://")):
+    if raw.lower().startswith(("http://", "https://")):  # in any case
         from .fetch import FetchError, fetch  # file inputs skip its import
         try:
             result = fetch(raw)

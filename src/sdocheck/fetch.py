@@ -88,7 +88,7 @@ def fetch(url: str) -> FetchResult:
     reported.  A non-2xx final status is returned, not raised; transport
     failures raise NetworkError / TooLarge / TooManyRedirects.
     """
-    if not url.startswith(("http://", "https://")):
+    if not url.lower().startswith(("http://", "https://")):
         raise ValueError(f"not an absolute http(s) URL: {url!r}")
     opener = OpenerDirector()  # no error processor: every status is returned
     for handler in (ProxyHandler(), HTTPCookieProcessor(), HTTPHandler(),

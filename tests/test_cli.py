@@ -8,6 +8,7 @@ import pytest
 
 from sdocheck import annotation, cli, htmltree, pipeline, report, sdo_verifier
 from sdocheck.vocab import MAX_DEPTH
+from test_fetch import server  # noqa: F401  (a local HTTP server fixture)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -278,6 +279,22 @@ class TestRobustness:
         probe = FIXTURES / "probes" / "relative_link.html"
         code = cli.main(["verify", str(probe),
                          "--ds", str(DS_DIR / "local-business.json")])
+        report = json.loads(capsysbinary.readouterr().out)
+        assert (code, report["entries"]) == (0, [])
+
+    def test_a_url_scheme_is_read_in_any_case(self, server, capsysbinary):
+        lower = f"{server}/latin1"
+        upper = lower.replace("http", "HTTP", 1)
+        assert cli.main(["verify", lower]) == 0
+        report = capsysbinary.readouterr().out
+        assert cli.main(["verify", upper]) == 0
+        # the report names its target as given
+        assert capsysbinary.readouterr() == (
+            report.replace(lower.encode(), upper.encode()), b"")
+
+    def test_an_upper_case_scheme_url_literal_is_a_url(self, capsysbinary):
+        probe = FIXTURES / "probes" / "upper_case_scheme_url.json"
+        code = cli.main(["verify", str(probe)])
         report = json.loads(capsysbinary.readouterr().out)
         assert (code, report["entries"]) == (0, [])
 

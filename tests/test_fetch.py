@@ -178,6 +178,12 @@ def test_refused_connection_is_a_network_error(monkeypatch):
         f.fetch(f"http://127.0.0.1:{port}/")
 
 
+@pytest.mark.parametrize("scheme", ["HTTP", "Http"])
+def test_a_scheme_is_read_in_any_case(server, scheme):
+    result = f.fetch(server.replace("http", scheme, 1) + "/ok")
+    assert (result.status, result.final_url) == (200, f"{server}/ok")
+
+
 def test_relative_url_is_rejected():
     with pytest.raises(ValueError):
         f.fetch("ftp://example.com/x")
