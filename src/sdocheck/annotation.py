@@ -170,10 +170,12 @@ def classify_literal(raw: str) -> str:
         return "Integer"
     if _FLOAT_RE.match(raw):
         return "Float"
-    if " " not in raw and raw.startswith(("http://", "https://", "file:/")):
+    scheme = raw[:8].lower()  # a scheme is case-insensitive
+    if " " not in raw and scheme.startswith(("http://", "https://", "file:/")):
         url = resolve_url(raw)
         # a web URL names a host, a file URL an absolute path
-        if url is not None and (raw.startswith("file:") or urlsplit(url).netloc):
+        if url is not None and (scheme.startswith("file:")
+                                or urlsplit(url).netloc):
             return "URL"
     return "Text"
 

@@ -814,6 +814,10 @@ class TestClassifyLiteral:
         (".5", "Float"),
         ("https://x.example/a", "URL"),
         ("http://x.example", "URL"),
+        ("HTTPS://x.example/a", "URL"),  # a scheme is case-insensitive
+        ("Http://x.example", "URL"),
+        ("FILE:///srv/a.html", "URL"),
+        ("HTTPS:x", "Text"),
         ("", a.UNDETERMINED),
         ("next friday", "Text"),
         ("2020-13-45", "Text"),  # shape of a date, but not a valid one
