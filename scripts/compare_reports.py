@@ -24,8 +24,8 @@ boolean surface forms, one of them a phrase without tokens.
 The fetch path is compared too: the script serves the repository root over
 HTTP from its own process and runs ``verify`` on the URL of every fixture,
 ``validate`` on the URL of every fixture page, ``verify`` on a URL that
-answers 404 and on ``FETCHED_QUERY``, a page URL with a non-ASCII query,
-a space and a fragment.
+answers 404, on ``FETCHED_QUERY``, a page URL with a non-ASCII query,
+a space and a fragment, and on ``PAGE``'s URL with an upper-case scheme.
 The script prints the number of runs and each run whose stdout, stderr or
 exit code differs from ``<rev>``'s on either side, and exits 1 if any does
 (2 if ``<rev>`` cannot be read).
@@ -132,6 +132,7 @@ def fetched_runs(root: str) -> list[list[str]]:
     runs.extend(["validate", root + path] for path in paths
                 if path.endswith(".html"))
     runs.extend(["verify", root + path] for path in (MISSING, FETCHED_QUERY))
+    runs.append(["verify", root.replace("http", "HTTP", 1) + PAGE])
     return runs
 
 
