@@ -3,7 +3,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sdocheck import content, ds, vocab as v
 
@@ -268,6 +268,7 @@ def closure_by_fixed_point(parents):
     return closure
 
 
+@settings(max_examples=60)
 @given(class_hierarchies())
 def test_the_class_table_is_the_superclass_closure(hierarchy):
     parents, terms = hierarchy
@@ -277,6 +278,7 @@ def test_the_class_table_is_the_superclass_closure(hierarchy):
     assert graph.classes == expected
 
 
+@settings(max_examples=60)
 @given(class_hierarchies(), st.data())
 def test_a_back_edge_is_a_cyclic_subclass_chain(hierarchy, data):
     parents, terms = hierarchy
