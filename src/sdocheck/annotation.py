@@ -170,8 +170,8 @@ def classify_literal(raw: str) -> str:
         return "Integer"
     if _FLOAT_RE.match(raw):
         return "Float"
-    scheme = raw[:8].lower()  # a scheme is case-insensitive
-    if " " not in raw and scheme.startswith(("http://", "https://", "file:/")):
+    if " " not in raw and (scheme := raw[:8].lower()).startswith(
+            ("http://", "https://", "file:/")):  # a scheme is case-insensitive
         url = resolve_url(raw)
         # a web URL names a host, a file URL an absolute path
         if url is not None and (scheme.startswith("file:")
