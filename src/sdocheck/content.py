@@ -85,19 +85,12 @@ class MatchStatus(enum.Enum):
     UNVERIFIABLE = "unverifiable"
 
 
-class ValidationConfig:
-    __slots__ = ("threshold", "date_order", "decimal_separator",
-                 "boolean_surface_forms")
-
-    def __init__(self, threshold: float = 0.75, date_order: str = "DMY",
-                 decimal_separator: str = "point",
-                 boolean_surface_forms: dict | None = None):
-        self.threshold = threshold
-        self.date_order = date_order  # "DMY" or "MDY" for dotted/slashed page dates
-        self.decimal_separator = decimal_separator  # "point" or "comma"
-        # property name -> {"true": [phrases], "false": [phrases]}
-        self.boolean_surface_forms = ({} if boolean_surface_forms is None
-                                      else boolean_surface_forms)
+class ValidationConfig(NamedTuple):
+    threshold: float = 0.75
+    date_order: str = "DMY"  # "DMY" or "MDY" for dotted/slashed page dates
+    decimal_separator: str = "point"  # "point" or "comma"
+    # property name -> {"true": [phrases], "false": [phrases]}
+    boolean_surface_forms: dict[str, dict[str, list[str]]] = {}
 
 
 def load_validation_config(data: bytes) -> ValidationConfig:
@@ -106,7 +99,7 @@ def load_validation_config(data: bytes) -> ValidationConfig:
     raw = read_json(data, ValueError, "document")
     if not isinstance(raw, dict):
         raise ValueError("document must be a JSON object")
-    config = ValidationConfig()
+    fields = {}
     if "threshold" in raw:
         threshold = raw["threshold"]
         if (isinstance(threshold, bool)
@@ -114,30 +107,31 @@ def load_validation_config(data: bytes) -> ValidationConfig:
                 or not 0 <= threshold <= 1):
             raise ValueError("threshold must be a number from 0 to 1, "
                              f"not {threshold!r}")
-        config.threshold = float(threshold)
+        fields["threshold"] = float(threshold)
     if "dateOrder" in raw:
         if raw["dateOrder"] not in ("DMY", "MDY"):
             raise ValueError("dateOrder must be 'DMY' or 'MDY'")
-        config.date_order = raw["dateOrder"]
+        fields["date_order"] = raw["dateOrder"]
     if "decimalSeparator" in raw:
         if raw["decimalSeparator"] not in ("point", "comma"):
             raise ValueError("decimalSeparator must be 'point' or 'comma'")
-        config.decimal_separator = raw["decimalSeparator"]
+        fields["decimal_separator"] = raw["decimalSeparator"]
     surface_forms = raw.get("booleanSurfaceForms", {})
     if not isinstance(surface_forms, dict):
         raise ValueError("booleanSurfaceForms must be an object")
+    fields["boolean_surface_forms"] = by_property = {}
     for prop, forms in surface_forms.items():
         if not isinstance(forms, dict):
             raise ValueError(f"booleanSurfaceForms of {prop!r} must be an object")
-        config.boolean_surface_forms[prop] = {}
+        by_property[prop] = {}
         for key in ("true", "false"):
             phrases = forms.get(key, [])
             if (not isinstance(phrases, list)
                     or not all(isinstance(p, str) for p in phrases)):
                 raise ValueError(f"booleanSurfaceForms of {prop!r}: {key!r} "
                                  "must be a list of strings")
-            config.boolean_surface_forms[prop][key] = phrases
-    return config
+            by_property[prop][key] = phrases
+    return ValidationConfig(**fields)
 
 
 class ValueConsistency(NamedTuple):

@@ -9,13 +9,10 @@ stored bare, without namespace prefix.
 
 A loaded graph keeps one class table: each class name maps to its
 superclass closure, the class itself included, so every subclass question
-is a lookup in it.  The declared superclasses are read only while loading.
-
-The terms of a loaded :class:`VocabularyGraph` never change.  Each graph
-memoizes whether a property applies to a type in a table of its own, keyed
-on the two vocabulary terms, so the memo's size depends on the vocabulary,
-not on the input checked against it.  Graphs share no memo; any run computes
-the same answer, so sharing a graph across concurrent runs stays safe.
+is a lookup in it, and whether a property applies to a type is one set
+test.  The declared superclasses are read only while loading.  A loaded
+:class:`VocabularyGraph` is a record that no query changes, so any number
+of runs may share it.
 
 ``read_json`` is the one JSON reader of every input: annotation blocks,
 vocabulary dumps, Domain Specifications and validation configs.  It lives
@@ -78,27 +75,17 @@ class PropertyDef(NamedTuple):
     range_includes: frozenset[str]
 
 
-class VocabularyGraph:
+class VocabularyGraph(NamedTuple):
     """The terms of one vocabulary dump.  ``classes`` is the one class
     table: a class's name -> its superclass closure, the class included.
     ``member_enumerations`` is the one member table: a member's name -> the
     enumeration classes it is of."""
 
-    __slots__ = ("classes", "properties", "member_enumerations", "datatypes",
-                 "snapshot_id", "_applies")
-
-    def __init__(self, classes: dict[str, frozenset[str]],
-                 properties: dict[str, PropertyDef],
-                 member_enumerations: dict[str, frozenset[str]],
-                 datatypes: frozenset[str], snapshot_id: str):
-        self.classes = classes
-        self.properties = properties
-        self.member_enumerations = member_enumerations
-        self.datatypes = datatypes
-        self.snapshot_id = snapshot_id
-        # (property, type) -> whether the property applies to the type,
-        # filled as property_applies_to answers
-        self._applies: dict[tuple[str, str], bool] = {}
+    classes: dict[str, frozenset[str]]
+    properties: dict[str, PropertyDef]
+    member_enumerations: dict[str, frozenset[str]]
+    datatypes: frozenset[str]
+    snapshot_id: str
 
     def is_enumeration(self, class_name: str) -> bool:
         return "Enumeration" in self.classes[class_name]
@@ -314,9 +301,5 @@ def _closure(supers: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
 def property_applies_to(vocab: VocabularyGraph, property_name: str,
                         type_name: str) -> bool:
     """True iff the property's expected domains cover the given type."""
-    applies = vocab._applies.get((property_name, type_name))
-    if applies is None:
-        applies = any(d in vocab.classes[type_name] for d
-                      in vocab.properties[property_name].domain_includes)
-        vocab._applies[(property_name, type_name)] = applies
-    return applies
+    return not vocab.classes[type_name].isdisjoint(
+        vocab.properties[property_name].domain_includes)

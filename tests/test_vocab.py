@@ -202,7 +202,7 @@ class TestDomainRange:
     def test_name_applies_to_thing(self, vocab):
         assert v.property_applies_to(vocab, "name", "Thing")
 
-    def test_each_vocabulary_answers_from_its_own_memo(self):
+    def test_each_vocabulary_answers_from_its_own_class_table(self):
         """Two vocabularies that give one property different domains keep
         their own answers in one process, whichever is asked first."""
         on_event = [dict(term) for term in MINI]
