@@ -17,10 +17,12 @@ Every run is a fresh interpreter started from the repository root, so the
 report targets and ``file:`` URLs are the same on every side.  It also runs
 ``validate`` on ``PAGE`` with each document in ``UNLOADABLE``, written to the
 temporary directory, so that a loader's failure message and exit code are
-held as well, and ``validate --validation-config`` with ``SCORING`` on every
-page (``.html``) of the fixtures and corpora, so that the scoring rules no
-default run reaches are compared too: month-first dates, a decimal comma and
-boolean surface forms, one of them a phrase without tokens.
+held as well (two of them are validation configs with a misspelt key, at
+the top level and in a ``booleanSurfaceForms`` entry), and ``validate
+--validation-config`` with ``SCORING`` on every page (``.html``) of the
+fixtures and corpora, so that the scoring rules no default run reaches are
+compared too: month-first dates, a decimal comma and boolean surface forms,
+one of them a phrase without tokens.
 The fetch path is compared too: the script serves the repository root over
 HTTP from its own process and runs ``verify`` on the URL of every fixture,
 ``validate`` on the URL of every fixture page, ``verify`` on a URL that
@@ -59,7 +61,7 @@ COMMANDS = (("verify",), ("verify", "--ds", DS_FILES["event"]),
             *(("validate", "--ds", path) for path in DS_FILES.values()),
             ("extract",))
 # a good page, and documents that no loader takes (each by the option that
-# names it): syntax, depth, shape, invalid UTF-8 and NaN
+# names it): syntax, depth, shape, invalid UTF-8, NaN and misspelt keys
 PAGE = "tests/fixtures/page_good.html"
 DEEP_DS = (b'{"name": "deep", "root": ' + b'{"targetTypes": ["Event"], '
            b'"properties": [{"name": "subEvent", "ranges": [{"type": '
@@ -84,6 +86,11 @@ UNLOADABLE = {
         b'{"booleanSurfaceForms": {"petsAllowed": {"true": [3]}}}'),
     "config-threshold-list": ("--validation-config", b'{"threshold": [1]}'),
     "config-threshold-nan": ("--validation-config", b'{"threshold": NaN}'),
+    "config-misspelt-key": ("--validation-config",
+                            b'{"treshold": 0.1, "dateorder": "MDY"}'),
+    "config-forms-misspelt-key": (
+        "--validation-config",
+        b'{"booleanSurfaceForms": {"petsAllowed": {"yes": ["pets ok"]}}}'),
 }
 # every scoring rule away from its default: month-first dotted and slashed
 # dates, a decimal comma, and the corpus's boolean worded as its pages word

@@ -12,12 +12,12 @@ layers read.  Every walk uses an explicit stack, so nesting depth is
 bounded by memory, not by the interpreter's recursion limit.
 
 JSON-LD handling is deliberately schema.org-flavored: only the keywords
-``@context``, ``@type``, ``@id``, ``@graph`` and ``@value`` are honored;
-anything else is reported as an unsupported construct and skipped.  Each
-top-level object's ``@context`` folds into one active context, and every
-type and property name is expanded in it: a schema.org IRI becomes its bare
-term, any other IRI stays whole.  A Microdata item is read in schema.org's
-context, and its names are never keywords.
+``@context``, ``@graph``, ``@value``, and ``@id`` and ``@type`` or a term
+aliasing them, are honored; anything else is reported as unsupported and
+skipped.  Each top-level object's ``@context`` folds into one active
+context, and every type and property name is expanded in it: a schema.org
+IRI becomes its bare term, any other IRI stays whole.  A Microdata item is
+read in schema.org's context, and its names are never keywords.
 
 Parsing is pure; parsed graphs are only mutated during construction and are
 safe to share afterwards.
@@ -244,8 +244,8 @@ class _GraphBuilder:
         self.entries = entries
         self.base_url = base_url  # identifiers, page URLs resolve against it
         self.by_id: dict[str, AnnotationNode] = {}
-        # the active context: vocab, terms and @base ("" the block's base)
-        self.vocab, self.terms, self.base = _SCHEMA_ORG_CONTEXT
+        # the active context: vocab, terms, @base ("" the block's) and aliases
+        self.vocab, self.terms, self.base, self.aliases = _SCHEMA_ORG_CONTEXT
         self.unexpanded: set[str] = set()
 
     def warn(self, construct: str) -> None:
@@ -280,8 +280,10 @@ class _GraphBuilder:
         return node
 
     def build(self, obj: dict | MicrodataItem,
-              top_level: bool = False) -> AnnotationNode:
-        stack = [self.build_node(obj, top_level)]
+              context: tuple | None = None) -> AnnotationNode:
+        if context is not None:  # a top-level JSON-LD object's, folded
+            self.vocab, self.terms, self.base, self.aliases = context
+        stack = [self.build_node(obj, context is not None)]
         result = None
         while True:
             try:
@@ -300,6 +302,7 @@ class _GraphBuilder:
                 self.warn("itemref is not supported; "
                           "referenced properties skipped")
         else:
+            obj = self.unalias(obj) if self.aliases else obj
             identifier, types = obj.get("@id"), obj.get("@type")
             types = types if isinstance(types, list) else [types]
             pairs = obj.items()
@@ -339,6 +342,16 @@ class _GraphBuilder:
                 node.properties.setdefault(key, []).extend(parsed)
         return node
 
+    def unalias(self, obj: dict) -> dict:
+        """``obj`` with each alias read as its keyword, given once."""
+        read = {}
+        for key, value in obj.items():
+            keyword = self.aliases.get(key, key)
+            if keyword in read:  # JSON-LD's colliding keywords
+                self.warn(f"keyword {keyword} given twice; {key!r} skipped")
+            read.setdefault(keyword, value)
+        return read
+
     def build_value(self, value):
         if isinstance(value, bool):
             return Literal("true" if value else "false", "Boolean")
@@ -365,10 +378,6 @@ class _GraphBuilder:
                 self.warn("non-scalar @value; skipped")
                 return None
             return inner
-        meaningful = [k for k in value if k != "@id"]
-        if not meaningful and isinstance(value.get("@id"), str):
-            # bare node reference; resolves to a full node if one exists
-            return Entity(self.node_for_id(value["@id"]))
         return Entity((yield self.build_node(value)))
 
 
@@ -430,10 +439,9 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
         if isinstance(context, str):
             builder.warn(f"{context}; block skipped")
             continue
-        builder.vocab, builder.terms, builder.base = context
         graph = top.get("@graph")
         if graph is None:
-            roots.append(builder.build(top, top_level=True))
+            roots.append(builder.build(top, context))
             continue
         beside = [repr(k) for k in top if k not in ("@context", "@graph")]
         if beside:
@@ -449,33 +457,32 @@ def _parse_jsonld(payload: str | bytes, builder: _GraphBuilder):
             if isinstance(own, str):
                 builder.warn(f"{own}; @graph entry skipped")
             else:
-                builder.vocab, builder.terms, builder.base = own
-                roots.append(builder.build(item, top_level=True))
+                roots.append(builder.build(item, own))
     return roots
 
 
 _SCHEMA_ORG = "https://schema.org/"
 _SCHEMA_ORG_IRIS = ("https://schema.org/", "http://schema.org/")
 _SCHEMA_ORG_NAMES = {"http://schema.org", "https://schema.org", "schema.org"}
-_SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG}, "")
+_SCHEMA_ORG_CONTEXT = (_SCHEMA_ORG, {"schema": _SCHEMA_ORG}, "", {})
 
 
 def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
-                  ) -> tuple[str | None, dict, str | None] | str:
-    """The ``(vocab, terms, base)`` that an object's ``@context`` folds
-    into (JSON-LD 1.1 API §4.1), or why the object is skipped.
+                  ) -> tuple[str | None, dict, str | None, dict] | str:
+    """The ``(vocab, terms, base, aliases)`` that an object's ``@context``
+    folds into (JSON-LD 1.1 API §4.1), or why the object is skipped.
 
     The fold starts from ``start``: a ``@graph`` entry's from the top-level
     object's context, any other from schema.org's, to which ``null`` resets.
     A later entry wins.  The schema.org IRI, known by name, sets ``@vocab``
-    and ``schema`` to schema.org; an object sets ``@vocab`` and its terms,
-    each a string or ``{"@id": ...}``, and ``@base``: a string resolved
-    against the base before it, or null.  Remote contexts are never fetched.
+    and ``schema`` to schema.org; an object sets ``@vocab``, its terms (a
+    string, ``{"@id": ...}``, or ``@id`` or ``@type`` for an alias) and
+    ``@base``: a string resolved against the base before it, or null.
     """
-    vocab, terms, base = start
+    vocab, terms, base, _ = start
     for entry in context if isinstance(context, list) else [context]:
         if entry is None:
-            vocab, terms, base = _SCHEMA_ORG_CONTEXT
+            vocab, terms, base, _ = _SCHEMA_ORG_CONTEXT
         elif isinstance(entry, str):
             if entry.rstrip("/") not in _SCHEMA_ORG_NAMES:
                 return f"context {entry!r} is not a schema.org context"
@@ -496,12 +503,14 @@ def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
                 if isinstance(value, dict):  # no @id: the term's own IRI
                     value = value.get("@id", term)
                 terms.pop(term, None)
-                terms[term] = (_expand(value, vocab, terms)
+                terms[term] = (value if value in ("@id", "@type")
+                               else _expand(value, vocab, terms)
                                if isinstance(value, str)
                                and not value.startswith("@") else None)
         else:
             return "unsupported @context form"
-    return vocab, terms, base
+    return vocab, terms, base, {term: iri for term, iri in terms.items()
+                                if iri in ("@id", "@type")}
 
 
 def _expand(name: str, vocab: str | None, terms: dict) -> str | None:
@@ -511,6 +520,6 @@ def _expand(name: str, vocab: str | None, terms: dict) -> str | None:
         return terms[name]
     prefix, colon, suffix = name.partition(":")
     if colon:  # a compact IRI, an absolute IRI or a blank node identifier
-        iri = terms.get(prefix)
-        return iri + suffix if iri and not suffix.startswith("//") else name
+        iri = terms.get(prefix) or "@"  # a keyword alias is no prefix
+        return name if iri[0] == "@" or suffix[:2] == "//" else iri + suffix
     return None if vocab is None else vocab + name

@@ -94,11 +94,14 @@ class ValidationConfig(NamedTuple):
 
 
 def load_validation_config(data: bytes) -> ValidationConfig:
-    """Read a configuration document; raises ValueError when it does not
-    parse or a field has the wrong shape."""
+    """The read-only record of a configuration document; raises ValueError
+    when it does not parse, a key is unknown or a field has the wrong shape."""
     raw = read_json(data, ValueError, "document")
     if not isinstance(raw, dict):
         raise ValueError("document must be a JSON object")
+    for key in sorted(raw.keys() - {"threshold", "dateOrder",
+                                    "decimalSeparator", "booleanSurfaceForms"}):
+        raise ValueError(f"unknown key {key!r}")
     fields = {}
     if "threshold" in raw:
         threshold = raw["threshold"]
@@ -123,6 +126,9 @@ def load_validation_config(data: bytes) -> ValidationConfig:
     for prop, forms in surface_forms.items():
         if not isinstance(forms, dict):
             raise ValueError(f"booleanSurfaceForms of {prop!r} must be an object")
+        for key in sorted(forms.keys() - {"true", "false"}):
+            raise ValueError(f"booleanSurfaceForms of {prop!r}: unknown key "
+                             f"{key!r}")
         by_property[prop] = {}
         for key in ("true", "false"):
             phrases = forms.get(key, [])

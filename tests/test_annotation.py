@@ -442,7 +442,7 @@ class TestJsonLdParsing:
         {"@vocab": 7},
         {"name": None, "Event": None},
         {"name": {"@id": None}, "Event": None},
-        {"name": "@type", "Event": {"@id": "@id"}},
+        {"name": "@value", "Event": {"@id": "@graph"}},
     ])
     def test_a_name_that_expands_to_no_iri_is_skipped_once(self, context):
         graph, entries = parse_jsonld({
@@ -453,6 +453,61 @@ class TestJsonLdParsing:
             "name 'name' expands to no IRI; skipped"]
         assert [(n.types, list(n.properties)) for n in graph.nodes] == [
             (["Event"], ["subEvent"]), ([], [])]
+
+    def test_keyword_aliases_read_as_their_keywords(self):
+        graph, entries = parse_jsonld(
+            (PROBES / "jsonld_keyword_aliases.json").read_text())
+        assert entries == []
+        event, place = graph.nodes
+        assert (event.types, event.identifier, list(event.properties)) == (
+            ["Event"], "https://x.example/e", ["name", "startDate", "location"])
+        assert (place.types, list(place.properties)) == (["Place"], ["name"])
+
+    @pytest.mark.parametrize("context", [
+        [{"id": "@id", "type": "@type"}],
+        [{"id": {"@id": "@id"}, "type": {"@id": "@type"}}],
+        # a term mapped to an alias is an alias too
+        [{"key": "@id", "kind": "@type"}, {"id": "key", "type": "kind"}],
+    ])
+    def test_an_aliased_reference_meets_its_node(self, context):
+        graph, entries = parse_jsonld({
+            "@context": ["https://schema.org", *context], "@graph": [
+                {"type": "Event", "name": "E", "location": {"id": "#p"},
+                 "organizer": {"id": "#nobody"}},
+                {"id": "#p", "type": "Place", "name": "P"}]})
+        assert entries == []
+        event, place = graph.roots
+        assert event.properties["location"][0].node is place
+        assert (place.identifier, place.types) == ("#p", ["Place"])
+        organizer = event.properties["organizer"][0]
+        assert (type(organizer), organizer.iri) == (a.Reference, "#nobody")
+
+    def test_a_keyword_given_twice_reads_the_first(self):
+        """JSON-LD's colliding keywords: a keyword and its alias, or two
+        aliases of one keyword, in one object."""
+        graph, entries = parse_jsonld({
+            "@context": {"name": "@type", "Event": {"@id": "@id"}},
+            "@type": ["Event", "schema:Event"], "name": "A",
+            "schema:subEvent": {"@type": "Event", "name": "B"}})
+        assert [e.description for e in entries] == [
+            "keyword @type given twice; 'name' skipped",
+            "name 'Event' expands to no IRI; skipped",
+            "keyword @type given twice; 'name' skipped"]
+        assert [(n.types, list(n.properties)) for n in graph.nodes] == [
+            (["Event"], ["subEvent"]), ([], [])]
+        graph, entries = parse_jsonld({
+            "@context": {"id": "@id", "ident": "@id"},
+            "ident": "#a", "@type": "Event", "id": "#b"})
+        assert [e.description for e in entries] == [
+            "keyword @id given twice; 'id' skipped"]
+        assert graph.roots[0].identifier == "#a"
+
+    def test_a_keyword_alias_is_no_prefix(self):
+        graph, entries = parse_jsonld({
+            "@context": ["https://schema.org", {"type": "@type"}],
+            "type": ["Event", "type:Event"]})
+        assert entries == []
+        assert graph.roots[0].types == ["Event", "type:Event"]
 
     def test_reverse_keyword_is_skipped_with_warning(self):
         block = ('{"@context":"https://schema.org","@type":"Event","name":"A",'

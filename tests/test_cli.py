@@ -400,11 +400,13 @@ class TestRobustness:
 
     @pytest.mark.parametrize("probe", ["jsonld_graph_object.json",
                                        "jsonld_schema_prefix.json",
-                                       "jsonld_context_list_object.json"])
+                                       "jsonld_context_list_object.json",
+                                       "jsonld_keyword_aliases.json"])
     def test_jsonld_forms_of_one_event_are_checked_clean(self, probe,
                                                          capsysbinary):
-        """A @graph object, schema: terms under a schema prefix, and a
-        context list whose schema.org entry is an object."""
+        """A @graph object, schema: terms under a schema prefix, a context
+        list whose schema.org entry is an object, and terms that alias @id
+        and @type."""
         path = str(FIXTURES / "probes" / probe)
         assert cli.main(["verify", path]) == 0
         assert json.loads(capsysbinary.readouterr().out)["entries"] == []
@@ -493,9 +495,15 @@ class TestRobustness:
          "validation config"),
         ("--validation-config", '{"threshold": [1]}', "validation config"),
         ("--validation-config", '{"threshold": NaN}', "validation config"),
+        ("--validation-config", '{"treshold": 0.1, "dateorder": "MDY"}',
+         "validation config"),
+        ("--validation-config",
+         '{"booleanSurfaceForms": {"petsAllowed": {"yes": ["pets ok"]}}}',
+         "validation config"),
     ], ids=["ds-200-deep", "vocab-3000-deep", "config-list",
             "config-3000-deep", "config-forms-int", "config-phrase-int",
-            "config-threshold-list", "config-threshold-nan"])
+            "config-threshold-list", "config-threshold-nan",
+            "config-misspelt-key", "config-forms-misspelt-key"])
     def test_unloadable_document_exits_2(self, option, document, loader,
                                          tmp_path, capsys):
         path = tmp_path / "document.json"

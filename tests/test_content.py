@@ -439,6 +439,22 @@ def test_validation_config_rejects_bad_values():
     with pytest.raises(ValueError, match="booleanSurfaceForms must be an "
                                          "object"):
         c.load_validation_config(b'{"booleanSurfaceForms": ["pets ok"]}')
+    with pytest.raises(ValueError, match="^unknown key 'dateorder'$"):
+        c.load_validation_config(b'{"treshold": 0.1, "dateorder": "MDY"}')
+    with pytest.raises(ValueError, match="^booleanSurfaceForms of "
+                                         "'petsAllowed': unknown key 'yes'$"):
+        c.load_validation_config(b'{"booleanSurfaceForms": {"petsAllowed": '
+                                 b'{"true": [], "yes": ["y"]}}}')
+
+
+def test_a_loaded_validation_config_leaves_the_defaults_alone():
+    loaded = c.load_validation_config(
+        b'{"booleanSurfaceForms": {"petsAllowed": {"true": ["pets ok"]}}}')
+    assert loaded == c.ValidationConfig(
+        boolean_surface_forms={"petsAllowed": {"true": ["pets ok"],
+                                               "false": []}})
+    assert c.ValidationConfig().boolean_surface_forms == {}
+    assert c.load_validation_config(b"{}") == c.ValidationConfig()
 
 
 # NaN, the infinities and 1e400 are no JSON numbers: they fail at parse

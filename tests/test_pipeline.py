@@ -308,16 +308,19 @@ SPLIT_BLOCKS = st.one_of(
          "startDate": day, prop: "x"}),
         SPLIT_NAMES, SPLIT_DATES, st.sampled_from(["url", "nmae"])),
     # several roots in one @graph, sharing a node by @id, under a context
-    # @base now and then
-    st.builds(lambda name, day, roots, context: _jsonld(
-        {"@context": context, "@graph": [
-            {"@type": "Place", "@id": "#p", "name": name},
-            *({"@type": "Event", "name": name, "startDate": day,
-               "location": {"@id": "#p"}} for _ in range(roots))]}),
+    # @base or with @id and @type aliased now and then
+    st.builds(lambda name, day, roots, form: _jsonld(
+        {"@context": form[0], "@graph": [
+            {form[2]: "Place", form[1]: "#p", "name": name},
+            *({form[2]: "Event", "name": name, "startDate": day,
+               "location": {form[1]: "#p"}} for _ in range(roots))]}),
         SPLIT_NAMES, SPLIT_DATES, st.integers(1, 3),
-        st.sampled_from(["https://schema.org",
-                         ["https://schema.org",
-                          {"@base": "https://other.example/dir/"}]])),
+        st.sampled_from([
+            ("https://schema.org", "@id", "@type"),
+            (["https://schema.org", {"@base": "https://other.example/dir/"}],
+             "@id", "@type"),
+            (["https://schema.org", {"id": "@id", "type": "@type"}],
+             "id", "type")])),
     # one root as a @graph object, its terms prefixed now and then
     st.builds(lambda name, day, context, prefix: _jsonld(
         {"@context": context, "@graph": {

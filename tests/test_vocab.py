@@ -239,18 +239,29 @@ def test_domain_monotonicity_under_subclassing(vocab):
 
 @st.composite
 def class_hierarchies(draw):
-    """Random acyclic classes under MINI's Thing, as (declared parents by
-    class, the dump's class terms in shuffled order).  A class's parents are
-    Thing, earlier classes and sometimes the datatype Text."""
+    """Random acyclic classes under MINI's Thing and a few properties on
+    them, as (declared parents by class, domains by property, the dump's
+    class and property terms in shuffled order).  A class's parents are
+    Thing, earlier classes and sometimes the datatype Text; a property's
+    domains are any classes."""
     parents = {}
     for i in range(draw(st.integers(0, 30))):
         earlier = ["Thing", "Text", *parents]
         parents[f"C{i}"] = draw(st.sets(st.sampled_from(earlier), min_size=1,
                                         max_size=3))
+    classes = ["Thing", "Event", *parents]
+    domains = {f"p{i}": draw(st.sets(st.sampled_from(classes), min_size=1,
+                                     max_size=3))
+               for i in range(draw(st.integers(0, 4)))}
     terms = [{"@id": f"schema:{name}", "@type": "rdfs:Class",
               "rdfs:subClassOf": [{"@id": f"schema:{p}"} for p in sorted(ps)]}
              for name, ps in parents.items()]
-    return parents, draw(st.permutations(terms))
+    terms += [{"@id": f"schema:{name}", "@type": "rdf:Property",
+               "schema:domainIncludes": [{"@id": f"schema:{d}"}
+                                         for d in sorted(ds)],
+               "schema:rangeIncludes": {"@id": "schema:Text"}}
+              for name, ds in domains.items()]
+    return parents, domains, draw(st.permutations(terms))
 
 
 def closure_by_fixed_point(parents):
@@ -271,7 +282,7 @@ def closure_by_fixed_point(parents):
 @settings(max_examples=60)
 @given(class_hierarchies())
 def test_the_class_table_is_the_superclass_closure(hierarchy):
-    parents, terms = hierarchy
+    parents, _, terms = hierarchy
     graph = v.load_vocabulary(dump(MINI + terms))
     expected = closure_by_fixed_point(
         {"Thing": set(), "Event": {"Thing"}, **parents})
@@ -279,9 +290,22 @@ def test_the_class_table_is_the_superclass_closure(hierarchy):
 
 
 @settings(max_examples=60)
+@given(class_hierarchies())
+def test_a_property_applies_where_a_domain_is_in_the_closure(hierarchy):
+    parents, domains, terms = hierarchy
+    graph = v.load_vocabulary(dump(MINI + terms))
+    closure = closure_by_fixed_point(
+        {"Thing": set(), "Event": {"Thing"}, **parents})
+    for prop, domain in {"name": {"Thing"}, **domains}.items():
+        for name, supers in closure.items():
+            assert v.property_applies_to(graph, prop, name) == bool(
+                domain & supers), (prop, name)
+
+
+@settings(max_examples=60)
 @given(class_hierarchies(), st.data())
 def test_a_back_edge_is_a_cyclic_subclass_chain(hierarchy, data):
-    parents, terms = hierarchy
+    parents, _, terms = hierarchy
     closure = closure_by_fixed_point(parents)
     edges = [(sub, sup) for sub in parents for sup in closure[sub]
              if sup in parents and sup != sub]
