@@ -275,6 +275,68 @@ class TestValueFitsRange:
             ("E304", "$0.eventStatus")]
 
 
+# the literal pairs each semantic rule compares or skips: (type, lower value,
+# upper value, the E208 description or None); an Event's pair is its
+# startDate/endDate, a QuantitativeValue's its minValue/maxValue, and
+# tests/fixtures/probes/semantic_rule_pairs.json holds the same pairs
+ENTITY = {"@type": "Thing", "name": "listed first"}
+RULE_PAIRS = [
+    ("Event", "2026-07-10", "2026-07-12", None),
+    ("Event", "2026-07-10", "2026-07-10", None),
+    ("Event", "2026-07-12", "2026-07-10", "rule 'event-dates': endDate "
+     "2026-07-10 precedes startDate 2026-07-12"),
+    ("Event", "2026-07-10T18:00:00", "2026-07-10T19:00:00", None),
+    ("Event", "2026-07-10T18:00:00", "2026-07-10T17:00:00",
+     "rule 'event-dates': endDate 2026-07-10T17:00:00 precedes startDate "
+     "2026-07-10T18:00:00"),
+    ("Event", "2026-07-10T18:00:00+02:00", "2026-07-10T17:00:00Z", None),
+    ("Event", "2026-07-10T18:00:00Z", "2026-07-10T19:00:00+02:00",
+     "rule 'event-dates': endDate 2026-07-10T19:00:00+02:00 precedes "
+     "startDate 2026-07-10T18:00:00Z"),
+    ("Event", "2026-07-10T18:00:00Z", "2026-07-10T17:00:00", None),
+    ("Event", "2026-07-10T18:00:00", "2026-07-10T17:00:00Z", None),
+    ("Event", "2026-07-10T18:00:00", "2026-07-01", None),
+    ("Event", "2026-07-10", "2026-07-01T18:00:00", None),
+    ("Event", "19:00:00", "18:00:00", None),
+    ("Event", 5, 2, None),
+    ("Event", "next week", "last week", None),
+    ("Event", [ENTITY, "2026-07-12"], "2026-07-10", "rule 'event-dates': "
+     "endDate 2026-07-10 precedes startDate 2026-07-12"),
+    ("Event", ["2026-07-10", "2026-07-20"], "2026-07-15", None),
+    ("QuantitativeValue", 2, 5, None),
+    ("QuantitativeValue", 2, 2.0, None),
+    ("QuantitativeValue", 5, 2,
+     "rule 'value-order': minValue 5 exceeds maxValue 2"),
+    ("QuantitativeValue", 3, 2.5,
+     "rule 'value-order': minValue 3 exceeds maxValue 2.5"),
+    ("QuantitativeValue", 2.75, 2.5,
+     "rule 'value-order': minValue 2.75 exceeds maxValue 2.5"),
+    ("QuantitativeValue", "10", "9",
+     "rule 'value-order': minValue 10 exceeds maxValue 9"),
+    ("QuantitativeValue", "high", "low", None),
+    ("QuantitativeValue", "2026-07-12", "2026-07-10", None),
+    ("QuantitativeValue", True, False, None),
+    ("QuantitativeValue", "", 2, None),
+    ("QuantitativeValue", [ENTITY, 5], 2,
+     "rule 'value-order': minValue 5 exceeds maxValue 2"),
+    ("QuantitativeValue", [{"@id": "https://x.example/v"}, 5], [2, 9],
+     "rule 'value-order': minValue 5 exceeds maxValue 2"),
+]
+
+
+@pytest.mark.parametrize("node_type, low, high, description", RULE_PAIRS)
+def test_a_rule_compares_the_first_literals_of_its_datatypes(
+        vocab, node_type, low, high, description):
+    low_prop, high_prop, named = (
+        ("startDate", "endDate", "$0.endDate") if node_type == "Event"
+        else ("minValue", "maxValue", "$0.minValue"))
+    block = {"@context": "https://schema.org", "@type": node_type,
+             "name": "pair", low_prop: low, high_prop: high}
+    assert [(f.path, f.description) for f in verify(block, vocab)
+            if f.code == "E208"] == ([] if description is None
+                                     else [(named, description)])
+
+
 class TestSemanticRules:
     def test_compliant_event_fires_no_rule(self, vocab):
         assert verify(COMPLIANT_EVENT, vocab) == []
