@@ -21,51 +21,35 @@ from .vocab import (DATATYPE_WIDENING, VocabularyGraph, property_applies_to,
                     strip_namespace)
 
 
-def _first_literal(node: AnnotationNode, prop: str) -> Literal | None:
-    for value in node.properties.get(prop, []):
-        if isinstance(value, Literal):
-            return value
-    return None
-
-
-def _check_event_dates(node: AnnotationNode) -> tuple[str, str] | None:
-    start = _first_literal(node, "startDate")
-    end = _first_literal(node, "endDate")
-    if start is None or end is None or start.datatype != end.datatype:
-        return None
-    if start.datatype not in ("Date", "DateTime"):
-        return None
-    start_value = parse_temporal(start.raw, start.datatype)
-    end_value = parse_temporal(end.raw, end.datatype)
-    if (start.datatype == "DateTime"
-            and (start_value.tzinfo is None) != (end_value.tzinfo is None)):
-        return None  # mixed naive/zoned timestamps are not comparable
-    if end_value < start_value:
-        return "endDate", f"endDate {end.raw} precedes startDate {start.raw}"
-    return None
-
-
-def _check_value_order(node: AnnotationNode) -> tuple[str, str] | None:
-    low = _first_literal(node, "minValue")
-    high = _first_literal(node, "maxValue")
-    if low is None or high is None:
-        return None
-    if low.datatype not in ("Integer", "Float") or high.datatype not in ("Integer", "Float"):
-        return None
-    from decimal import Decimal  # the one verify-path rule that reads it
-    if Decimal(low.raw) > Decimal(high.raw):
-        return "minValue", f"minValue {low.raw} exceeds maxValue {high.raw}"
-    return None
-
-
 # the semantic rules every run checks, in id order: (id, applicable type,
-# check), where a check is side-effect free, total over nodes of (a subclass
-# of) its type, and returns None when the node satisfies it, else the
-# property at fault and a description
+# lower property, upper property, the datatypes compared, the property a
+# finding names).  On a node of (a subclass of) its type, the first literal
+# of the lower property must not exceed the upper's (``_exceeds``)
 _RULES = (
-    ("event-dates", "Event", _check_event_dates),
-    ("value-order", "Thing", _check_value_order),
+    ("event-dates", "Event", "startDate", "endDate", ("Date", "DateTime"),
+     "endDate"),
+    ("value-order", "Thing", "minValue", "maxValue", ("Integer", "Float"),
+     "minValue"),
 )
+_NUMBERS = ("Integer", "Float")
+
+
+def _exceeds(low: Literal, high: Literal, datatypes: tuple[str, ...]) -> bool:
+    """Does ``low`` exceed ``high``, both of ``datatypes``?  Numbers compare
+    across Integer and Float; a date or time only with one of its own
+    datatype, and never a naive timestamp with a zoned one."""
+    if low.datatype not in datatypes or high.datatype not in datatypes:
+        return False
+    if low.datatype in _NUMBERS and high.datatype in _NUMBERS:
+        from decimal import Decimal  # the one verify-path rule that reads it
+        return Decimal(low.raw) > Decimal(high.raw)
+    if low.datatype != high.datatype:
+        return False
+    low_value = parse_temporal(low.raw, low.datatype)
+    high_value = parse_temporal(high.raw, high.datatype)
+    return ((getattr(low_value, "tzinfo", None) is None)  # a date has none
+            == (getattr(high_value, "tzinfo", None) is None)
+            and low_value > high_value)
 
 
 def value_fits_range(vocab: VocabularyGraph, value: PropertyValue,
@@ -142,15 +126,20 @@ def _check_node(node: AnnotationNode, vocab: VocabularyGraph,
             _check_value(value, prop, prop_known, vocab, findings)
         _check_duplicates(prop, prop_path, values, findings)
 
-    for rule_id, applicable_type, check in _RULES:
-        if not any(applicable_type in vocab.classes[t] for t in known_types):
+    for rule_id, applies_to, low_prop, high_prop, datatypes, named in _RULES:
+        if (low_prop not in node.properties or high_prop not in node.properties
+                or not any(applies_to in vocab.classes[t] for t in known_types)):
+            continue  # a node lacking either property reads no value
+        low, high = (next((v for v in node.properties[p]
+                           if isinstance(v, Literal)), None)
+                     for p in (low_prop, high_prop))
+        if low is None or high is None or not _exceeds(low, high, datatypes):
             continue
-        violation = check(node)
-        if violation is not None:
-            prop, description = violation
-            findings.append(make_entry(
-                "E208", f"{node.path}.{prop}",
-                f"rule {rule_id!r}: {description}"))
+        description = (f"{high_prop} {high.raw} precedes {low_prop} {low.raw}"
+                       if named == high_prop else
+                       f"{low_prop} {low.raw} exceeds {high_prop} {high.raw}")
+        findings.append(make_entry("E208", f"{node.path}.{named}",
+                                   f"rule {rule_id!r}: {description}"))
 
 
 def _type_list_text(types: list[str]) -> str:
