@@ -478,6 +478,8 @@ def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
     and ``schema`` to schema.org; an object sets ``@vocab``, its terms (a
     string, ``{"@id": ...}``, or ``@id`` or ``@type`` for an alias) and
     ``@base``: a string resolved against the base before it, or null.
+    A term is defined after the terms of its object that its value names
+    (§4.2), and a cycle of them skips the object.
     """
     vocab, terms, base, _ = start
     for entry in context if isinstance(context, list) else [context]:
@@ -497,20 +499,47 @@ def _fold_context(context, start=_SCHEMA_ORG_CONTEXT,
                 base = (None if value is None
                         else resolve_url(value, base or "") or value)
             terms = dict(terms)
-            for term, value in entry.items():
-                if term.startswith("@"):  # @vocab, @base above; others unread
-                    continue
-                if isinstance(value, dict):  # no @id: the term's own IRI
-                    value = value.get("@id", term)
-                terms.pop(term, None)
-                terms[term] = (value if value in ("@id", "@type")
-                               else _expand(value, vocab, terms)
-                               if isinstance(value, str)
-                               and not value.startswith("@") else None)
+            # @vocab, @base above; other keywords unread.  A dict without
+            # @id names the term's own IRI
+            pending = {term: value.get("@id", term)
+                       if isinstance(value, dict) else value
+                       for term, value in entry.items()
+                       if not term.startswith("@")}
+            while pending:
+                # terms to define, each named by the one before: an ordered
+                # dict as a stack, so a chain needs no recursion
+                chain = {next(iter(pending)): None}
+                while chain:
+                    term = next(reversed(chain))
+                    named = _term_named(term, pending[term], pending)
+                    if named in chain:
+                        return f"cyclic definition of term {named!r}"
+                    if named is not None:
+                        chain[named] = None
+                        continue
+                    chain.popitem()
+                    value = pending.pop(term)
+                    terms.pop(term, None)
+                    terms[term] = (value if value in ("@id", "@type")
+                                   else _expand(value, vocab, terms)
+                                   if isinstance(value, str)
+                                   and not value.startswith("@") else None)
         else:
             return "unsupported @context form"
     return vocab, terms, base, {term: iri for term, iri in terms.items()
                                 if iri in ("@id", "@type")}
+
+
+def _term_named(term: str, value, pending: dict) -> str | None:
+    """The term of ``pending`` other than ``term`` that ``value``, a term
+    definition, names whole or as a compact IRI's prefix (§4.2), if any."""
+    if not isinstance(value, str):
+        return None
+    prefix, colon, suffix = value.partition(":")
+    for name in (value, prefix if colon and suffix[:2] != "//" else None):
+        if name != term and name in pending:
+            return name
+    return None
 
 
 def _expand(name: str, vocab: str | None, terms: dict) -> str | None:

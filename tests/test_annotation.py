@@ -336,6 +336,38 @@ class TestJsonLdParsing:
             ("E103", warning),
             ("E102", "annotation block contains no typed node")]
 
+    def test_a_cyclic_term_definition_skips_its_block_or_entry(self):
+        block = json.dumps({"@context": {"a": "b", "b": "a"},
+                            "@type": "Event"})
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
+        assert graph is None
+        assert [e.description for e in entries] == [
+            "cyclic definition of term 'a'; block skipped",
+            "annotation block contains no typed node"]
+        graph, entries = parse_jsonld({
+            "@context": "https://schema.org", "@graph": [
+                {"@context": {"x": "s:a", "s": "a", "a": "x"},
+                 "@type": "Event"},
+                {"@type": "Place", "name": "P"}]})
+        assert [e.description for e in entries] == [
+            "cyclic definition of term 'x'; @graph entry skipped"]
+        assert [r.types for r in graph.roots] == [["Place"]]
+
+    def test_a_chain_of_terms_as_long_as_its_object_is_read(self):
+        """Each term names the next, so the last is defined first."""
+        n = 5000
+        context = {f"t{i}": f"t{i + 1}" for i in range(n)}
+        graph, entries = parse_jsonld({
+            "@context": ["https://schema.org", {**context, f"t{n}": "name"}],
+            "@type": "Event", "t0": "A"})
+        assert entries == []
+        assert list(graph.roots[0].properties) == ["name"]
+        block = json.dumps({"@context": {**context, f"t{n}": "t0"},
+                            "@type": "Event"})
+        graph, entries = a.parse_annotation(a.RawBlock(block, 0))
+        assert entries[0].description == (
+            "cyclic definition of term 't0'; block skipped")
+
     # a block starts from the schema.org context and null resets to it;
     # a later list entry wins
     @pytest.mark.parametrize("context, types, properties", [
@@ -395,6 +427,13 @@ class TestJsonLdParsing:
         {"title": "http://schema.org/name"},
         # a term defined by one entry is replaced by a later one
         [{"title": "https://x.example/t"}, {"title": "name"}],
+        # a term is defined after the terms of its object that its value
+        # names, whole or as a prefix, in either key order
+        ["https://schema.org", {"title": "headline", "headline": "name"}],
+        ["https://schema.org", {"headline": "name", "title": "headline"}],
+        {"title": "s:name", "s": "https://schema.org/"},
+        # a value naming its own term reads @vocab
+        [{"name": "headline"}, {"title": "name", "name": "name"}],
     ])
     def test_a_term_reads_as_the_name_it_maps_to(self, context):
         graph, entries = parse_jsonld({"@context": context, "@type": "Event",
@@ -468,6 +507,7 @@ class TestJsonLdParsing:
         [{"id": {"@id": "@id"}, "type": {"@id": "@type"}}],
         # a term mapped to an alias is an alias too
         [{"key": "@id", "kind": "@type"}, {"id": "key", "type": "kind"}],
+        [{"id": "key", "key": "@id", "type": "kind", "kind": "@type"}],
     ])
     def test_an_aliased_reference_meets_its_node(self, context):
         graph, entries = parse_jsonld({
