@@ -17,8 +17,9 @@ Every run is a fresh interpreter started from the repository root, so the
 report targets and ``file:`` URLs are the same on every side.  It also runs
 ``validate`` on ``PAGE`` with each document in ``UNLOADABLE``, written to the
 temporary directory, so that a loader's failure message and exit code are
-held as well (two of them are validation configs with a misspelt key, at
-the top level and in a ``booleanSurfaceForms`` entry), and ``validate
+held as well (three of them have a misspelt or stray key: two validation
+configs, at the top level and in a ``booleanSurfaceForms`` entry, and a
+copy of the shipped ``event.json``), and ``validate
 --validation-config`` with ``SCORING`` on every page (``.html``) of the
 fixtures and corpora, so that the scoring rules no default run reaches are
 compared too: month-first dates, a decimal comma and boolean surface forms,
@@ -73,6 +74,10 @@ UNLOADABLE = {
                              b'"root": {"targetTypes": ["Event"]}}'),
     "ds-version-nan": ("--ds", b'{"name": "nan", "dsVersion": NaN, '
                                b'"root": {"targetTypes": ["Event"]}}'),
+    "ds-misspelt-key": ("--ds", Path(DS_FILES["event"]).read_bytes()
+                        .replace(b'"dsVersion"', b'"bogus": 1, "dsVersion"')
+                        .replace(b'"endDate", "isOptional"',
+                                 b'"endDate", "isOptinal"')),
     "vocab-3000-deep": ("--vocab",
                         b'{"@graph": ' + b"[" * 3000 + b"]" * 3000 + b"}"),
     "config-syntax": ("--validation-config", b"{not json"),

@@ -23,7 +23,9 @@ Range entries are either a bare term name (datatype, enumeration or class)
 or an object ``{"type": <class>, "node": <nested type node>}``; a value fits
 one as ``sdo_verifier.value_fits_range`` decides.  ``isOptional`` and
 ``multipleValuesAllowed`` default to false: a constraint document tightens,
-silence must not loosen.
+silence must not loosen.  Each level takes only the keys shown above, so a
+misspelt ``isOptinal`` is a ``DsParseError``, never a property left
+mandatory.
 Properties the document does not mention are permitted silently.
 
 Loaded documents are immutable; verification is pure and safe to run
@@ -78,6 +80,7 @@ def load_domain_specification(data: bytes,
     raw = read_json(data, DsParseError, "document")
     if not isinstance(raw, dict):
         raise DsParseError("document must be a JSON object")
+    _refuse_unknown_keys(raw, {"name", "dsVersion", "root"}, "")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise DsParseError("document needs a non-empty 'name'")
@@ -89,7 +92,13 @@ def load_domain_specification(data: bytes,
     return DomainSpecification(name=name, root=root)
 
 
+def _refuse_unknown_keys(raw: dict, known: set[str], where: str) -> None:
+    for key in sorted(raw.keys() - known):
+        raise DsParseError(f"{where}unknown key {key!r}")
+
+
 def _load_type_node(raw: dict, vocab: VocabularyGraph, where: str) -> TypeNode:
+    _refuse_unknown_keys(raw, {"targetTypes", "properties"}, f"{where}: ")
     targets = raw.get("targetTypes")
     if not isinstance(targets, list) or not targets:
         raise DsParseError(f"{where}: 'targetTypes' must be a non-empty list")
@@ -127,6 +136,8 @@ def _load_property_node(raw: dict, vocab: VocabularyGraph,
     if name not in vocab.properties:
         raise DsIntegrityError(f"{where}: unknown property {name!r}")
     here = f"{where}.{name}"
+    _refuse_unknown_keys(raw, {"name", "isOptional", "multipleValuesAllowed",
+                               "ranges"}, f"{here}: ")
     is_optional = raw.get("isOptional", False)
     multiple = raw.get("multipleValuesAllowed", False)
     if not isinstance(is_optional, bool) or not isinstance(multiple, bool):
@@ -146,6 +157,7 @@ def _load_range_node(raw, vocab: VocabularyGraph, where: str) -> RangeNode:
             raise DsIntegrityError(f"{where}: unknown range term {name!r}")
         return RangeNode(name)
     if isinstance(raw, dict):
+        _refuse_unknown_keys(raw, {"type", "node"}, f"{where}: ")
         class_name = raw.get("type")
         if not isinstance(class_name, str):
             raise DsParseError(f"{where}: range object needs a 'type' name")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -481,9 +482,16 @@ class TestRobustness:
                '"properties": [{"name": "subEvent", "ranges": [{"type": '
                '"Event", "node": ' * 199 + '{"targetTypes": ["Event"]}'
                + "}]}]}" * 199 + "}")
+    # the shipped event document with a stray key and endDate's misspelt
+    MISSPELT_DS = (resources.files("sdocheck.data").joinpath("ds/event.json")
+                   .read_text()
+                   .replace('"dsVersion"', '"bogus": 1, "dsVersion"')
+                   .replace('"endDate", "isOptional"',
+                            '"endDate", "isOptinal"'))
 
     @pytest.mark.parametrize("option, document, loader", [
         ("--ds", DEEP_DS, "domain specification"),
+        ("--ds", MISSPELT_DS, "domain specification"),
         ("--vocab", '{"@graph": ' + "[" * 3000 + "]" * 3000 + "}",
          "vocabulary"),
         ("--validation-config", "[1, 2]", "validation config"),
@@ -500,10 +508,11 @@ class TestRobustness:
         ("--validation-config",
          '{"booleanSurfaceForms": {"petsAllowed": {"yes": ["pets ok"]}}}',
          "validation config"),
-    ], ids=["ds-200-deep", "vocab-3000-deep", "config-list",
-            "config-3000-deep", "config-forms-int", "config-phrase-int",
-            "config-threshold-list", "config-threshold-nan",
-            "config-misspelt-key", "config-forms-misspelt-key"])
+    ], ids=["ds-200-deep", "ds-misspelt-key", "vocab-3000-deep",
+            "config-list", "config-3000-deep", "config-forms-int",
+            "config-phrase-int", "config-threshold-list",
+            "config-threshold-nan", "config-misspelt-key",
+            "config-forms-misspelt-key"])
     def test_unloadable_document_exits_2(self, option, document, loader,
                                          tmp_path, capsys):
         path = tmp_path / "document.json"

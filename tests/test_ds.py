@@ -152,6 +152,19 @@ class TestLoading:
              d.DsParseError, "root.location: nested 'node' must be an object"),
             (with_ranges([3]), d.DsParseError,
              "root.location: range entries must be names or objects"),
+            # a key the grammar does not define, at each of its four levels
+            ({"name": "E", "root": root, "bogus": 1}, d.DsParseError,
+             "unknown key 'bogus'"),
+            ({"name": "E", "root": {**root, "propertes": []}},
+             d.DsParseError, "root: unknown key 'propertes'"),
+            ({"name": "E", "root": {**root, "properties": [
+                {"name": "endDate", "isOptinal": True, "ranges": ["Date"]}]}},
+             d.DsParseError, "root.endDate: unknown key 'isOptinal'"),
+            (with_ranges([{"type": "Place", "nodes": root}]), d.DsParseError,
+             "root.location: unknown key 'nodes'"),
+            (with_ranges([{"type": "Place", "node": {
+                "targetTypes": ["Place"], "property": []}}]), d.DsParseError,
+             "root.location<Place>: unknown key 'property'"),
         ]
         for doc, error, message in cases:
             with pytest.raises(error) as raised:
