@@ -3,8 +3,9 @@
 Two families:
 
 * ``random_compliant_annotation`` draws only snapshot terms, respects
-  domain/range declarations, keeps values non-empty and distinct and dates
-  consistent.  Such annotations must verify cleanly.
+  domain/range declarations, keeps values non-empty and distinct and the
+  property pairs of every semantic rule (``sdo_verifier._RULES``) in
+  order.  Such annotations must verify cleanly.
 
 * ``random_ds_with_annotation`` builds a constraint document and an
   annotation synthesized from it in one pass, recording where mandatory and
@@ -18,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
+from sdocheck.sdo_verifier import _NUMBERS, _RULES
 from sdocheck.vocab import VocabularyGraph, property_applies_to
 
 _THING_PROPS_LIMIT = 4
@@ -95,8 +97,10 @@ def _compliant_node(vocab: VocabularyGraph, rng: random.Random,
         chosen.append("name")  # guarantees at least one property everywhere
     for prop in chosen:
         node[prop] = _compliant_value(vocab, rng, prop, counter, depth)
-    _order_date_pair(node, "startDate", "endDate")
-    _order_number_pair(node, "minValue", "maxValue")
+    for _, _, low_prop, high_prop, datatypes, _ in _RULES:  # the rules' pairs
+        numbers = any(datatype in _NUMBERS for datatype in datatypes)
+        (_order_number_pair if numbers else _order_date_pair)(
+            node, low_prop, high_prop)
     return node
 
 
